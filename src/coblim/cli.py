@@ -21,7 +21,8 @@ Exit codes: 0 when artifacts were written and every hard check passed;
 1 when a checked inequality was violated (trend verdicts — the ``series``
 and ``conditions``/``clt`` Monte Carlo trend labels — are data, not
 failures, except where an exact counterpart makes the comparison a hard
-check); 2 on configuration errors, including module resource guards.
+check); 2 on configuration errors, including module resource guards,
+and then no file is written.
 
 Determinism: for a fixed resolved config, every numeric artifact (JSON
 report, CSV table, two-column plot-data file) is byte-identical across
@@ -38,10 +39,8 @@ import math
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy
@@ -75,10 +74,10 @@ from .mc_harness import (
     slln_report,
     validate_hypotheses,
 )
-from .reports import CriteriaReport, canonical_json, config_hash, jsonable
+from .reports import CriteriaReport, canonical_json, config_hash, csv_text, plot_text
 from .series_checker import geometric_family, prop23_report
 
-__all__ = ["main", "run", "PRESETS", "ConfigError", "RunManifest"]
+__all__ = ["main", "run", "PRESETS", "ConfigError"]
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 20260814
@@ -357,96 +356,27 @@ def resolve_config(
 # artifact plumbing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunManifest:
-    """Closure over one run: resolved config, seed, and every output file.
-
-    Re-running with the echoed config reproduces every numeric output
-    byte-for-byte; the wall-clock/version stamps below are the only fields
-    excluded from that contract.
-    """
-
-    subcommand: str
-    config_path: Optional[str]
-    config: Dict[str, Any]
-    config_sha256: str
-    seed: int
-    workers: int
-    out_dir: str
-    outputs: List[str] = field(default_factory=list)
-    started_utc: str = ""
-    wall_seconds: float = 0.0
-    versions: Dict[str, str] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "subcommand": self.subcommand,
-            "config_path": self.config_path,
-            "config": jsonable(self.config),
-            "config_sha256": self.config_sha256,
-            "seed": self.seed,
-            "workers": self.workers,
-            "out_dir": self.out_dir,
-            "outputs": sorted(self.outputs),
-            "started_utc": self.started_utc,
-            "wall_seconds": self.wall_seconds,
-            "versions": self.versions,
-        }
+Artifacts = Dict[str, str]  # file name -> exact text
 
 
-class ArtifactWriter:
-    """Writes canonical artifacts into the output directory."""
-
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.names: List[str] = []
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    def json(self, name: str, payload: Any) -> None:
-        (self.out_dir / name).write_text(canonical_json(payload), encoding="utf-8")
-        self.names.append(name)
-
-    def csv_rows(self, name: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_csv_cell(v) for v in row))
-        (self.out_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        self.names.append(name)
-
-    def plotdata(self, name: str, xs: Sequence[Any], ys: Sequence[Any]) -> None:
-        """Plain two-column format: one `x y` pair per line."""
-        lines = [f"{_plot_cell(x)} {_plot_cell(y)}" for x, y in zip(xs, ys)]
-        (self.out_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        self.names.append(name)
-
-    def existing(self, name: str) -> None:
-        """Register a file written directly by a report object."""
-        self.names.append(name)
+def _records_csv(records: Sequence[Dict[str, Any]]) -> str:
+    """CRLF table of dict rows, columns in first-seen key order."""
+    keys = list(dict.fromkeys(k for row in records for k in row))
+    return csv_text(keys, [[row.get(k) for k in keys] for row in records], "\r\n")
 
 
-def _csv_cell(v: Any) -> str:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (list, tuple)):
-        return ";".join(_csv_cell(x) for x in v)
-    return "" if v is None else str(v)
-
-
-def _plot_cell(v: Any) -> str:
-    if isinstance(v, Fraction):
-        return repr(float(v))
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _report_payload(report: CriteriaReport, sha: str) -> Dict[str, Any]:
+def _report_json(report: CriteriaReport, sha: str) -> str:
     payload = report.to_dict()
     payload["config_sha256"] = sha
     payload["version"] = __version__
-    return payload
+    return canonical_json(payload)
+
+
+def _verdict(report: CriteriaReport) -> int:
+    """Print the report's check lines; exit code 1 if any hard check failed."""
+    for line in report.summary_lines():
+        print(line)
+    return 0 if report.all_passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +451,10 @@ def _experiment_config(view: ConfigView, system: str, transfer: Any) -> Experime
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (each returns the exit code)
+# subcommand handlers (each returns its artifacts and the exit code)
 # ---------------------------------------------------------------------------
 
-def _run_counterexample(view: ConfigView, writer: ArtifactWriter, sha: str) -> int:
+def _run_counterexample(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     cex = _build_cex(view)
     rows = exact_norms(cex)
     ratios = norm_decay_ratios(rows)
@@ -535,10 +465,14 @@ def _run_counterexample(view: ConfigView, writer: ArtifactWriter, sha: str) -> i
 
     header = ["i", "n_i", "k_i", "amplitude", "g_norm_exact", "g_norm_bound",
               "diff_norm_exact", "diff_norm_bound", "violation_prob"]
-    writer.csv_rows("norms.csv", header, [r.csv_row() for r in rows])
-    writer.plotdata("violation_prob.dat", [r.i for r in rows],
-                    [float(r.violation_prob) for r in rows])
-    writer.plotdata("norm_ratios.dat", [r.i for r in rows[1:]], ratios)
+    files = {
+        "norms.csv": csv_text(header, [[r.i, r.n, r.k, r.amplitude, r.norm_p_exact, r.bound_355,
+                                        r.norm_r_exact, r.bound_358, r.violation_prob]
+                                       for r in rows], "\n"),
+        "violation_prob.dat": plot_text([r.i for r in rows],
+                                        [float(r.violation_prob) for r in rows]),
+        "norm_ratios.dat": plot_text([r.i for r in rows[1:]], ratios),
+    }
 
     report = CriteriaReport(title="tower counterexample integrity",
                             context={"construction": cex.describe(),
@@ -561,13 +495,11 @@ def _run_counterexample(view: ConfigView, writer: ArtifactWriter, sha: str) -> i
                min_prob >= floor, min_prob - floor,
                detail=f"min exact probability {min_prob:.6f} (closed threshold events)")
     report.context["ratios"] = ratios
-    writer.json("report.json", _report_payload(report, sha))
-    for line in report.summary_lines():
-        print(line)
-    return 0 if report.all_passed else 1
+    files["report.json"] = _report_json(report, sha)
+    return files, _verdict(report)
 
 
-def _run_conditions(view: ConfigView, writer: ArtifactWriter, sha: str) -> int:
+def _run_conditions(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     cex = _build_cex(view)
     cfg = _experiment_config(view, "odometer", cex)
     reports = {
@@ -575,11 +507,10 @@ def _run_conditions(view: ConfigView, writer: ArtifactWriter, sha: str) -> int:
         "condition17": condition17_report(cfg),
         "strong_law": slln_report(cfg),
     }
+    files: Artifacts = {}
     for name, rep in reports.items():
-        rep.write_json(writer.out_dir / f"{name}.json")
-        writer.existing(f"{name}.json")
-        rep.write_csv(writer.out_dir / f"{name}.csv")
-        writer.existing(f"{name}.csv")
+        files[f"{name}.json"] = canonical_json(rep.to_dict())
+        files[f"{name}.csv"] = _records_csv(rep.rows)
         print(f"{name}:")
         for line in rep.summary_lines():
             print(f"  {line}")
@@ -588,7 +519,7 @@ def _run_conditions(view: ConfigView, writer: ArtifactWriter, sha: str) -> int:
     eps0 = cfg.epsilons[0]
     xs = [row["n"] for row in r16.rows if row["epsilon"] == eps0]
     ys = [row["estimate"] for row in r16.rows if row["epsilon"] == eps0]
-    writer.plotdata("condition16_decay.dat", xs, ys)
+    files["condition16_decay.dat"] = plot_text(xs, ys)
 
     # Hard check: where the exact enumeration exists, the Monte Carlo
     # estimate must sit within 3 binomial sigma of it.
@@ -605,13 +536,11 @@ def _run_conditions(view: ConfigView, writer: ArtifactWriter, sha: str) -> int:
         gate.add(f"estimate within 3 sigma of exact (n={row['n']}, eps={row['epsilon']})",
                  diff <= 3 * sigma, 3 * sigma - diff,
                  detail=f"|{row['estimate']:.6f} - {exact:.6f}| = {diff:.2e}, sigma={sigma:.2e}")
-    writer.json("mc_vs_exact.json", _report_payload(gate, sha))
-    for line in gate.summary_lines():
-        print(line)
-    return 0 if gate.all_passed else 1
+    files["mc_vs_exact.json"] = _report_json(gate, sha)
+    return files, _verdict(gate)
 
 
-def _run_clt(view: ConfigView, writer: ArtifactWriter, sha: str) -> int:
+def _run_clt(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     transfer = view.get("function", "transfer", str, default="zero",
                         check=lambda s: s in SHIFT_FUNCTIONS,
                         describe=f"one of {sorted(SHIFT_FUNCTIONS)}")
@@ -620,21 +549,21 @@ def _run_clt(view: ConfigView, writer: ArtifactWriter, sha: str) -> int:
         rep = clt_lil_report(cfg)
     except ValueError as exc:
         raise view.fail("function", str(exc)) from exc
-    rep.write_json(writer.out_dir / "clt.json")
-    writer.existing("clt.json")
-    rep.write_csv(writer.out_dir / "clt.csv")
-    writer.existing("clt.csv")
-    writer.plotdata("ks_by_horizon.dat", [row["n"] for row in rep.rows],
-                    [row["ks_distance"] for row in rep.rows])
+    files = {
+        "clt.json": canonical_json(rep.to_dict()),
+        "clt.csv": _records_csv(rep.rows),
+        "ks_by_horizon.dat": plot_text([row["n"] for row in rep.rows],
+                                       [row["ks_distance"] for row in rep.rows]),
+    }
     print(f"sigma = {rep.sigma:.6f}")
     for row in rep.rows:
         print(f"n={row['n']}: ks={row['ks_distance']:.5f} sup_q99={row['sup_q99']:.4f}")
     print(f"lil ratio mean {rep.limsup['mean']:.4f} "
           f"q99 {rep.limsup['quantiles']['0.99']:.4f} on {rep.limsup['tail_window']}")
-    return 0
+    return files, 0
 
 
-def _run_maximal(view: ConfigView, writer: ArtifactWriter, sha: str) -> int:
+def _run_maximal(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     bits = view.get("system", "bits", int, default=14, required=False)
     level = view.get("system", "level", int, default=8)
     n_max = view.get("horizons", "n_max", int, default=1024, check=lambda v: v >= 1)
@@ -643,6 +572,7 @@ def _run_maximal(view: ConfigView, writer: ArtifactWriter, sha: str) -> int:
     q = view.get("exponents", "q", (int, float), default=2.0, check=lambda v: v > 1,
                  describe="weak-norm exponent q > 1")
 
+    files: Artifacts = {}
     summary_rows = []
     report = CriteriaReport(title="maximal inequality enumeration",
                             context={"bits": bits, "level": level, "n_max": n_max,
@@ -660,27 +590,23 @@ def _run_maximal(view: ConfigView, writer: ArtifactWriter, sha: str) -> int:
                              rep.level_bound_violations, rep.weak_bound_violations,
                              rep.min_slack_weak, rep.mstar_strong_q, rep.h_weak_q])
         if stream == 0:
-            rep.write_csv(writer.out_dir / "thresholds_stream0.csv")
-            writer.existing("thresholds_stream0.csv")
-            writer.plotdata("mstar_tail_stream0.dat",
-                            [float(r.t) for r in rep.rows],
-                            [float(r.mu) for r in rep.rows])
-    writer.csv_rows("maximal_summary.csv",
-                    ["stream", "i", "bits", "n_max", "level_violations",
-                     "weak_violations", "min_slack_weak", "mstar_strong_q", "h_weak_q"],
-                    summary_rows)
+            files["thresholds_stream0.csv"] = _records_csv([r.to_dict() for r in rep.rows])
+            files["mstar_tail_stream0.dat"] = plot_text([float(r.t) for r in rep.rows],
+                                                        [float(r.mu) for r in rep.rows])
+    files["maximal_summary.csv"] = csv_text(
+        ["stream", "i", "bits", "n_max", "level_violations",
+         "weak_violations", "min_slack_weak", "mstar_strong_q", "h_weak_q"],
+        summary_rows, "\n")
     report.add("level-measure bound holds at every threshold", total_level == 0,
                margin=0.0 if total_level == 0 else -float(total_level),
                detail=f"{total_level} violations over {count} functions")
     report.add("weak-norm bound holds at every threshold", total_weak == 0,
                margin=float(min_slack), detail=f"min slack {min_slack:.3e}")
-    writer.json("report.json", _report_payload(report, sha))
-    for line in report.summary_lines():
-        print(line)
-    return 0 if report.all_passed else 1
+    files["report.json"] = _report_json(report, sha)
+    return files, _verdict(report)
 
 
-def _run_criteria(view: ConfigView, writer: ArtifactWriter, sha: str) -> int:
+def _run_criteria(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     family = view.get("function", "family", str, required=True,
                       check=lambda s: s in FUNCTION_FAMILIES,
                       describe=f"one of {FUNCTION_FAMILIES}")
@@ -724,22 +650,20 @@ def _run_criteria(view: ConfigView, writer: ArtifactWriter, sha: str) -> int:
                                                detail=check.detail))
         combined.context[tag] = rep.to_dict()
 
-    proj = sub_reports["corollary_2_2"].context
-    rows = proj.get("rows", [])
+    files: Artifacts = {}
+    rows = sub_reports["corollary_2_2"].context.get("rows", [])
     if rows:
-        writer.csv_rows("projective_norms.csv",
-                        ["n", "proj_norm", "proj_error", "one_step_norm", "one_step_error"],
-                        [[row["n"], row["proj"], row["proj_error"],
-                          row["one_step"], row["one_step_error"]] for row in rows])
-        writer.plotdata("projective_decay.dat", [row["n"] for row in rows],
-                        [row["proj"] for row in rows])
-    writer.json("report.json", _report_payload(combined, sha))
-    for line in combined.summary_lines():
-        print(line)
-    return 0 if combined.all_passed else 1
+        files["projective_norms.csv"] = csv_text(
+            ["n", "proj_norm", "proj_error", "one_step_norm", "one_step_error"],
+            [[row["n"], row["proj"], row["proj_error"],
+              row["one_step"], row["one_step_error"]] for row in rows], "\n")
+        files["projective_decay.dat"] = plot_text([row["n"] for row in rows],
+                                                  [row["proj"] for row in rows])
+    files["report.json"] = _report_json(combined, sha)
+    return files, _verdict(combined)
 
 
-def _run_series(view: ConfigView, writer: ArtifactWriter, sha: str) -> int:
+def _run_series(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     p = view.get("exponents", "p", (int, float), required=True,
                  check=lambda v: 1 < v < 2, describe="p in (1, 2)")
     k_max = view.get("horizons", "K_max", int, default=1000000,
@@ -752,7 +676,6 @@ def _run_series(view: ConfigView, writer: ArtifactWriter, sha: str) -> int:
     except ValueError as exc:
         raise view.fail("exponents", str(exc)) from exc
 
-    writer.json("report.json", _report_payload(report, sha))
     main_ctx = report.context["main"]
     quad_ctx = report.context["quadratic"]
     tail_ctx = report.context["tail_product"]
@@ -763,19 +686,22 @@ def _run_series(view: ConfigView, writer: ArtifactWriter, sha: str) -> int:
         rows.append(["tail_product", cp, v])
     for cp, s in zip(quad_ctx["checkpoints"], quad_ctx["partial_sums"]):
         rows.append(["quadratic", cp, s])
-    writer.csv_rows("series.csv", ["condition", "K", "value"], rows)
-    writer.plotdata("main_partial_sums.dat", main_ctx["checkpoints"], main_ctx["partial_sums"])
-    writer.plotdata("quadratic_partial_sums.dat", quad_ctx["checkpoints"],
-                    quad_ctx["partial_sums"])
+    files = {
+        "report.json": _report_json(report, sha),
+        "series.csv": csv_text(["condition", "K", "value"], rows, "\n"),
+        "main_partial_sums.dat": plot_text(main_ctx["checkpoints"], main_ctx["partial_sums"]),
+        "quadratic_partial_sums.dat": plot_text(quad_ctx["checkpoints"],
+                                                quad_ctx["partial_sums"]),
+    }
 
     for key in ("main", "tail_product", "quadratic"):
         ctx = report.context[key]
         print(f"{key}: {ctx['verdict']}  [{ctx['rule']}]")
     # Trend verdicts are data: the report always exits 0 once produced.
-    return 0
+    return files, 0
 
 
-def _run_validate(view: ConfigView, writer: ArtifactWriter, sha: str) -> int:
+def _run_validate(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     expo = view.section("exponents")
     known = {k: v for k, v in expo.items() if v is not None}
     if view.get("exponents", "q", (int, float)) is not None:
@@ -799,11 +725,11 @@ def _run_validate(view: ConfigView, writer: ArtifactWriter, sha: str) -> int:
                                                passed=check.passed, margin=check.margin,
                                                detail=check.detail))
             rows.append([thm, check.name, int(check.passed), check.margin, check.detail])
-    writer.csv_rows("windows.csv", ["theorem", "check", "passed", "margin", "detail"], rows)
-    writer.json("report.json", _report_payload(combined, sha))
-    for line in combined.summary_lines():
-        print(line)
-    return 0 if combined.all_passed else 1
+    files = {
+        "windows.csv": csv_text(["theorem", "check", "passed", "margin", "detail"], rows, "\n"),
+        "report.json": _report_json(combined, sha),
+    }
+    return files, _verdict(combined)
 
 
 _HANDLERS = {
@@ -836,38 +762,44 @@ def run(
     echo = {k: view.cfg[k] for k in TOP_LEVEL_KEYS if k in view.cfg and k != "workers"}
     sha = config_hash(echo)
     out = Path(out_dir) if out_dir else Path("runs") / f"{subcommand}-{sha[:12]}"
-    writer = ArtifactWriter(out)
 
     started = time.time()
-    manifest = RunManifest(
-        subcommand=subcommand,
-        config_path=config_path,
-        config=echo,
-        config_sha256=sha,
-        seed=view.cfg["seed"],
-        workers=view.cfg["workers"],
-        out_dir=str(out),
-        started_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
-        versions={
-            "package": __version__,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
-    )
     try:
-        code = _HANDLERS[subcommand](view, writer, sha)
+        files, code = _HANDLERS[subcommand](view, sha)
     except ConfigError:
         raise
     except ValueError as exc:
         # Module-level guards (resource limits, domain checks) are
         # configuration problems by the time they reach the CLI.
         raise ConfigError(str(exc), path=view.path, line=1) from exc
-    manifest.outputs = sorted(writer.names + ["manifest.json"])
-    manifest.wall_seconds = round(time.time() - started, 3)
-    (out / "manifest.json").write_text(
-        json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"[OK] {subcommand}: {len(manifest.outputs)} artifacts in {out} "
+    # Nothing is written until the handler has succeeded, so a config error
+    # leaves no partial output.
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8", newline="")
+    # Re-running with the echoed config reproduces every other artifact
+    # byte for byte; the wall-clock and version stamps are the only fields
+    # excluded from that contract.
+    manifest = {
+        "subcommand": subcommand,
+        "config_path": config_path,
+        "config": echo,
+        "config_sha256": sha,
+        "seed": view.cfg["seed"],
+        "workers": view.cfg["workers"],
+        "out_dir": str(out),
+        "outputs": sorted([*files, "manifest.json"]),
+        "started_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
+        "wall_seconds": round(time.time() - started, 3),
+        "versions": {
+            "package": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+    }
+    (out / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8", newline="")
+    print(f"[OK] {subcommand}: {len(manifest['outputs'])} artifacts in {out} "
           f"(config {sha[:12]})")
     return code
 
@@ -888,7 +820,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sp.add_argument("--seed", metavar="U64", type=int, default=None,
                         help="seed override (config seed otherwise)")
         sp.add_argument("--workers", metavar="N", type=int, default=None,
-                        help="concurrency cap; never affects numeric results")
+                        help="partition parameter; never affects numeric results")
         sp.add_argument("--preset", metavar="NAME", default=None,
                         help=f"named preset ({', '.join(sorted(PRESETS))})")
     args = parser.parse_args(argv)

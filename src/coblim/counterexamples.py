@@ -319,20 +319,6 @@ class NormRow:
     bound_358: float
     violation_prob: Fraction
 
-    def csv_row(self) -> List[str]:
-        return [
-            str(self.i), str(self.n), str(self.k), repr(self.amplitude),
-            repr(self.norm_p_exact), repr(self.bound_355),
-            repr(self.norm_r_exact), repr(self.bound_358),
-            f"{self.violation_prob.numerator}/{self.violation_prob.denominator}",
-        ]
-
-
-CSV_COLUMNS = [
-    "i", "n_i", "k_i", "a_i",
-    "norm_p_exact", "bound_355", "norm_r_exact", "bound_358", "violation_prob",
-]
-
 
 def _g_norm_bound(cex: TowerCounterexample, m: TowerLevelMap) -> float:
     """Closed-form bound on the g_i norm at the kind's integrability exponent.

@@ -23,18 +23,14 @@ sum an integer multiple of 2^-scale_bits.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .dynamics import OdometerPoint, level, odometer_advance, stream_generator
 from .weak_tails import SimpleFunctionRep, strong_norm, weak_norm
-from .reports import jsonable, canonical_json
 
 __all__ = [
     "LevelFunction",
@@ -225,28 +221,6 @@ class MaximalReport:
             "min_slack_weak": self.min_slack_weak,
             "rows": [r.to_dict() for r in self.rows],
         }
-
-    def to_json(self) -> str:
-        return canonical_json(jsonable(self.to_dict()))
-
-    def write_json(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
-
-    def write_csv(self, path: Union[str, Path]) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([
-                "t", "mu", "expectation", "slack_level_bound",
-                "lhs_weak", "rhs_weak", "slack_weak",
-            ])
-            for r in self.rows:
-                writer.writerow([
-                    f"{r.t.numerator}/{r.t.denominator}",
-                    f"{r.mu.numerator}/{r.mu.denominator}",
-                    f"{r.expectation.numerator}/{r.expectation.denominator}",
-                    f"{r.slack_level_bound.numerator}/{r.slack_level_bound.denominator}",
-                    repr(r.lhs_weak), repr(r.rhs_weak), repr(r.slack_weak),
-                ])
 
 
 def default_threshold_grid(h: LevelFunction, points: int = 64) -> List[Fraction]:

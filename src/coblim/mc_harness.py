@@ -25,11 +25,9 @@ Conventions shared by all reports:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -45,7 +43,7 @@ from .counterexamples import (
     truncation_tail_bound,
 )
 from .dynamics import coordinate_matrix, fair_bits, stream_generator
-from .reports import CriteriaReport, canonical_json, config_hash, jsonable
+from .reports import CriteriaReport, config_hash
 
 try:  # standard normal CDF: scipy's ndtr is vectorized and exact to double
     from scipy.special import ndtr as _normal_cdf
@@ -370,34 +368,8 @@ class ConditionReport:
             "extras": self.extras,
         }
 
-    def to_json(self) -> str:
-        return canonical_json(jsonable(self.to_dict()))
-
-    def write_json(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
-
-    def write_csv(self, path: Union[str, Path]) -> None:
-        keys: List[str] = []
-        for row in self.rows:
-            for k in row:
-                if k not in keys:
-                    keys.append(k)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(keys)
-            for row in self.rows:
-                writer.writerow([_csv_cell(row.get(k)) for k in keys])
-
     def summary_lines(self) -> List[str]:
         return [f"verdict[eps={k}] = {v}" for k, v in sorted(self.verdicts.items())]
-
-
-def _csv_cell(v: Any) -> str:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, float):
-        return repr(v)
-    return "" if v is None else str(v)
 
 
 def _binomial_se(p_hat: float, n: int) -> float:
@@ -830,20 +802,6 @@ class CltReport:
             "rows": self.rows,
             "limsup": self.limsup,
         }
-
-    def to_json(self) -> str:
-        return canonical_json(jsonable(self.to_dict()))
-
-    def write_json(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
-
-    def write_csv(self, path: Union[str, Path]) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            keys = list(self.rows[0].keys()) if self.rows else []
-            writer.writerow(keys)
-            for row in self.rows:
-                writer.writerow([_csv_cell(row.get(k)) for k in keys])
 
 
 def clt_lil_report(cfg: ExperimentConfig) -> CltReport:

@@ -1,26 +1,27 @@
-"""Shared report structures: named checks with margins, canonical serialization.
+"""Shared report structures and the one artifact formatter.
 
 Every analysis in the package funnels its verdicts through CriteriaReport so
-the CLI can serialize uniformly and exit nonzero when a hard check fails.
-Serialization is canonical (sorted keys, trailing newline, repr-floats) so
-repeated runs are byte-identical.
+the CLI can exit nonzero when a hard check fails.  Every artifact's text
+comes from ``canonical_json`` (sorted keys, trailing newline, repr-floats),
+``csv_text`` or ``plot_text``, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Any, Dict, List, Optional
+from typing import Any, Dict, List, Sequence
 
 __all__ = [
     "CheckResult",
     "CriteriaReport",
     "canonical_json",
     "config_hash",
+    "csv_text",
     "jsonable",
+    "plot_text",
 ]
 
 
@@ -46,6 +47,33 @@ def jsonable(obj: Any) -> Any:
 
 def canonical_json(obj: Any) -> str:
     return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
+
+
+def _cell(v: Any) -> str:
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}"
+    if isinstance(v, float):
+        # repr of the value itself, so float subclasses such as np.float64
+        # keep their own repr.
+        return repr(v)
+    return "" if v is None else str(v)
+
+
+def csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]], eol: str) -> str:
+    """Comma-joined table: Fractions as exact "n/d", floats as repr, None empty.
+
+    Cells are never quoted.  ``eol`` ends every line, header included.
+    """
+    lines = [",".join(header)] + [",".join(_cell(v) for v in row) for row in rows]
+    return eol.join(lines) + eol
+
+
+def plot_text(xs: Sequence[Any], ys: Sequence[Any]) -> str:
+    """Plain two-column plot data, one ``x y`` pair per line; Fractions as float."""
+    def cell(v: Any) -> str:
+        return _cell(float(v) if isinstance(v, Fraction) else v)
+
+    return "\n".join(f"{cell(x)} {cell(y)}" for x, y in zip(xs, ys)) + "\n"
 
 
 def config_hash(config: Dict[str, Any]) -> str:
@@ -97,18 +125,6 @@ class CriteriaReport:
             "context": jsonable(self.context),
         }
 
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-    def write_json(self, fh: IO[str]) -> None:
-        fh.write(self.to_json())
-
-    def write_checks_csv(self, fh: IO[str]) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "passed", "margin", "detail"])
-        for c in self.checks:
-            writer.writerow([c.name, int(c.passed), repr(float(c.margin)), c.detail])
-
     def summary_lines(self) -> List[str]:
         lines = []
         for c in self.checks:
@@ -116,11 +132,3 @@ class CriteriaReport:
             lines.append(f"[{tag}] {c.name} (margin={c.margin:.6g}) {c.detail}".rstrip())
         return lines
 
-
-def fraction_from_string(s: str) -> Optional[Fraction]:
-    """Inverse of the Fraction encoding used by jsonable()."""
-    try:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    except (ValueError, AttributeError):
-        return None

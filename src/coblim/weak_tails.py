@@ -12,11 +12,10 @@ the largest-t grid value of t^q tail(t) is reported as a trend indicator.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -103,13 +102,6 @@ class TailProfile:
 
     def t_pow_q_tail(self, q: float) -> np.ndarray:
         return self.t_grid ** q * self.tail
-
-    def write_csv(self, fh: IO[str], q: float) -> None:
-        """Columns: t, tail, t_pow_q_tail."""
-        writer = csv.writer(fh)
-        writer.writerow(["t", "tail", "t_pow_q_tail"])
-        for t, tl, tq in zip(self.t_grid, self.tail, self.t_pow_q_tail(q)):
-            writer.writerow([repr(float(t)), repr(float(tl)), repr(float(tq))])
 
 
 TailSource = Union[SimpleFunctionRep, np.ndarray, Sequence[float]]

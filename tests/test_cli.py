@@ -1,11 +1,19 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coblim.cli import PRESETS, SUBCOMMANDS, main
+from coblim.reports import csv_text, plot_text
+
+# sha256 of every artifact of the seedless benchmark operations, recorded by
+# the benchmark (see perfbench/record_refs.py); read here, never copied.
+BENCHMARK_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "exact-quad.json"
 
 
 def run_cli(*args):
@@ -145,6 +153,44 @@ def test_series_csv_shape(tmp_path):
     lines = (out / "series.csv").read_text().strip().splitlines()
     assert lines[0] == "condition,K,value"
     assert len(lines) > 4
+
+
+@pytest.mark.parametrize("subcommand,preset", [
+    ("counterexample", "tower-iplil"),
+    ("counterexample", "tower-slln"),
+    ("series", "series-327"),
+    ("validate", "windows-iplil"),
+    ("validate", "windows-slln"),
+])
+def test_seedless_artifacts_match_recorded_digests(tmp_path, subcommand, preset):
+    expected = read_json(BENCHMARK_REFS)["ops"][f"{subcommand}.{preset}"]["seedless"]["digests"]
+    out = tmp_path / "run"
+    run_cli(subcommand, "--preset", preset, "--out", str(out))
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir() if p.name != "manifest.json"}
+    assert digests == expected
+
+
+def test_config_error_leaves_no_partial_output(tmp_path, capsys):
+    # tail_start is rejected only after the norm table has been computed
+    config = tmp_path / "late.json"
+    config.write_text(json.dumps({"preset": "tower-iplil", "epsilons": {"tail_start": 99}}))
+    out = tmp_path / "run"
+    code = run_cli("counterexample", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert "tail_start 99 beyond last level" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_csv_and_plot_cell_formats():
+    row = [Fraction(3, 8), 0.1, np.float64(0.25), None, 7, "a b"]
+    header = ["f", "x", "np", "none", "int", "s"]
+    assert csv_text(header, [row], "\n") == "f,x,np,none,int,s\n3/8,0.1,np.float64(0.25),,7,a b\n"
+    assert csv_text(header, [row], "\r\n") == (
+        "f,x,np,none,int,s\r\n3/8,0.1,np.float64(0.25),,7,a b\r\n")
+    assert csv_text(["a"], [], "\r\n") == "a\r\n"
+    assert plot_text([1, Fraction(1, 3)], [Fraction(1, 2), 0.1]) == (
+        "1 0.5\n" + repr(1 / 3) + " 0.1\n")
 
 
 def test_default_outdir_is_hash_stamped(tmp_path, monkeypatch, capsys):

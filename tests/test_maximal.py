@@ -1,5 +1,6 @@
 """Tests for the exact maximal-function enumeration and its inequalities."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coblim.cli import main
 from coblim.dynamics import OdometerPoint
 from coblim.maximal import (
     MAX_ENUMERATION_BITS,
@@ -17,6 +19,7 @@ from coblim.maximal import (
     random_level_function,
     truncated_mstar,
 )
+from coblim.reports import canonical_json
 
 
 def tiny_function():
@@ -144,12 +147,16 @@ def test_report_serialization_roundtrip(tmp_path):
     rep = maximal_inequality_report(h, bits=8, n_max=32)
     d = rep.to_dict()
     assert d["level_bound_violations"] == 0
-    json_path = tmp_path / "report.json"
-    csv_path = tmp_path / "rows.csv"
-    rep.write_json(json_path)
-    rep.write_csv(csv_path)
-    assert json_path.stat().st_size > 0
-    header = csv_path.read_text().splitlines()[0]
+    assert json.loads(canonical_json(d))["rows"]
+    # the CLI writes the threshold table of stream 0 from the same rows
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps({"preset": "maximal-smoke", "seed": 4,
+                                  "system": {"bits": 8, "level": 5},
+                                  "horizons": {"n_max": 32}, "paths": {"count": 1}}))
+    out = tmp_path / "run"
+    assert main(["maximal", "--config", str(config), "--out", str(out)]) == 0
+    assert (out / "report.json").stat().st_size > 0
+    header = (out / "thresholds_stream0.csv").read_text().splitlines()[0]
     assert header.startswith("t,mu,expectation")
 
 
