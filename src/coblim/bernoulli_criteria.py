@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -74,8 +74,7 @@ class FunctionOnUnitInterval:
 
     `evaluator` must accept float64 arrays with entries in [0, 1].
     `breakpoints` lists interior discontinuities (quadrature never straddles
-    them).  `lipschitz` is an optional modulus-of-continuity hint; nothing
-    depends on it being tight.  `circle_modulus_sq`, when present, returns
+    them).  `circle_modulus_sq`, when present, returns
     the exact circle-translation modulus u -> int_0^1 |f(x+u mod 1)-f(x)|^2
     dx; families built from orthogonal waves carry it so that q=2 modulus
     integrals bypass quadrature (which cannot resolve lacunary frequencies).
@@ -87,7 +86,6 @@ class FunctionOnUnitInterval:
     evaluator: Callable[[np.ndarray], np.ndarray]
     centered: bool = False
     breakpoints: Tuple[float, ...] = ()
-    lipschitz: Optional[float] = None
     sup_bound: Optional[float] = None
     circle_modulus_sq: Optional[Callable[[float], float]] = None
 
@@ -104,15 +102,6 @@ class QuadratureResult:
     subdivisions: int
     evals: int
     divergent: bool = False
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "value": self.value,
-            "error": self.error,
-            "subdivisions": self.subdivisions,
-            "evals": self.evals,
-            "divergent": self.divergent,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +263,13 @@ def make_function(family: str, **params: float) -> FunctionOnUnitInterval:
     lacunary(b)       sum_k k^{-b} cos(2 pi 2^k x) - zeta(b), b in (1, 2]
     """
     if family == "affine":
-        return FunctionOnUnitInterval(
-            "affine", lambda x: x - 0.5, centered=True, lipschitz=1.0
-        )
+        return FunctionOnUnitInterval("affine", lambda x: x - 0.5, centered=True)
     if family == "cosine":
         k = int(params.get("k", 1))
         if k < 1:
             raise ValueError("cosine needs k >= 1")
         return FunctionOnUnitInterval(
-            f"cosine(k={k})", lambda x: np.cos(2.0 * np.pi * k * x),
-            centered=True, lipschitz=2.0 * math.pi * k,
+            f"cosine(k={k})", lambda x: np.cos(2.0 * np.pi * k * x), centered=True
         )
     if family == "indicator_step":
         c = float(params.get("c", 0.5))
@@ -307,10 +293,8 @@ def make_function(family: str, **params: float) -> FunctionOnUnitInterval:
                 acc += a ** m * np.cos(2.0 * np.pi * b ** m * x)
             return acc
 
-        return FunctionOnUnitInterval(
-            f"weierstrass(a={a},b={b},terms={terms})", wf, centered=True,
-            lipschitz=2.0 * math.pi * sum(a ** m * b ** m for m in range(terms)),
-        )
+        return FunctionOnUnitInterval(f"weierstrass(a={a},b={b},terms={terms})", wf,
+                                      centered=True)
     if family == "log_power":
         return _build_log_power(float(params.get("s", 0.4)))
     if family == "lacunary":
@@ -345,7 +329,6 @@ def doubling_average(f: FunctionOnUnitInterval) -> FunctionOnUnitInterval:
     return FunctionOnUnitInterval(
         label=f"A({f.label})", evaluator=av, centered=f.centered,
         breakpoints=tuple(pts),
-        lipschitz=None if f.lipschitz is None else f.lipschitz / 2.0,
     )
 
 
@@ -360,12 +343,9 @@ def ftilde(f: FunctionOnUnitInterval) -> FunctionOnUnitInterval:
         return f(x) - av(x)
 
     pts = sorted({*f.breakpoints, *av.breakpoints})
-    lip = None
-    if f.lipschitz is not None:
-        lip = 1.5 * f.lipschitz
     return FunctionOnUnitInterval(
         label=f"tilde({f.label})", evaluator=tf, centered=f.centered,
-        breakpoints=tuple(pts), lipschitz=lip,
+        breakpoints=tuple(pts),
     )
 
 
@@ -411,7 +391,6 @@ def conditional_expectation_function(f: FunctionOnUnitInterval, n: int) -> Funct
     return FunctionOnUnitInterval(
         label=f"E_{n}({f.label})", evaluator=en,
         centered=True, breakpoints=tuple(pts),
-        lipschitz=None if f.lipschitz is None else f.lipschitz * 2.0 ** -n,
     )
 
 
@@ -751,12 +730,12 @@ def prop212_check(
     report.context.update({"p": p, "delta": delta, "f": f.label})
     _weak_tail_check(f, p / (p - 1.0), report)
     direct = criterion_integral(f, p, p - 1.0, delta)
-    report.context["direct_integral"] = direct.to_dict()
+    report.context["direct_integral"] = direct
     report.add("modulus integral of f finite", not direct.divergent,
                margin=0.0 if direct.divergent else 1.0,
                detail=f"value={direct.value:.6g} err<={direct.error:.2e}")
     one_step = criterion_integral(ftilde(f), p / (p - 1.0), 1.0 / (p - 1.0), delta)
-    report.context["one_step_integral"] = one_step.to_dict()
+    report.context["one_step_integral"] = one_step
     report.add("modulus integral of ftilde finite", not one_step.divergent,
                margin=0.0 if one_step.divergent else 1.0,
                detail=f"value={one_step.value:.6g} err<={one_step.error:.2e}")
@@ -801,12 +780,12 @@ def prop213_check(
     report.add("f in L^r (grid moment finite)", math.isfinite(moment), margin=1.0,
                detail=f"E|f|^r ~= {moment:.6g}")
     direct = criterion_integral(f, q, q - 1.0, delta)
-    report.context["direct_integral"] = direct.to_dict()
+    report.context["direct_integral"] = direct
     report.add("modulus integral of f finite", not direct.divergent,
                margin=0.0 if direct.divergent else 1.0,
                detail=f"q={q:.4g} value={direct.value:.6g} err<={direct.error:.2e}")
     one_step = criterion_integral(ftilde(f), r, r - 1.0, delta)
-    report.context["one_step_integral"] = one_step.to_dict()
+    report.context["one_step_integral"] = one_step
     report.add("modulus integral of ftilde finite", not one_step.divergent,
                margin=0.0 if one_step.divergent else 1.0,
                detail=f"value={one_step.value:.6g} err<={one_step.error:.2e}")

@@ -74,7 +74,7 @@ from .mc_harness import (
     slln_report,
     validate_hypotheses,
 )
-from .reports import CriteriaReport, canonical_json, config_hash, csv_text, plot_text
+from .reports import CriteriaReport, canonical_json, config_hash, csv_text, jsonable, plot_text
 from .series_checker import geometric_family, prop23_report
 
 __all__ = ["main", "run", "PRESETS", "ConfigError"]
@@ -509,7 +509,7 @@ def _run_conditions(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     }
     files: Artifacts = {}
     for name, rep in reports.items():
-        files[f"{name}.json"] = canonical_json(rep.to_dict())
+        files[f"{name}.json"] = canonical_json(rep)
         files[f"{name}.csv"] = _records_csv(rep.rows)
         print(f"{name}:")
         for line in rep.summary_lines():
@@ -550,7 +550,7 @@ def _run_clt(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     except ValueError as exc:
         raise view.fail("function", str(exc)) from exc
     files = {
-        "clt.json": canonical_json(rep.to_dict()),
+        "clt.json": canonical_json(rep),
         "clt.csv": _records_csv(rep.rows),
         "ks_by_horizon.dat": plot_text([row["n"] for row in rep.rows],
                                        [row["ks_distance"] for row in rep.rows]),
@@ -590,7 +590,7 @@ def _run_maximal(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
                              rep.level_bound_violations, rep.weak_bound_violations,
                              rep.min_slack_weak, rep.mstar_strong_q, rep.h_weak_q])
         if stream == 0:
-            files["thresholds_stream0.csv"] = _records_csv([r.to_dict() for r in rep.rows])
+            files["thresholds_stream0.csv"] = _records_csv(jsonable(rep.rows))
             files["mstar_tail_stream0.dat"] = plot_text([float(r.t) for r in rep.rows],
                                                         [float(r.mu) for r in rep.rows])
     files["maximal_summary.csv"] = csv_text(
@@ -644,11 +644,7 @@ def _run_criteria(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
                                            r=None if r is None else float(r), N=depth,
                                            delta=float(delta))
     for tag, rep in sub_reports.items():
-        for check in rep.checks:
-            combined.checks.append(type(check)(name=f"[{tag}] {check.name}",
-                                               passed=check.passed, margin=check.margin,
-                                               detail=check.detail))
-        combined.context[tag] = rep.to_dict()
+        combined.absorb(tag, rep)
 
     files: Artifacts = {}
     rows = sub_reports["corollary_2_2"].context.get("rows", [])
@@ -719,12 +715,8 @@ def _run_validate(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
             rep = validate_hypotheses(expo, thm)
         except (ValueError, KeyError) as exc:
             raise view.fail("exponents", f"window {thm}: {exc}") from exc
-        combined.context[thm] = rep.to_dict()
-        for check in rep.checks:
-            combined.checks.append(type(check)(name=f"[{thm}] {check.name}",
-                                               passed=check.passed, margin=check.margin,
-                                               detail=check.detail))
-            rows.append([thm, check.name, int(check.passed), check.margin, check.detail])
+        combined.absorb(thm, rep)
+        rows += [[thm, c.name, int(c.passed), c.margin, c.detail] for c in rep.checks]
     files = {
         "windows.csv": csv_text(["theorem", "check", "passed", "margin", "detail"], rows, "\n"),
         "report.json": _report_json(combined, sha),

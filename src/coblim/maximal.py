@@ -170,17 +170,6 @@ class ThresholdRow:
     rhs_weak: float                 # q/(q-1) * ||h 1{M* >= t}||_{q,oo}
     slack_weak: float               # rhs - lhs
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "mu": self.mu,
-            "expectation": self.expectation,
-            "slack_level_bound": self.slack_level_bound,
-            "lhs_weak": self.lhs_weak,
-            "rhs_weak": self.rhs_weak,
-            "slack_weak": self.slack_weak,
-        }
-
 
 @dataclass
 class MaximalReport:
@@ -206,21 +195,6 @@ class MaximalReport:
     @property
     def min_slack_weak(self) -> float:
         return min((r.slack_weak for r in self.rows), default=0.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "bits": self.bits,
-            "n_max": self.n_max,
-            "q": self.q,
-            "scale_bits": self.scale_bits,
-            "mstar_strong_q": self.mstar_strong_q,
-            "h_weak_q": self.h_weak_q,
-            "level_bound_violations": self.level_bound_violations,
-            "weak_bound_violations": self.weak_bound_violations,
-            "min_slack_weak": self.min_slack_weak,
-            "rows": [r.to_dict() for r in self.rows],
-        }
 
 
 def default_threshold_grid(h: LevelFunction, points: int = 64) -> List[Fraction]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -272,6 +272,8 @@ class ExperimentConfig:
             raise ValueError("block_exp must lie in (0, 1)")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.martingale not in ("rademacher", "zero"):
+            raise ValueError(f"unknown martingale part {self.martingale!r}")
         if isinstance(self.transfer, str):
             if self.transfer not in SHIFT_FUNCTIONS:
                 raise ValueError(
@@ -356,18 +358,6 @@ class ConditionReport:
         self.rows.append(kv)
         return kv
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "condition": self.condition,
-            "config": self.config,
-            "config_sha256": self.config_sha256,
-            "version": self.version,
-            "rows": self.rows,
-            "exact_rows": self.exact_rows,
-            "verdicts": self.verdicts,
-            "extras": self.extras,
-        }
-
     def summary_lines(self) -> List[str]:
         return [f"verdict[eps={k}] = {v}" for k, v in sorted(self.verdicts.items())]
 
@@ -448,6 +438,63 @@ def _gather_odometer_g(table: np.ndarray, residues: np.ndarray, n: int) -> np.nd
     return table[idx]
 
 
+Odometer = Tuple[TowerCounterexample, np.ndarray, np.ndarray]
+
+
+def _odometer(cfg: ExperimentConfig, n: int, report: ConditionReport) -> Odometer:
+    """(counterexample g, its residue table, per-path start residues) of an odometer report.
+
+    Records the truncation bounds at the top horizon ``n`` in the report's
+    extras, since every odometer estimate inherits them.
+    """
+    cex = cfg.transfer_cex()
+    table = g_residue_table(cex)
+    residues = _start_residues(cfg, table.shape[0])
+    report.extras["truncation"] = {
+        "tail_measure_bound": truncation_tail_bound(cex),
+        "orbit_bound_at_max_horizon": orbit_truncation_bound(cex, n),
+    }
+    return cex, table, residues
+
+
+def _orbits(
+    cfg: ExperimentConfig, n: int, odometer: Optional[Odometer] = None, sums: bool = False,
+) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """The one orbit source of the Monte Carlo reports: (lo, hi, rows) per path chunk.
+
+    Row j - lo belongs to path j.  Column k = 0..n holds |g(T^k w)|, or with
+    ``sums`` the partial sum S_k(f) = S_k(m) + g(w) - g(T^k w) of
+    f = m + g - g.T (S_0 = 0).  Pass ``odometer`` (from _odometer) on the
+    odometer, where the table is >= 0 and there is no martingale part.
+    """
+    g = None if odometer is not None else cfg.transfer_shift()
+    if odometer is None and g is None and not sums:
+        raise ValueError("the |g| orbit on the shift needs a transfer function g")
+    for lo, hi in _chunk_ranges(cfg.paths, cfg.workers, _paths_per_chunk(n)):
+        if odometer is not None:
+            gv = _gather_odometer_g(odometer[1], odometer[2][lo:hi], n)
+            rows = gv[:, :1] - gv if sums else gv
+        else:
+            eps_bits = _shift_bits_chunk(cfg, lo, hi, n)
+            gx = None if g is None else g(coordinate_matrix(eps_bits, n, cfg.window))
+            if not sums:
+                rows = np.abs(gx)
+            else:
+                rows = np.zeros((hi - lo, n + 1), dtype=np.float64)
+                if cfg.martingale == "rademacher":
+                    w = cfg.window
+                    incr = 2.0 * eps_bits[:, w: w + n].astype(np.float64) - 1.0
+                    rows[:, 1:] = np.cumsum(incr, axis=1)
+                if gx is not None:
+                    rows += gx[:, :1] - gx
+        yield lo, hi, rows
+
+
+def _running_max_at(x: np.ndarray, h_idx: np.ndarray) -> np.ndarray:
+    """max_{1<=k<=n} x[:, k] for each horizon n in ``h_idx`` (one column each)."""
+    return np.maximum.accumulate(x[:, 1:], axis=1)[:, h_idx - 1]
+
+
 def _windowed_max_all_residues(table: np.ndarray, w: int) -> np.ndarray:
     """max over the w positions res+1..res+w (mod M) of table, for every res.
 
@@ -490,10 +537,8 @@ def condition16_report(cfg: ExperimentConfig) -> ConditionReport:
     """
     report = _new_report("condition16", cfg)
     if cfg.system == "odometer":
-        cex = cfg.transfer_cex()
-        table = g_residue_table(cex)
+        cex, table, residues = _odometer(cfg, cfg.horizons[-1], report)
         m = table.shape[0]
-        residues = _start_residues(cfg, m)
         for n in cfg.horizons:
             wm = _windowed_max_all_residues(table, n)
             sample = wm[residues]
@@ -514,23 +559,12 @@ def condition16_report(cfg: ExperimentConfig) -> ConditionReport:
                     "exact_prob": exact, "tower_bound": tower_bound,
                     "tower_index": i_star, "mc_abs_error": abs(est - float(exact)),
                 })
-        report.extras["truncation"] = {
-            "tail_measure_bound": truncation_tail_bound(cex),
-            "orbit_bound_at_max_horizon": orbit_truncation_bound(cex, cfg.horizons[-1]),
-        }
     else:
         g = cfg.transfer_shift()
-        if g is None:
-            raise ValueError("condition16 on the shift needs a transfer function g")
-        n_top = cfg.horizons[-1]
         cummax_at = np.empty((cfg.paths, len(cfg.horizons)), dtype=np.float64)
         h_idx = np.asarray(cfg.horizons, dtype=np.int64)
-        for lo, hi in _chunk_ranges(cfg.paths, cfg.workers, _paths_per_chunk(n_top)):
-            eps_bits = _shift_bits_chunk(cfg, lo, hi, n_top)
-            xs = coordinate_matrix(eps_bits, n_top, cfg.window)
-            gv = np.abs(g(xs))
-            run = np.maximum.accumulate(gv[:, 1:], axis=1)
-            cummax_at[lo:hi] = run[:, h_idx - 1]
+        for lo, hi, gv in _orbits(cfg, cfg.horizons[-1]):
+            cummax_at[lo:hi] = _running_max_at(gv, h_idx)
         for gi, n in enumerate(cfg.horizons):
             for eps in cfg.epsilons:
                 thr = eps * math.sqrt(n)
@@ -606,31 +640,19 @@ def condition17_report(cfg: ExperimentConfig) -> ConditionReport:
     }
 
     dyadic_is: List[int] = []
-    cex: Optional[TowerCounterexample] = None
+    odometer: Optional[Odometer] = None
     if cfg.system == "odometer":
-        cex = cfg.transfer_cex()
-        table = g_residue_table(cex)
-        m = table.shape[0]
-        residues = _start_residues(cfg, m)
+        odometer = _odometer(cfg, n_top, report)
+        cex = odometer[0]
         dyadic_is = [
             i for i in range(cex.i0, cex.i_max + 1)
             if (1 << i) >= n0 and (1 << (i + 1)) <= n_top
         ]
-        orbit = lambda lo, hi: _gather_odometer_g(table, residues[lo:hi], n_top)  # noqa: E731
-    else:
-        g = cfg.transfer_shift()
-        if g is None:
-            raise ValueError("condition17 on the shift needs a transfer function g")
-
-        def orbit(lo: int, hi: int) -> np.ndarray:
-            eps_bits = _shift_bits_chunk(cfg, lo, hi, n_top)
-            return np.abs(g(coordinate_matrix(eps_bits, n_top, cfg.window)))
 
     tail_sups = np.empty(cfg.paths, dtype=np.float64)
     exceed = {eps: np.zeros(len(blocks), dtype=np.int64) for eps in cfg.epsilons}
     dyadic_exceed = {eps: np.zeros(len(dyadic_is), dtype=np.int64) for eps in cfg.epsilons}
-    for lo, hi in _chunk_ranges(cfg.paths, cfg.workers, _paths_per_chunk(n_top)):
-        gv = orbit(lo, hi)
+    for lo, hi, gv in _orbits(cfg, n_top, odometer):
         tail_sups[lo:hi] = np.max(gv[:, n0:] / norm[None, :], axis=1)
         # segment boundaries [m_j, m_{j+1}) plus the closing right endpoint
         bounds = np.concatenate([starts, ends[-1:]])
@@ -654,7 +676,7 @@ def condition17_report(cfg: ExperimentConfig) -> ConditionReport:
                 se=_binomial_se(frac, cfg.paths),
                 threshold=float(thresholds[eps][bi]), bc_partial_sum=partial,
             )
-    if cex is not None:
+    if odometer is not None:
         for di, i in enumerate(dyadic_is):
             n_hi = 1 << (i + 1)
             for eps in cfg.epsilons:
@@ -668,10 +690,6 @@ def condition17_report(cfg: ExperimentConfig) -> ConditionReport:
                     "window": [1 << i, n_hi], "tower_bound": bound,
                     "estimate": est, "se": _binomial_se(est, cfg.paths),
                 })
-        report.extras["truncation"] = {
-            "tail_measure_bound": truncation_tail_bound(cex),
-            "orbit_bound_at_max_horizon": orbit_truncation_bound(cex, n_top),
-        }
 
     qs = [0.5, 0.9, 0.99]
     report.extras["tail_sup"] = {
@@ -717,32 +735,9 @@ def slln_report(cfg: ExperimentConfig) -> ConditionReport:
 
     maxS_at = np.empty((cfg.paths, len(cfg.horizons)), dtype=np.float64)
     h_idx = np.asarray(cfg.horizons, dtype=np.int64)
-    use_martingale = cfg.martingale == "rademacher" and cfg.system == "shift"
-    if cfg.system == "odometer":
-        cex = cfg.transfer_cex()
-        table = g_residue_table(cex)
-        residues = _start_residues(cfg, table.shape[0])
-        report.extras["truncation"] = {
-            "tail_measure_bound": truncation_tail_bound(cex),
-            "orbit_bound_at_max_horizon": orbit_truncation_bound(cex, n_top),
-        }
-    for lo, hi in _chunk_ranges(cfg.paths, cfg.workers, _paths_per_chunk(n_top)):
-        if cfg.system == "odometer":
-            gv = _gather_odometer_g(table, residues[lo:hi], n_top)
-            s = gv[:, :1] - gv  # telescoped partial sums S_0..S_n of g - g.T
-        else:
-            g = cfg.transfer_shift()
-            eps_bits = _shift_bits_chunk(cfg, lo, hi, n_top)
-            s = np.zeros((hi - lo, n_top + 1), dtype=np.float64)
-            if use_martingale:
-                w = cfg.window
-                incr = 2.0 * eps_bits[:, w: w + n_top].astype(np.float64) - 1.0
-                s[:, 1:] = np.cumsum(incr, axis=1)
-            if g is not None:
-                gx = g(coordinate_matrix(eps_bits, n_top, cfg.window))
-                s += gx[:, :1] - gx
-        run = np.maximum.accumulate(np.abs(s[:, 1:]), axis=1)
-        maxS_at[lo:hi] = run[:, h_idx - 1]
+    odometer = _odometer(cfg, n_top, report) if cfg.system == "odometer" else None
+    for lo, hi, s in _orbits(cfg, n_top, odometer, sums=True):
+        maxS_at[lo:hi] = _running_max_at(np.abs(s), h_idx)
 
     prev = 0
     weights = []
@@ -791,17 +786,7 @@ class CltReport:
     sigma: float
     rows: List[Dict[str, Any]] = field(default_factory=list)
     limsup: Dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "report": "clt_lil",
-            "config": self.config,
-            "config_sha256": self.config_sha256,
-            "version": self.version,
-            "sigma": self.sigma,
-            "rows": self.rows,
-            "limsup": self.limsup,
-        }
+    report: str = field(default="clt_lil", init=False)
 
 
 def clt_lil_report(cfg: ExperimentConfig) -> CltReport:
@@ -820,14 +805,8 @@ def clt_lil_report(cfg: ExperimentConfig) -> CltReport:
     """
     if cfg.system != "shift":
         raise ValueError("clt/lil diagnostics run on the shift system")
-    g = cfg.transfer_shift()
     n_top = cfg.horizons[-1]
-    if cfg.martingale == "rademacher":
-        sigma: Optional[float] = 1.0
-    elif cfg.martingale == "zero":
-        sigma = None  # estimated below
-    else:
-        raise ValueError(f"unknown martingale part {cfg.martingale!r}")
+    sigma = 1.0 if cfg.martingale == "rademacher" else None  # else estimated below
 
     finals = np.empty((cfg.paths, len(cfg.horizons)), dtype=np.float64)
     sups = np.empty((cfg.paths, len(cfg.horizons)), dtype=np.float64)
@@ -836,19 +815,9 @@ def clt_lil_report(cfg: ExperimentConfig) -> CltReport:
     ks_grid = np.arange(k0, n_top + 1, dtype=np.float64)
     lil_norm = np.sqrt(2.0 * ks_grid * np.log(np.log(ks_grid)))
     h_idx = np.asarray(cfg.horizons, dtype=np.int64)
-    for lo, hi in _chunk_ranges(cfg.paths, cfg.workers, _paths_per_chunk(n_top)):
-        eps_bits = _shift_bits_chunk(cfg, lo, hi, n_top)
-        s = np.zeros((hi - lo, n_top + 1), dtype=np.float64)
-        if cfg.martingale == "rademacher":
-            w = cfg.window
-            incr = 2.0 * eps_bits[:, w: w + n_top].astype(np.float64) - 1.0
-            s[:, 1:] = np.cumsum(incr, axis=1)
-        if g is not None:
-            gx = g(coordinate_matrix(eps_bits, n_top, cfg.window))
-            s += gx[:, :1] - gx
+    for lo, hi, s in _orbits(cfg, n_top, sums=True):
         finals[lo:hi] = s[:, h_idx]
-        run = np.maximum.accumulate(np.abs(s[:, 1:]), axis=1)
-        sups[lo:hi] = run[:, h_idx - 1]
+        sups[lo:hi] = _running_max_at(np.abs(s), h_idx)
         tail_ratio[lo:hi] = np.max(np.abs(s[:, k0:]) / lil_norm[None, :], axis=1)
 
     if sigma is None:

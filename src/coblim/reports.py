@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from typing import Any, Dict, List, Sequence
 
@@ -28,12 +28,15 @@ __all__ = [
 def jsonable(obj: Any) -> Any:
     """Recursively convert report values into JSON-stable primitives.
 
-    Fractions become exact "num/den" strings; numpy scalars/arrays become
-    Python scalars/lists; floats stay floats (json uses repr, which is
-    deterministic and round-trips).
+    Fractions become exact "num/den" strings; a dataclass instance becomes
+    the dict of its fields, so a report's JSON shape is its field list;
+    numpy scalars/arrays become Python scalars/lists; floats stay floats
+    (json uses repr, which is deterministic and round-trips).
     """
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -91,14 +94,6 @@ class CheckResult:
     margin: float = 0.0
     detail: str = ""
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "margin": float(self.margin),
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class CriteriaReport:
@@ -113,6 +108,11 @@ class CriteriaReport:
         self.checks.append(result)
         return result
 
+    def absorb(self, tag: str, sub: "CriteriaReport") -> None:
+        """Take over ``sub``'s checks, named ``[tag] ...``, and nest it in context[tag]."""
+        self.checks.extend(replace(c, name=f"[{tag}] {c.name}") for c in sub.checks)
+        self.context[tag] = sub.to_dict()
+
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -121,7 +121,7 @@ class CriteriaReport:
         return {
             "title": self.title,
             "all_passed": self.all_passed,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": jsonable(self.checks),
             "context": jsonable(self.context),
         }
 

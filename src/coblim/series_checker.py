@@ -68,6 +68,11 @@ DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5)
 
 _CHUNK = 1 << 19
 
+# Main-series decade increment ratio: at or below _TOL_DECAY "converges", at
+# or above _TOL_FLAT "diverges" (see the module docstring).
+_TOL_DECAY = 0.6
+_TOL_FLAT = 0.9
+
 
 @dataclass(frozen=True)
 class SequenceFamily:
@@ -98,9 +103,6 @@ class SequenceFamily:
         Optional closed form for log2(sum_(i>=k) rho_i).  When absent
         the tail is truncated at the evaluated range and flagged as
         such in the report.
-    log2_epsilon:
-        Optional user-supplied truncation sequence enabling the
-        auxiliary series sum_k theta_k N_k eps_k^(1/p); off by default.
     """
 
     label: str
@@ -111,7 +113,6 @@ class SequenceFamily:
     k_start: int = 2
     burn_in: int = 32
     rho_tail_log2: Optional[Callable[[float], float]] = None
-    log2_epsilon: Optional[Log2Seq] = None
 
     def __post_init__(self) -> None:
         if not 1.0 < self.p < 2.0:
@@ -248,14 +249,12 @@ def prop23_report(
     K_max: int = 10**6,
     dr_threshold: float = 5.0,
     checkpoints: Optional[Sequence[int]] = None,
-    tol_decay: float = 0.6,
-    tol_flat: float = 0.9,
 ) -> CriteriaReport:
     """Partial-sum trend report for the three summability conditions.
 
-    Sums the main, quadratic and (optionally) epsilon series over
-    k in [k_start, K_max] with compensated per-segment accumulation,
-    records partial sums at the decade checkpoints, validates the
+    Sums the main and quadratic series over k in [k_start, K_max]
+    with compensated per-segment accumulation, records partial sums
+    at the decade checkpoints, validates the
     family's declared invariants on the evaluated range, and attaches
     one verdict per condition using the decision rules documented in
     the module docstring.
@@ -282,7 +281,6 @@ def prop23_report(
     seg_main = [[] for _ in range(n_seg)]
     seg_quad = [[] for _ in range(n_seg)]
     seg_rho = [[] for _ in range(n_seg)]
-    seg_eps = [[] for _ in range(n_seg)] if family.log2_epsilon else None
 
     carry: dict = {}
     lo = family.k_start
@@ -297,10 +295,6 @@ def prop23_report(
         t_main = np.exp2(p * lt + (p / 2.0) * lc + lr)
         t_quad = np.exp2(2.0 * lt + 0.5 * lc + lr)
         t_rho = np.exp2(lr)
-        t_eps = None
-        if family.log2_epsilon is not None:
-            le = np.asarray(family.log2_epsilon(ks), dtype=np.float64)
-            t_eps = np.exp2(lt + lc + le / p)
 
         # Split the chunk across checkpoint segments.
         seg_lo = lo
@@ -312,8 +306,6 @@ def prop23_report(
             seg_main[j].append(math.fsum(t_main[i0:i1].tolist()))
             seg_quad[j].append(math.fsum(t_quad[i0:i1].tolist()))
             seg_rho[j].append(math.fsum(t_rho[i0:i1].tolist()))
-            if seg_eps is not None and t_eps is not None:
-                seg_eps[j].append(math.fsum(t_eps[i0:i1].tolist()))
             seg_lo = seg_hi + 1
         lo = hi + 1
 
@@ -348,15 +340,15 @@ def prop23_report(
     if len(inc_main) >= 3:
         first_dec, last_dec = inc_main[1], inc_main[-1]
         ratio_main = last_dec / first_dec if first_dec > 0 else math.inf
-        if ratio_main <= tol_decay:
+        if ratio_main <= _TOL_DECAY:
             verdict_main = "converges"
-        elif ratio_main >= tol_flat:
+        elif ratio_main >= _TOL_FLAT:
             verdict_main = "diverges (non-decaying increments)"
         else:
             verdict_main = "inconclusive at this range"
         rule_main = (
-            f"decade increment ratio {ratio_main:.4f}: <= {tol_decay:g} converges, "
-            f">= {tol_flat:g} diverges, else inconclusive"
+            f"decade increment ratio {ratio_main:.4f}: <= {_TOL_DECAY:g} converges, "
+            f">= {_TOL_FLAT:g} diverges, else inconclusive"
         )
     else:
         ratio_main = math.nan
@@ -368,7 +360,7 @@ def prop23_report(
     report.add(
         "main series partial-sum increments decay",
         verdict_main == "converges",
-        margin=0.0 if math.isnan(ratio_main) else tol_decay - ratio_main,
+        margin=0.0 if math.isnan(ratio_main) else _TOL_DECAY - ratio_main,
         detail=f"S={sums_main[-1]:.6f} at K={K_max}; {rule_main}",
     )
     report.context["main"] = {
@@ -443,13 +435,5 @@ def prop23_report(
         "verdict": verdict_quad,
         "rule": rule_quad,
     }
-
-    if seg_eps is not None:
-        inc_eps = [math.fsum(parts) for parts in seg_eps]
-        report.context["epsilon_series"] = {
-            "checkpoints": cps,
-            "partial_sums": list(np.cumsum(inc_eps)),
-            "note": "auxiliary truncation series; reported without verdict",
-        }
 
     return report

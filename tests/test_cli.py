@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coblim.cli import PRESETS, SUBCOMMANDS, main
+from coblim.cli import DEFAULT_SEED, PRESETS, SUBCOMMANDS, main
 from coblim.reports import csv_text, plot_text
 
-# sha256 of every artifact of the seedless benchmark operations, recorded by
-# the benchmark (see perfbench/record_refs.py); read here, never copied.
-BENCHMARK_REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "exact-quad.json"
+# sha256 of every artifact of the benchmark operations, recorded by the
+# benchmark (see perfbench/record_refs.py); read here, never copied.
+REFS_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
 
 
 def run_cli(*args):
@@ -22,6 +22,14 @@ def run_cli(*args):
 
 def read_json(path: Path):
     return json.loads(path.read_text())
+
+
+def preset_digests(tmp_path: Path, subcommand: str, preset: str):
+    """sha256 of every artifact but the manifest of one preset run."""
+    out = tmp_path / "run"
+    run_cli(subcommand, "--preset", preset, "--out", str(out))
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir() if p.name != "manifest.json"}
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +171,21 @@ def test_series_csv_shape(tmp_path):
     ("validate", "windows-slln"),
 ])
 def test_seedless_artifacts_match_recorded_digests(tmp_path, subcommand, preset):
-    expected = read_json(BENCHMARK_REFS)["ops"][f"{subcommand}.{preset}"]["seedless"]["digests"]
-    out = tmp_path / "run"
-    run_cli(subcommand, "--preset", preset, "--out", str(out))
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in out.iterdir() if p.name != "manifest.json"}
-    assert digests == expected
+    refs = read_json(REFS_DIR / "exact-quad.json")["ops"][f"{subcommand}.{preset}"]
+    assert preset_digests(tmp_path, subcommand, preset) == refs["seedless"]["digests"]
+
+
+@pytest.mark.parametrize("workload,subcommand,preset", [
+    ("odometer-mc", "conditions", "tower-iplil"),
+    ("odometer-mc", "conditions", "tower-slln"),
+    ("shift-clt", "clt", "clt-rademacher"),
+    ("shift-clt", "clt", "clt-bounded-transfer"),
+    ("exact-quad", "maximal", "maximal-smoke"),
+])
+def test_seeded_artifacts_match_recorded_digests(tmp_path, workload, subcommand, preset):
+    # run at the CLI's default seed, one of the seeds the references cover
+    refs = read_json(REFS_DIR / f"{workload}.json")["ops"][f"{subcommand}.{preset}"]
+    assert preset_digests(tmp_path, subcommand, preset) == refs[str(DEFAULT_SEED)]["digests"]
 
 
 def test_config_error_leaves_no_partial_output(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from coblim.counterexamples import build_tower_counterexample
+from coblim.dynamics import ShiftTrajectory
 from coblim.mc_harness import (
     SHIFT_FUNCTIONS,
     THEOREM_IDS,
@@ -18,6 +19,7 @@ from coblim.mc_harness import (
     slln_report,
     validate_hypotheses,
 )
+from coblim.reports import canonical_json
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +179,8 @@ def test_condition16_tower_bound_is_a_lower_bound():
 
 
 def test_condition16_deterministic_across_workers():
-    a = condition16_report(odometer_config(workers=1)).to_dict()
-    b = condition16_report(odometer_config(workers=3)).to_dict()
+    a = canonical_json(condition16_report(odometer_config(workers=1)))
+    b = canonical_json(condition16_report(odometer_config(workers=3)))
     assert a == b  # the config echo never includes the worker count
 
 
@@ -211,6 +213,67 @@ def test_condition17_and_slln_reports_run():
     assert rs.rows and rs.verdicts
     for row in rs.rows:
         assert math.isfinite(row["estimate"]) or row["estimate"] >= 0
+
+
+def test_unknown_martingale_rejected():
+    with pytest.raises(ValueError, match="unknown martingale part 'gaussian'"):
+        ExperimentConfig(system="shift", horizons=(64,), paths=200, seed=1,
+                         martingale="gaussian", transfer="identity")
+
+
+# With g the identity, |g| and S_k(f) are exact dyadic arithmetic, so the
+# chunked reports must equal a per-path reference built from the scalar
+# coordinate recurrence of ShiftTrajectory.
+
+def shift_reference(cfg):
+    """Per path j: (x_0..x_n, Rademacher partial sums S_0..S_n(m)) at n = top horizon."""
+    n = cfg.horizons[-1]
+    for j in range(cfg.paths):
+        traj = ShiftTrajectory.generate(cfg.seed, j, n, cfg.window)
+        steps = 2 * traj.eps[cfg.window: cfg.window + n].astype(np.int64) - 1
+        yield traj.coordinates(), np.concatenate([[0], np.cumsum(steps)])
+
+
+def test_condition17_shift_matches_per_path_reference():
+    cfg = ExperimentConfig(system="shift", horizons=(16, 64), paths=150, seed=11,
+                           epsilons=(0.05, 0.1), transfer="identity", workers=3)
+    report = condition17_report(cfg)
+    xs = [x for x, _ in shift_reference(cfg)]
+    for row in report.rows:
+        mj, end = row["m_j"], row["m_j"] + row["block_len"]
+        assert row["threshold"] == pytest.approx(
+            row["epsilon"] * math.sqrt(mj * math.log(math.log(mj))), rel=1e-15)
+        hits = sum(x[mj: end + 1].max() > row["threshold"] for x in xs)
+        assert row["estimate"] == hits / cfg.paths
+    assert any(0 < row["estimate"] < 1 for row in report.rows)
+
+    n0, n_top = cfg.horizons[0], cfg.horizons[-1]
+    ks = np.arange(n0, n_top + 1, dtype=np.float64)
+    tail_sups = np.asarray([np.max(x[n0:] / np.sqrt(ks * np.log(np.log(ks)))) for x in xs])
+    assert report.extras["tail_sup"] == {
+        "window": [n0, n_top],
+        "mean": float(np.mean(tail_sups)),
+        "quantiles": {str(q): float(np.quantile(tail_sups, q)) for q in (0.5, 0.9, 0.99)},
+        "max": float(np.max(tail_sups)),
+    }
+
+
+@pytest.mark.parametrize("martingale,epsilons", [("rademacher", (0.25, 0.5)),
+                                                 ("zero", (0.01, 0.02))])
+def test_slln_shift_matches_per_path_reference(martingale, epsilons):
+    cfg = ExperimentConfig(system="shift", horizons=(16, 64, 256), paths=150, seed=12,
+                           epsilons=epsilons, p=1.5, martingale=martingale,
+                           transfer="identity", workers=3)
+    report = slln_report(cfg)
+    sup_abs = []
+    for x, sm in shift_reference(cfg):
+        s = (x[0] - x) + (sm if martingale == "rademacher" else 0)
+        sup_abs.append({n: np.max(np.abs(s[1: n + 1])) for n in cfg.horizons})
+    alpha = cfg.resolved_alpha()
+    for row in report.rows:
+        hits = sum(sup[row["n"]] >= row["epsilon"] * row["n"] ** alpha for sup in sup_abs)
+        assert row["estimate"] == hits / cfg.paths
+    assert any(0 < row["estimate"] < 1 for row in report.rows)
 
 
 # ---------------------------------------------------------------------------
