@@ -15,26 +15,15 @@ exists; the exact side never samples.
 
 __version__ = "0.1.0"
 
-from .dynamics import (
-    OdometerPoint,
-    PathSummary,
-    ShiftTrajectory,
-    birkhoff,
-    level,
-    odometer_advance,
-)
-from .weak_tails import SimpleFunctionRep, TailProfile, strong_norm, tail_profile, weak_norm
+from .dynamics import OdometerPoint, ShiftTrajectory, level, odometer_advance
+from .weak_tails import SimpleFunctionRep, strong_norm, weak_norm
 
 __all__ = [
     "OdometerPoint",
     "ShiftTrajectory",
-    "PathSummary",
     "odometer_advance",
     "level",
-    "birkhoff",
     "SimpleFunctionRep",
-    "TailProfile",
-    "tail_profile",
     "weak_norm",
     "strong_norm",
     "__version__",

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dynamics import OdometerPoint, PathSummary, level, odometer_advance
+from .dynamics import OdometerPoint, level
 from .weak_tails import SimpleFunctionRep, strong_norm
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "AbsoluteThreshold",
     "dyadic_window",
     "full_window",
-    "telescoped_partial_sums",
     "g_residue_table",
     "blocks_for_range",
 ]
@@ -518,10 +517,10 @@ def violation_probability_bruteforce(
 
 
 # ---------------------------------------------------------------------------
-# blocks and telescoping
+# blocks
 # ---------------------------------------------------------------------------
 
-def blocks_for_range(alpha: float, n_max: int, kappa_check: bool = False) -> List[Tuple[int, int, int]]:
+def blocks_for_range(alpha: float, n_max: int) -> List[Tuple[int, int, int]]:
     """Blocks (j, m_j, len_j) with m_j = sum_{i<j} [i^alpha], covering [0, n_max].
 
     len_j = [j^alpha] is the j-th block length; m_{j+1} = m_j + len_j.  The
@@ -538,24 +537,3 @@ def blocks_for_range(alpha: float, n_max: int, kappa_check: bool = False) -> Lis
         m += max(ln, 1)
         j += 1
     return out
-
-
-def telescoped_partial_sums(cex: TowerCounterexample, point: OdometerPoint, n: int) -> PathSummary:
-    """Partial sums of f = g - g.T along the orbit, via the telescoping identity.
-
-    S_k = g(point) - g(T^k point) for k = 0..n, computed with two evaluations
-    per k instead of summing k orbit terms; the horizon guard 2n <= 2^B keeps
-    the truncated odometer from wrapping.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if 2 * n > (1 << point.nbits):
-        raise ValueError(f"horizon n={n} too long for {point.nbits}-bit odometer (need 2n <= 2^B)")
-    g0 = eval_g(cex, point)
-    S = np.empty(n + 1, dtype=np.float64)
-    S[0] = 0.0
-    for k in range(1, n + 1):
-        S[k] = g0 - eval_g(cex, odometer_advance(point, k))
-    summary = PathSummary(n=max(n, 1), partial_sums=S)
-    summary.max_abs_partial = float(np.max(np.abs(S[1:]))) if n >= 1 else 0.0
-    return summary

@@ -1,4 +1,4 @@
-"""Core dynamics: truncated binary odometer, dyadic shift trajectories, Birkhoff sums.
+"""Core dynamics: truncated binary odometer, dyadic shift trajectories, seeded streams.
 
 Two measure-preserving systems are realized here.
 
@@ -12,6 +12,10 @@ The *dyadic Bernoulli shift* is realized through sampled trajectories: a
 two-sided window of i.i.d. fair bits (eps_k) and the derived doubling-map
 coordinates x_k = sum_{j=1..W} 2^{-j-1} eps_{k-j} in [0, 1/2).
 
+The Monte Carlo reports use the batched `coordinate_matrix` (and, on the
+odometer, residue tables in `counterexamples`); the scalar `OdometerPoint`
+and `ShiftTrajectory` are the per-point references they are tested against.
+
 Randomness is counter-based throughout: every stream is a pure function of
 (seed, stream id), so Monte Carlo results do not depend on how work is
 split across workers.
@@ -20,10 +24,20 @@ split across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 from numpy.random import Generator, Philox
+
+__all__ = [
+    "stream_generator",
+    "fair_bits",
+    "OdometerPoint",
+    "odometer_advance",
+    "level",
+    "ShiftTrajectory",
+    "coordinate_matrix",
+]
 
 _MASK64 = (1 << 64) - 1
 
@@ -44,14 +58,6 @@ def fair_bits(seed: int, stream: int, count: int) -> np.ndarray:
     if count < 0:
         raise ValueError("count must be >= 0")
     return stream_generator(seed, stream).integers(0, 2, size=count, dtype=np.uint8)
-
-
-def uniform_start_values(seed: int, stream: int, count: int, bits: int) -> np.ndarray:
-    """Uniform odometer start values in [0, 2^bits) as uint64."""
-    if not 1 <= bits <= 62:
-        raise ValueError("bits must be in [1, 62]")
-    gen = stream_generator(seed, stream)
-    return gen.integers(0, 1 << bits, size=count, dtype=np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -179,97 +185,3 @@ def coordinate_matrix(eps: np.ndarray, n: int, window: int) -> np.ndarray:
         X = (X >> 1) + (eps[:, k + W].astype(np.int64) << (W - 1))
         xs[:, k + 1] = X * scale
     return xs
-
-
-# ---------------------------------------------------------------------------
-# Birkhoff sums and polygonal paths
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PathSummary:
-    """Partial sums along one orbit, with the polygonal interpolant.
-
-    partial_sums[k] = S_k = sum_{j<k} f(T^j w) for k = 0..n.  The polygonal
-    process evaluated at t is S_[nt] + (nt - [nt]) f(T^[nt] w), i.e. linear
-    interpolation of the partial sums at the knots k/n.
-    """
-
-    n: int
-    partial_sums: np.ndarray
-    t_grid: Optional[np.ndarray] = None
-    polygonal: Optional[np.ndarray] = None
-    max_abs_partial: float = 0.0
-    max_abs_g: Optional[float] = None
-
-    @property
-    def final(self) -> float:
-        return float(self.partial_sums[-1])
-
-
-Orbit = Union[OdometerPoint, ShiftTrajectory]
-
-
-def _orbit_values(f: Callable, start: Orbit, n: int) -> np.ndarray:
-    """Evaluate f along the orbit: f(T^k w) for k = 0..n."""
-    out = np.empty(n + 1, dtype=np.float64)
-    if isinstance(start, OdometerPoint):
-        if 2 * n > (1 << start.nbits):
-            raise ValueError(
-                f"horizon n={n} too long for {start.nbits}-bit odometer (need 2n <= 2^B)"
-            )
-        for k in range(n + 1):
-            try:
-                out[k] = f(odometer_advance(start, k))
-            except Exception as exc:  # noqa: BLE001 - annotate and re-raise
-                raise RuntimeError(f"evaluator failed at orbit index {k}") from exc
-    elif isinstance(start, ShiftTrajectory):
-        if n > start.n:
-            raise ValueError(f"horizon n={n} exceeds trajectory length {start.n}")
-        xs = start.coordinates()
-        for k in range(n + 1):
-            try:
-                out[k] = f(float(xs[k]))
-            except Exception as exc:  # noqa: BLE001
-                raise RuntimeError(f"evaluator failed at orbit index {k}") from exc
-    else:
-        raise TypeError(f"unsupported orbit start {type(start)!r}")
-    return out
-
-
-def birkhoff(
-    f: Callable,
-    start: Orbit,
-    n: int,
-    t_grid: Optional[np.ndarray] = None,
-    g: Optional[Callable] = None,
-) -> PathSummary:
-    """Partial sums S_0..S_n of f along the orbit of `start`, plus extras.
-
-    Args:
-        f: evaluator; takes an OdometerPoint or a doubling-map coordinate.
-        start: OdometerPoint or ShiftTrajectory.
-        n: horizon (for the odometer, 2n <= 2^B is enforced).
-        t_grid: optional grid in [0,1] at which to evaluate the polygonal path.
-        g: optional second evaluator; records max_{1<=k<=n} |g(T^k w)|.
-
-    Returns:
-        PathSummary with partial sums, optional polygonal values, the running
-        maximum of |S_k|, and (if g is given) the maximum of |g| on the orbit.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    fvals = _orbit_values(f, start, n)
-    S = np.concatenate([[0.0], np.cumsum(fvals[:n])])
-    summary = PathSummary(n=n, partial_sums=S)
-    summary.max_abs_partial = float(np.max(np.abs(S[1:])))
-    if t_grid is not None:
-        t = np.asarray(t_grid, dtype=np.float64)
-        if t.size and (t.min() < 0.0 or t.max() > 1.0):
-            raise ValueError("t_grid must lie in [0, 1]")
-        # linear interpolation of the knot values S_k at positions k/n
-        summary.t_grid = t
-        summary.polygonal = np.interp(t * n, np.arange(n + 1), S)
-    if g is not None:
-        gvals = _orbit_values(g, start, n)
-        summary.max_abs_g = float(np.max(np.abs(gvals[1:])))
-    return summary

@@ -3,7 +3,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,16 +16,13 @@ from coblim.counterexamples import (
     eval_g,
     exact_norms,
     exact_violation_probability,
-    full_window,
     g_residue_table,
     norm_decay_ratios,
     orbit_truncation_bound,
-    telescoped_partial_sums,
     truncation_tail_bound,
     violation_probability_bruteforce,
 )
-from coblim.dynamics import OdometerPoint, birkhoff, level, odometer_advance
-from coblim.weak_tails import strong_norm
+from coblim.dynamics import OdometerPoint, level
 
 
 def small_iplil(i_max=10, bits=12):
@@ -251,25 +247,8 @@ def test_violation_probability_exact_type():
 
 
 # ---------------------------------------------------------------------------
-# telescoping and truncation
+# truncation
 # ---------------------------------------------------------------------------
-
-def test_telescoped_partial_sums_match_birkhoff():
-    cex = small_iplil(i_max=8, bits=12)
-    pt = OdometerPoint(999, 12)
-    n = 64
-
-    def f(w):  # the coboundary f = g - g o T
-        return eval_g(cex, w) - eval_g(cex, odometer_advance(w))
-
-    direct = birkhoff(f, pt, n=n)
-    tele = telescoped_partial_sums(cex, pt, n=n)
-    assert np.allclose(direct.partial_sums, tele.partial_sums, atol=1e-9)
-    # telescoping identity: S_k = g(w) - g(T^k w)
-    for k in (1, 17, n):
-        expected = eval_g(cex, pt) - eval_g(cex, odometer_advance(pt, k))
-        assert tele.partial_sums[k] == pytest.approx(expected, abs=1e-9)
-
 
 def test_truncation_tail_bound_decreases_in_imax():
     full = build_tower_counterexample("ip_lil", p=1.2, r=4.0, i_max=16, bits=18)

@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from coblim.dynamics import (
     OdometerPoint,
     ShiftTrajectory,
-    birkhoff,
     coordinate_matrix,
     fair_bits,
     level,
     odometer_advance,
     stream_generator,
-    uniform_start_values,
 )
 
 
@@ -42,11 +40,6 @@ def test_fair_bits_values_and_balance():
     assert set(np.unique(bits)) <= {0, 1}
     # a fair coin stays within 5 sigma of n/2
     assert abs(int(bits.sum()) - 10000) < 5 * math.sqrt(20000 / 4)
-
-
-def test_uniform_start_values_range():
-    vals = uniform_start_values(9, 3, 100, bits=12)
-    assert vals.min() >= 0 and vals.max() < (1 << 12)
 
 
 # ---------------------------------------------------------------------------
@@ -162,50 +155,3 @@ def test_trajectory_bit_bounds():
         traj.bit(-9)
     with pytest.raises(IndexError):
         traj.bit(19)
-
-
-# ---------------------------------------------------------------------------
-# Birkhoff sums
-# ---------------------------------------------------------------------------
-
-def test_birkhoff_partial_sums_definition():
-    pt = OdometerPoint(5, 8)
-    f = lambda w: float(w.value % 3)
-    summary = birkhoff(f, pt, n=20)
-    expected = np.concatenate(
-        [[0.0], np.cumsum([f(odometer_advance(pt, k)) for k in range(20)])]
-    )
-    assert np.allclose(summary.partial_sums, expected)
-    assert summary.final == expected[-1]
-    assert summary.max_abs_partial == np.max(np.abs(expected[1:]))
-
-
-def test_birkhoff_polygonal_interpolates_knots():
-    pt = OdometerPoint(0, 8)
-    f = lambda w: 1.0 if w.value % 2 == 0 else -1.0
-    n = 16
-    t = np.linspace(0.0, 1.0, 33)
-    summary = birkhoff(f, pt, n=n, t_grid=t)
-    # at knots t = k/n the polygonal path equals S_k
-    for k in range(n + 1):
-        assert summary.polygonal[2 * k] == pytest.approx(summary.partial_sums[k])
-
-
-def test_birkhoff_records_transfer_maximum():
-    pt = OdometerPoint(3, 8)
-    f = lambda w: 0.0
-    g = lambda w: float(w.value)
-    summary = birkhoff(f, pt, n=10, g=g)
-    assert summary.max_abs_g == max(float((3 + k) % 256) for k in range(1, 11))
-
-
-def test_birkhoff_horizon_guard():
-    with pytest.raises(ValueError):
-        birkhoff(lambda w: 0.0, OdometerPoint(0, 4), n=9)  # 2n > 2^4
-
-
-@given(st.integers(min_value=1, max_value=60))
-def test_birkhoff_constant_function_telescopes(n):
-    traj = ShiftTrajectory.generate(11, 2, n=64, window=10)
-    summary = birkhoff(lambda x: 1.0, traj, n=n)
-    assert summary.final == pytest.approx(n)

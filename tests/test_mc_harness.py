@@ -1,13 +1,14 @@
 """Tests for exponent-window validation and the Monte Carlo reports."""
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from coblim.counterexamples import build_tower_counterexample
-from coblim.dynamics import ShiftTrajectory
+from coblim.counterexamples import build_tower_counterexample, eval_g
+from coblim.dynamics import OdometerPoint, ShiftTrajectory, odometer_advance, stream_generator
 from coblim.mc_harness import (
     SHIFT_FUNCTIONS,
     THEOREM_IDS,
@@ -200,19 +201,56 @@ def test_condition16_shift_bounded_g_never_violates():
     assert report.rows[0]["estimate"] == 0.0
 
 
+# On the odometer, g.T^k and S_k(f) = g - g.T^k come from a gather over the
+# residue table of g; the reference walks each path point by point with
+# odometer_advance and eval_g.
+
+def odometer_reference(cfg):
+    """Per path j: g(T^k w_j) for k = 0..n at n = top horizon."""
+    cex, bits, n = cfg.transfer, cfg.bits, cfg.horizons[-1]
+    g = functools.lru_cache(maxsize=None)(lambda v: eval_g(cex, OdometerPoint(v, bits)))
+    for j in range(cfg.paths):
+        start = int(stream_generator(cfg.seed, j).integers(0, 1 << bits, dtype=np.uint64))
+        w = OdometerPoint(start, bits)
+        yield np.array([g(odometer_advance(w, k).value) for k in range(n + 1)])
+
+
+def test_condition17_odometer_matches_per_path_reference():
+    cfg = odometer_config(workers=3)
+    report = condition17_report(cfg)
+    gs = list(odometer_reference(cfg))
+    for row in report.rows:
+        mj, end = row["m_j"], row["m_j"] + row["block_len"]
+        hits = sum(g[mj: end + 1].max() > row["threshold"] for g in gs)
+        assert row["estimate"] == hits / cfg.paths
+    assert any(0 < row["estimate"] < 1 for row in report.rows)
+    for ex in report.exact_rows:
+        lo, hi = ex["window"]
+        hits = sum(g[lo: hi + 1].max() >= ex["threshold"] for g in gs)
+        assert ex["estimate"] == hits / cfg.paths
+    assert any(0 < ex["estimate"] < 1 for ex in report.exact_rows)
+
+
 def test_condition17_and_slln_reports_run():
     cfg = odometer_config(horizons=(64, 256), alpha=1.0, q=None)
     r17 = condition17_report(cfg)
     assert r17.rows and r17.verdicts
     cex = build_tower_counterexample("slln", p=1.8, r=3.0, q=1.1, i_max=12, bits=14)
     cfg_s = ExperimentConfig(
-        system="odometer", horizons=(64, 256), paths=300, seed=4,
-        p=1.8, q=1.1, r=3.0, transfer=cex, bits=14,
+        system="odometer", horizons=(64, 256), paths=300, seed=4, epsilons=(1.0, 2.0),
+        p=1.8, q=1.1, r=3.0, transfer=cex, bits=14, workers=3,
     )
     rs = slln_report(cfg_s)
     assert rs.rows and rs.verdicts
+    alpha = cfg_s.resolved_alpha()
+    sup_abs = []
+    for g in odometer_reference(cfg_s):
+        s = g[0] - g
+        sup_abs.append({n: np.max(np.abs(s[1: n + 1])) for n in cfg_s.horizons})
     for row in rs.rows:
-        assert math.isfinite(row["estimate"]) or row["estimate"] >= 0
+        hits = sum(sup[row["n"]] >= row["epsilon"] * row["n"] ** alpha for sup in sup_abs)
+        assert row["estimate"] == hits / cfg_s.paths
+    assert any(0 < row["estimate"] < 1 for row in rs.rows)
 
 
 def test_unknown_martingale_rejected():
