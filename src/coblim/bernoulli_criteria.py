@@ -750,29 +750,22 @@ def prop213_check(
     p: float,
     r: float,
     delta: float = 0.1,
-    mode: str = "corrected",
 ) -> CriteriaReport:
     """Strong-law criterion at exponents (p, r).
 
-    The stated range for r is contradictory (an empty interval above p);
-    `mode` exposes both readings: "literal" refuses every r (and says why),
-    "corrected" requires r in (p, 2), the range under which the underlying
-    series argument goes through.
+    The stated range for r is contradictory: read literally it is r in
+    (p, 1), which is empty for p > 1.  This check uses the corrected reading
+    r in (p, 2), the range under which the underlying series argument goes
+    through, and records it as "mode": "corrected" in the context.
     """
     if not 1 < p < 2:
         raise ValueError("p must lie in (1, 2)")
-    if mode == "literal":
-        raise ValueError(
-            "literal reading requires r in (p, 1), which is empty for p > 1; "
-            "use mode='corrected' for the r in (p, 2) reading"
-        )
-    if mode != "corrected":
-        raise ValueError("mode must be 'literal' or 'corrected'")
     if not p < r < 2:
         raise ValueError(f"corrected reading needs r in (p, 2) = ({p}, 2), got {r}")
     q = max(1.0, (p - 1.0) * r / (r - 1.0))
     report = CriteriaReport(title=f"strong-law criterion p={p} r={r} delta={delta}")
-    report.context.update({"p": p, "r": r, "q": q, "delta": delta, "f": f.label, "mode": mode})
+    report.context.update({"p": p, "r": r, "q": q, "delta": delta, "f": f.label,
+                           "mode": "corrected"})
 
     grid = (np.arange(1 << 16, dtype=np.float64) + 0.5) / (1 << 16)
     moment = float(np.mean(np.abs(f(grid)) ** r))

@@ -383,6 +383,12 @@ def _verdict(report: CriteriaReport) -> int:
 # shared construction helpers
 # ---------------------------------------------------------------------------
 
+def _check_system(view: ConfigView, name: str) -> None:
+    """A handler whose system is fixed refuses a config naming another one."""
+    view.get("system", "name", str, default=name, check=lambda s: s == name,
+             describe=f"this subcommand runs on the {name}")
+
+
 def _build_cex(view: ConfigView) -> TowerCounterexample:
     """Tower counterexample from the system/exponents sections."""
     q = view.get("exponents", "q", (int, float))
@@ -411,6 +417,7 @@ def _build_cex(view: ConfigView) -> TowerCounterexample:
 
 
 def _experiment_config(view: ConfigView, system: str, transfer: Any) -> ExperimentConfig:
+    _check_system(view, system)
     horizons = view.get("horizons", "n", (int, list), default=[4096])
     if isinstance(horizons, int):
         horizons = [horizons]
@@ -455,6 +462,7 @@ def _experiment_config(view: ConfigView, system: str, transfer: Any) -> Experime
 # ---------------------------------------------------------------------------
 
 def _run_counterexample(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
+    _check_system(view, "odometer")
     cex = _build_cex(view)
     rows = exact_norms(cex)
     ratios = norm_decay_ratios(rows)
@@ -564,6 +572,7 @@ def _run_clt(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
 
 
 def _run_maximal(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
+    _check_system(view, "odometer")
     bits = view.get("system", "bits", int, default=14, required=False)
     level = view.get("system", "level", int, default=8)
     n_max = view.get("horizons", "n_max", int, default=1024, check=lambda v: v >= 1)
@@ -622,9 +631,6 @@ def _run_criteria(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
                      check=lambda v: v > 0, describe="log-weight surplus delta > 0")
     depth = view.get("horizons", "N", int, default=6,
                      check=lambda v: 1 <= v <= 20, describe="projection depth in [1, 20]")
-    mode = view.get("function", "mode213", str, default="corrected",
-                    check=lambda s: s in ("literal", "corrected"),
-                    describe="'literal' or 'corrected'")
 
     combined = CriteriaReport(title=f"integral and projective criteria for {f.label}",
                               context={"family": family, "p": float(p), "r": r,
@@ -635,9 +641,9 @@ def _run_criteria(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     if r is not None:
         try:
             sub_reports["moment_integral_pair"] = prop213_check(
-                f, float(p), float(r), delta=float(delta), mode=mode)
+                f, float(p), float(r), delta=float(delta))
         except ValueError as exc:
-            raise view.fail("mode213", str(exc)) from exc
+            raise view.fail("r", str(exc)) from exc
     for which in ("2.2", "2.5") + (("2.8",) if r is not None else ()):
         tag = f"corollary_{which.replace('.', '_')}"
         sub_reports[tag] = corollary_check(f, which, float(p),

@@ -436,33 +436,6 @@ def full_window(n: int) -> Tuple[int, int]:
     return (1, n)
 
 
-def _merged_interval_length(intervals: List[Tuple[int, int]], n: int) -> int:
-    """Total length of a union of closed integer intervals on Z/nZ."""
-    # normalize to [0, n) and split wrap-arounds
-    flat: List[Tuple[int, int]] = []
-    for a, b in intervals:
-        if b - a + 1 >= n:
-            return n
-        a %= n
-        b %= n
-        if a <= b:
-            flat.append((a, b))
-        else:
-            flat.append((a, n - 1))
-            flat.append((0, b))
-    flat.sort()
-    total = 0
-    cur_a, cur_b = flat[0]
-    for a, b in flat[1:]:
-        if a > cur_b + 1:
-            total += cur_b - cur_a + 1
-            cur_a, cur_b = a, b
-        else:
-            cur_b = max(cur_b, b)
-    total += cur_b - cur_a + 1
-    return min(total, n)
-
-
 def exact_violation_probability(
     cex: TowerCounterexample,
     i: int,
@@ -471,10 +444,13 @@ def exact_violation_probability(
 ) -> Fraction:
     """Exact measure of {w : max_{l in window} g_i(T^l w) >= threshold}.
 
-    Since g_i(T^l w) depends only on (level(w,i) + l) mod n_i, the event is a
-    union of shifted integer intervals of residues mod n_i; its measure is a
-    dyadic rational counted exactly.  g >= g_i >= 0 makes this a certified
-    lower bound for the same event with the full g.
+    Since g_i(T^l w) depends only on (level(w,i) + l) mod n_i, the event is
+    the set of residues res with res + l = n_i - j (mod n_i) for a qualifying
+    j and an l in the window.  Both ranges are contiguous, so these residues
+    form one arc of len(js) + l_hi - l_lo points mod n_i (all of Z/n_i Z when
+    that reaches n_i); its measure is a dyadic rational counted exactly.
+    g >= g_i >= 0 makes this a certified lower bound for the same event with
+    the full g.
 
     `window` is an inclusive pair (l_lo, l_hi); default is the dyadic block
     window [2^i, 2^{i+1}].
@@ -490,12 +466,7 @@ def exact_violation_probability(
     js = rule.qualifying_j(m)
     if len(js) == 0:
         return Fraction(0)
-    if l_hi - l_lo + 1 >= m.n:
-        return Fraction(1)  # the orbit window passes through every level
-    # residues res with (res + l) mod n = n - j for some qualifying j, l in window
-    intervals = [((m.n - j) - l_hi, (m.n - j) - l_lo) for j in js]
-    count = _merged_interval_length(intervals, m.n)
-    return Fraction(count, m.n)
+    return Fraction(min(m.n, len(js) + l_hi - l_lo), m.n)
 
 
 def violation_probability_bruteforce(

@@ -3,7 +3,8 @@
 Four experiment families, each reading an ExperimentConfig:
 
 * condition16_report — in-probability decay of n^{-1/2} max_{k<=n} |g.T^k|,
-  with an exact enumeration counterpart on the odometer;
+  with an exact counterpart on the odometer from sliding window maxima of g
+  over all residues (scipy.ndimage.maximum_filter1d);
 * condition17_report — the almost-sure decay of (n log log n)^{-1/2} g.T^n,
   probed through block maxima and Borel-Cantelli partial sums (a.s.
   statements are not directly samplable);
@@ -17,6 +18,9 @@ Conventions shared by all reports:
 * paths are independent work units keyed by (seed, path-id) through
   counter-based streams, so results are bit-identical for any worker count
   or chunking of the path range;
+* on the odometer, the residue table of g and the per-path start residues
+  are derived once per ExperimentConfig (on first use) and shared by every
+  report run on that config;
 * every Monte Carlo probability that has an exactly countable counterpart on
   the odometer is reported next to it (the exact side never samples);
 * "holds"/"fails" verdicts are finite-sample trend labels with the decision
@@ -27,10 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.special import ndtr as _normal_cdf  # standard normal CDF, vectorized
 
 from . import __version__
 from .counterexamples import (
@@ -44,12 +50,6 @@ from .counterexamples import (
 )
 from .dynamics import coordinate_matrix, fair_bits, stream_generator
 from .reports import CriteriaReport, config_hash
-
-try:  # standard normal CDF: scipy's ndtr is vectorized and exact to double
-    from scipy.special import ndtr as _normal_cdf
-except ImportError:  # pragma: no cover - scipy is a hard dependency, belt and braces
-    def _normal_cdf(x):
-        return 0.5 * (1.0 + np.vectorize(math.erf)(np.asarray(x) / math.sqrt(2.0)))
 
 __all__ = [
     "ShiftFunction",
@@ -304,6 +304,18 @@ class ExperimentConfig:
             )
         return self.transfer
 
+    @cached_property
+    def g_table(self) -> np.ndarray:
+        """g on every residue mod 2^{i_max} of the odometer (see g_residue_table)."""
+        return g_residue_table(self.transfer_cex())
+
+    @cached_property
+    def start_residues(self) -> np.ndarray:
+        """Per-path odometer start residues mod len(g_table), one stream per path."""
+        draws = [int(stream_generator(self.seed, j).integers(0, 1 << self.bits, dtype=np.uint64))
+                 for j in range(self.paths)]
+        return np.asarray(draws, dtype=np.int64) % self.g_table.shape[0]
+
     def transfer_shift(self) -> Optional[ShiftFunction]:
         if self.transfer is None:
             return None
@@ -413,15 +425,6 @@ def _chunk_ranges(paths: int, workers: int, per_chunk: int) -> List[Tuple[int, i
     return [(a, min(paths, a + size)) for a in range(0, paths, size)]
 
 
-def _start_residues(cfg: ExperimentConfig, modulus: int) -> np.ndarray:
-    """Per-path odometer start residues mod `modulus` (one stream per path)."""
-    out = np.empty(cfg.paths, dtype=np.int64)
-    for j in range(cfg.paths):
-        gen = stream_generator(cfg.seed, j)
-        out[j] = int(gen.integers(0, 1 << cfg.bits, dtype=np.uint64)) % modulus
-    return out
-
-
 def _shift_bits_chunk(cfg: ExperimentConfig, lo: int, hi: int, n: int) -> np.ndarray:
     """Bits eps_k, k in [-window, n + window], for paths lo..hi-1."""
     count = n + 2 * cfg.window + 1
@@ -438,41 +441,23 @@ def _gather_odometer_g(table: np.ndarray, residues: np.ndarray, n: int) -> np.nd
     return table[idx]
 
 
-Odometer = Tuple[TowerCounterexample, np.ndarray, np.ndarray]
-
-
-def _odometer(cfg: ExperimentConfig, n: int, report: ConditionReport) -> Odometer:
-    """(counterexample g, its residue table, per-path start residues) of an odometer report.
-
-    Records the truncation bounds at the top horizon ``n`` in the report's
-    extras, since every odometer estimate inherits them.
-    """
-    cex = cfg.transfer_cex()
-    table = g_residue_table(cex)
-    residues = _start_residues(cfg, table.shape[0])
-    report.extras["truncation"] = {
-        "tail_measure_bound": truncation_tail_bound(cex),
-        "orbit_bound_at_max_horizon": orbit_truncation_bound(cex, n),
-    }
-    return cex, table, residues
-
-
-def _orbits(
-    cfg: ExperimentConfig, n: int, odometer: Optional[Odometer] = None, sums: bool = False,
-) -> Iterator[Tuple[int, int, np.ndarray]]:
+def _orbits(cfg: ExperimentConfig, n: int,
+            sums: bool = False) -> Iterator[Tuple[int, int, np.ndarray]]:
     """The one orbit source of the Monte Carlo reports: (lo, hi, rows) per path chunk.
 
     Row j - lo belongs to path j.  Column k = 0..n holds |g(T^k w)|, or with
     ``sums`` the partial sum S_k(f) = S_k(m) + g(w) - g(T^k w) of
-    f = m + g - g.T (S_0 = 0).  Pass ``odometer`` (from _odometer) on the
-    odometer, where the table is >= 0 and there is no martingale part.
+    f = m + g - g.T (S_0 = 0).  On the odometer the rows are gathered from
+    cfg.g_table at cfg.start_residues; the table is >= 0 and there is no
+    martingale part.
     """
-    g = None if odometer is not None else cfg.transfer_shift()
-    if odometer is None and g is None and not sums:
+    odometer = cfg.system == "odometer"
+    g = None if odometer else cfg.transfer_shift()
+    if not odometer and g is None and not sums:
         raise ValueError("the |g| orbit on the shift needs a transfer function g")
     for lo, hi in _chunk_ranges(cfg.paths, cfg.workers, _paths_per_chunk(n)):
-        if odometer is not None:
-            gv = _gather_odometer_g(odometer[1], odometer[2][lo:hi], n)
+        if odometer:
+            gv = _gather_odometer_g(cfg.g_table, cfg.start_residues[lo:hi], n)
             rows = gv[:, :1] - gv if sums else gv
         else:
             eps_bits = _shift_bits_chunk(cfg, lo, hi, n)
@@ -498,21 +483,15 @@ def _running_max_at(x: np.ndarray, h_idx: np.ndarray) -> np.ndarray:
 def _windowed_max_all_residues(table: np.ndarray, w: int) -> np.ndarray:
     """max over the w positions res+1..res+w (mod M) of table, for every res.
 
-    Classic two-pass sliding-window maximum: with block size w, the window
-    [lo, lo+w-1] spans at most two blocks, so it equals
-    max(suffix_max[lo], prefix_max[lo+w-1]).  O(M) per window length.
+    origin=-(w // 2) puts the filter window at res..res+w-1; the roll moves
+    it one step on.  O(M) per window length.
     """
+    from scipy.ndimage import maximum_filter1d  # kept off the import path of coblim.cli
+
     m = table.shape[0]
     if w >= m:
         return np.full(m, float(table.max()))
-    d = np.concatenate([table, table[: w + 1]])
-    pad = (-d.shape[0]) % w
-    padded = np.concatenate([d, np.full(pad, -np.inf)])
-    blocks = padded.reshape(-1, w)
-    pre = np.maximum.accumulate(blocks, axis=1).ravel()[: d.shape[0]]
-    suf = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()[: d.shape[0]]
-    lo = np.arange(1, m + 1)
-    return np.maximum(suf[lo], pre[lo + w - 1])
+    return np.roll(maximum_filter1d(table, size=w, mode="wrap", origin=-(w // 2)), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +501,7 @@ def _windowed_max_all_residues(table: np.ndarray, w: int) -> np.ndarray:
 def condition16_report(cfg: ExperimentConfig) -> ConditionReport:
     """Estimate mu{ n^{-1/2} max_{1<=k<=n} |g.T^k| > eps } per horizon.
 
-    Odometer systems get two exact counterparts per (n, eps): the full-g
+    On the odometer there are two exact counterparts per (n, eps): the full-g
     probability by counting all residues mod 2^{i_max} (the event depends on
     the start only through that residue), and the single-tower lower bound
     from exact_violation_probability.  The Monte Carlo estimate must sit
@@ -537,11 +516,11 @@ def condition16_report(cfg: ExperimentConfig) -> ConditionReport:
     """
     report = _new_report("condition16", cfg)
     if cfg.system == "odometer":
-        cex, table, residues = _odometer(cfg, cfg.horizons[-1], report)
+        cex, table = cfg.transfer_cex(), cfg.g_table
         m = table.shape[0]
         for n in cfg.horizons:
             wm = _windowed_max_all_residues(table, n)
-            sample = wm[residues]
+            sample = wm[cfg.start_residues]
             for eps in cfg.epsilons:
                 thr = eps * math.sqrt(n)
                 est = float(np.mean(sample >= thr))
@@ -587,13 +566,21 @@ def _paths_per_chunk(n: int) -> int:
 
 
 def _new_report(condition: str, cfg: ExperimentConfig) -> ConditionReport:
+    """An empty report with the config echo.
+
+    On the odometer it carries the truncation bounds of g at the top
+    horizon, which every odometer estimate inherits.
+    """
     echo = cfg.echo()
-    return ConditionReport(
-        condition=condition,
-        config=echo,
-        config_sha256=config_hash(echo),
-        version=__version__,
-    )
+    report = ConditionReport(condition=condition, config=echo,
+                             config_sha256=config_hash(echo), version=__version__)
+    if cfg.system == "odometer":
+        cex = cfg.transfer_cex()
+        report.extras["truncation"] = {
+            "tail_measure_bound": truncation_tail_bound(cex),
+            "orbit_bound_at_max_horizon": orbit_truncation_bound(cex, cfg.horizons[-1]),
+        }
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -640,10 +627,8 @@ def condition17_report(cfg: ExperimentConfig) -> ConditionReport:
     }
 
     dyadic_is: List[int] = []
-    odometer: Optional[Odometer] = None
     if cfg.system == "odometer":
-        odometer = _odometer(cfg, n_top, report)
-        cex = odometer[0]
+        cex = cfg.transfer_cex()
         dyadic_is = [
             i for i in range(cex.i0, cex.i_max + 1)
             if (1 << i) >= n0 and (1 << (i + 1)) <= n_top
@@ -652,7 +637,7 @@ def condition17_report(cfg: ExperimentConfig) -> ConditionReport:
     tail_sups = np.empty(cfg.paths, dtype=np.float64)
     exceed = {eps: np.zeros(len(blocks), dtype=np.int64) for eps in cfg.epsilons}
     dyadic_exceed = {eps: np.zeros(len(dyadic_is), dtype=np.int64) for eps in cfg.epsilons}
-    for lo, hi, gv in _orbits(cfg, n_top, odometer):
+    for lo, hi, gv in _orbits(cfg, n_top):
         tail_sups[lo:hi] = np.max(gv[:, n0:] / norm[None, :], axis=1)
         # segment boundaries [m_j, m_{j+1}) plus the closing right endpoint
         bounds = np.concatenate([starts, ends[-1:]])
@@ -676,20 +661,19 @@ def condition17_report(cfg: ExperimentConfig) -> ConditionReport:
                 se=_binomial_se(frac, cfg.paths),
                 threshold=float(thresholds[eps][bi]), bc_partial_sum=partial,
             )
-    if odometer is not None:
-        for di, i in enumerate(dyadic_is):
-            n_hi = 1 << (i + 1)
-            for eps in cfg.epsilons:
-                theta = eps * math.sqrt(n_hi * math.log(math.log(n_hi)))
-                bound = exact_violation_probability(
-                    cex, i, AbsoluteThreshold(theta), window=(1 << i, n_hi)
-                )
-                est = dyadic_exceed[eps][di] / cfg.paths
-                report.exact_rows.append({
-                    "tower": i, "epsilon": eps, "threshold": theta,
-                    "window": [1 << i, n_hi], "tower_bound": bound,
-                    "estimate": est, "se": _binomial_se(est, cfg.paths),
-                })
+    for di, i in enumerate(dyadic_is):
+        n_hi = 1 << (i + 1)
+        for eps in cfg.epsilons:
+            theta = eps * math.sqrt(n_hi * math.log(math.log(n_hi)))
+            bound = exact_violation_probability(
+                cex, i, AbsoluteThreshold(theta), window=(1 << i, n_hi)
+            )
+            est = dyadic_exceed[eps][di] / cfg.paths
+            report.exact_rows.append({
+                "tower": i, "epsilon": eps, "threshold": theta,
+                "window": [1 << i, n_hi], "tower_bound": bound,
+                "estimate": est, "se": _binomial_se(est, cfg.paths),
+            })
 
     qs = [0.5, 0.9, 0.99]
     report.extras["tail_sup"] = {
@@ -735,8 +719,7 @@ def slln_report(cfg: ExperimentConfig) -> ConditionReport:
 
     maxS_at = np.empty((cfg.paths, len(cfg.horizons)), dtype=np.float64)
     h_idx = np.asarray(cfg.horizons, dtype=np.int64)
-    odometer = _odometer(cfg, n_top, report) if cfg.system == "odometer" else None
-    for lo, hi, s in _orbits(cfg, n_top, odometer, sums=True):
+    for lo, hi, s in _orbits(cfg, n_top, sums=True):
         maxS_at[lo:hi] = _running_max_at(np.abs(s), h_idx)
 
     prev = 0

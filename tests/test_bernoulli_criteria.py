@@ -296,13 +296,8 @@ def test_prop212_affine_verified():
     assert rep.context["verdict"] == "hypotheses verified numerically"
 
 
-def test_prop213_literal_mode_refuses():
-    with pytest.raises(ValueError, match="empty for p > 1"):
-        prop213_check(AFFINE, p=1.5, r=1.8, mode="literal")
-
-
 def test_prop213_corrected_mode_runs():
-    rep = prop213_check(AFFINE, p=1.5, r=1.8, mode="corrected")
+    rep = prop213_check(AFFINE, p=1.5, r=1.8)
     assert rep.all_passed
     assert rep.context["q"] == pytest.approx(max(1.0, 0.5 * 1.8 / 0.8))
 

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -197,6 +200,36 @@ def test_config_error_leaves_no_partial_output(tmp_path, capsys):
     assert code == 2
     assert "tail_start 99 beyond last level" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("subcommand,preset,name", [
+    ("conditions", "tower-iplil", "shift"),
+    ("counterexample", "tower-slln", "shift"),
+    ("maximal", "maximal-smoke", "shift"),
+    ("clt", "clt-rademacher", "odometer"),
+])
+def test_system_name_must_match_subcommand(tmp_path, capsys, subcommand, preset, name):
+    config = tmp_path / "system.json"
+    config.write_text(json.dumps({"preset": preset, "system": {"name": name}}, indent=1))
+    line = next(i for i, text in enumerate(config.read_text().splitlines(), start=1)
+                if '"name"' in text)
+    out = tmp_path / "run"
+    code = run_cli(subcommand, "--config", str(config), "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"system.json:{line}: system.name = {name!r} invalid" in err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    # scipy.ndimage is imported where the sliding maxima run, not on the
+    # import path of the CLI
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, coblim.cli; print('scipy.ndimage' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_csv_and_plot_cell_formats():

@@ -7,12 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import coblim.mc_harness as mc_harness
 from coblim.counterexamples import build_tower_counterexample, eval_g
 from coblim.dynamics import OdometerPoint, ShiftTrajectory, odometer_advance, stream_generator
 from coblim.mc_harness import (
     SHIFT_FUNCTIONS,
     THEOREM_IDS,
     ExperimentConfig,
+    _windowed_max_all_residues,
     clt_lil_report,
     condition16_report,
     condition17_report,
@@ -169,6 +171,44 @@ def test_condition16_estimates_within_three_sigma_of_exact():
         se = math.sqrt(max(exact * (1 - exact), 1e-12) / row["paths"])
         assert abs(row["estimate"] - exact) <= 3 * se + 1e-12
         assert isinstance(ex["exact_prob"], Fraction)
+
+
+def test_windowed_max_all_residues_matches_brute_force():
+    # entry res is the max of table[res+1 .. res+w] mod M; w >= M covers the
+    # whole table
+    rng = np.random.default_rng(7)
+    for m in range(1, 65):
+        tables = [rng.standard_normal(m), rng.integers(0, 3, m).astype(np.float64),
+                  np.full(m, 2.5)]
+        for table in tables:
+            for w in range(1, m + 3):
+                idx = (np.arange(m)[:, None] + np.arange(1, w + 1)[None, :]) % m
+                expected = table[idx].max(axis=1)
+                got = _windowed_max_all_residues(table, w)
+                assert got.dtype == np.float64
+                assert np.array_equal(got, expected), (m, w, table)
+
+
+def test_odometer_state_derived_once_per_config(monkeypatch):
+    # the residue table of g and the per-path start residues are shared by
+    # the three odometer reports of one config
+    calls = {"g_residue_table": 0, "stream_generator": 0}
+
+    def counted(name):
+        original = getattr(mc_harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mc_harness, name, counted(name))
+    cfg = odometer_config()
+    condition16_report(cfg)
+    condition17_report(cfg)
+    slln_report(cfg)
+    assert calls == {"g_residue_table": 1, "stream_generator": cfg.paths}
 
 
 def test_condition16_tower_bound_is_a_lower_bound():
