@@ -29,7 +29,9 @@ through u = x - y:
     iint_{|x-y|<=d} G(x,y) = 2 int_0^d J(u) du,
     J(u) = int_0^{1-u} |f(x+u) - f(x)|^q dx,
 
-so the only delicate direction (u -> 0) is handled by dyadic shells.
+so the only delicate direction (u -> 0) is handled by dyadic shells.  The
+smoothing bounds and the modulus integrals share that one outer integrand
+u -> J(u); all functions here are centered (int_0^1 f = 0).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -70,9 +72,11 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class FunctionOnUnitInterval:
-    """A function on [0, 1] with the metadata the quadrature engine needs.
+    """A centered function on [0, 1] with the metadata the quadrature engine needs.
 
-    `evaluator` must accept float64 arrays with entries in [0, 1].
+    The function must have int_0^1 f = 0: the closed form of E_n relies on
+    it, and `validate_centering` checks it.  `evaluator` must accept float64
+    arrays with entries in [0, 1].
     `breakpoints` lists interior discontinuities (quadrature never straddles
     them).  `circle_modulus_sq`, when present, returns
     the exact circle-translation modulus u -> int_0^1 |f(x+u mod 1)-f(x)|^2
@@ -84,7 +88,6 @@ class FunctionOnUnitInterval:
 
     label: str
     evaluator: Callable[[np.ndarray], np.ndarray]
-    centered: bool = False
     breakpoints: Tuple[float, ...] = ()
     sup_bound: Optional[float] = None
     circle_modulus_sq: Optional[Callable[[float], float]] = None
@@ -165,12 +168,6 @@ def adaptive_integral(
         subdivisions += 1
 
 
-def _mean(f: FunctionOnUnitInterval, tol: float = 1e-10) -> float:
-    if f.centered:
-        return 0.0
-    return adaptive_integral(f, 0.0, 1.0, tol=tol, breakpoints=f.breakpoints).value
-
-
 # ---------------------------------------------------------------------------
 # named families
 # ---------------------------------------------------------------------------
@@ -190,7 +187,7 @@ def _build_log_power(s: float) -> FunctionOnUnitInterval:
     # modulus ~ (log 1/u)^(-s): continuous but with no Hölder exponent at 0,
     # the regime where the log-weighted integrals can genuinely diverge
     return FunctionOnUnitInterval(
-        label=f"log_power(s={s})", evaluator=centered, centered=True,
+        label=f"log_power(s={s})", evaluator=centered,
     )
 
 
@@ -247,8 +244,7 @@ def _build_lacunary(b: float) -> FunctionOnUnitInterval:
     # sup of the projection: at most sum_{k <= 120} k^{-b}
     sup_proj = 1.5 + (120.0 ** (1.0 - b) - 1.0) / (1.0 - b)
     return FunctionOnUnitInterval(
-        f"lacunary(b={b})", lac, centered=True,
-        sup_bound=sup_proj, circle_modulus_sq=modulus_sq,
+        f"lacunary(b={b})", lac, sup_bound=sup_proj, circle_modulus_sq=modulus_sq,
     )
 
 
@@ -263,13 +259,13 @@ def make_function(family: str, **params: float) -> FunctionOnUnitInterval:
     lacunary(b)       sum_k k^{-b} cos(2 pi 2^k x) - zeta(b), b in (1, 2]
     """
     if family == "affine":
-        return FunctionOnUnitInterval("affine", lambda x: x - 0.5, centered=True)
+        return FunctionOnUnitInterval("affine", lambda x: x - 0.5)
     if family == "cosine":
         k = int(params.get("k", 1))
         if k < 1:
             raise ValueError("cosine needs k >= 1")
         return FunctionOnUnitInterval(
-            f"cosine(k={k})", lambda x: np.cos(2.0 * np.pi * k * x), centered=True
+            f"cosine(k={k})", lambda x: np.cos(2.0 * np.pi * k * x)
         )
     if family == "indicator_step":
         c = float(params.get("c", 0.5))
@@ -278,7 +274,7 @@ def make_function(family: str, **params: float) -> FunctionOnUnitInterval:
         return FunctionOnUnitInterval(
             f"indicator_step(c={c})",
             lambda x: (x <= c).astype(np.float64) - c,
-            centered=True, breakpoints=(c,),
+            breakpoints=(c,),
         )
     if family == "weierstrass":
         a = float(params.get("a", 0.5))
@@ -293,8 +289,7 @@ def make_function(family: str, **params: float) -> FunctionOnUnitInterval:
                 acc += a ** m * np.cos(2.0 * np.pi * b ** m * x)
             return acc
 
-        return FunctionOnUnitInterval(f"weierstrass(a={a},b={b},terms={terms})", wf,
-                                      centered=True)
+        return FunctionOnUnitInterval(f"weierstrass(a={a},b={b},terms={terms})", wf)
     if family == "log_power":
         return _build_log_power(float(params.get("s", 0.4)))
     if family == "lacunary":
@@ -308,10 +303,10 @@ FUNCTION_FAMILIES = (
 
 
 def validate_centering(f: FunctionOnUnitInterval, tol: float = 1e-8) -> float:
-    """|int f| for a function claiming to be centered; raises beyond tol."""
+    """|int f|, which must vanish for every FunctionOnUnitInterval; raises beyond tol."""
     value = adaptive_integral(f, 0.0, 1.0, tol=tol / 10, breakpoints=f.breakpoints).value
-    if f.centered and abs(value) > tol:
-        raise ValueError(f"{f.label} declared centered but int f = {value:.3e}")
+    if abs(value) > tol:
+        raise ValueError(f"{f.label} is not centered: int f = {value:.3e}")
     return abs(value)
 
 
@@ -327,8 +322,7 @@ def doubling_average(f: FunctionOnUnitInterval) -> FunctionOnUnitInterval:
 
     pts = sorted({p for b in f.breakpoints for p in (2.0 * b, 2.0 * b - 1.0) if 0.0 < p < 1.0})
     return FunctionOnUnitInterval(
-        label=f"A({f.label})", evaluator=av, centered=f.centered,
-        breakpoints=tuple(pts),
+        label=f"A({f.label})", evaluator=av, breakpoints=tuple(pts),
     )
 
 
@@ -344,8 +338,7 @@ def ftilde(f: FunctionOnUnitInterval) -> FunctionOnUnitInterval:
 
     pts = sorted({*f.breakpoints, *av.breakpoints})
     return FunctionOnUnitInterval(
-        label=f"tilde({f.label})", evaluator=tf, centered=f.centered,
-        breakpoints=tuple(pts),
+        label=f"tilde({f.label})", evaluator=tf, breakpoints=tuple(pts),
     )
 
 
@@ -357,12 +350,10 @@ _MAX_COND_N = 30
 
 
 def conditional_expectation(f: FunctionOnUnitInterval, n: int, x) -> np.ndarray:
-    """E[f.T^n | past](x) = 2^-n sum_j f((x+j)/2^n) - int_0^1 f.
+    """E[f.T^n | past](x) = 2^-n sum_j f((x+j)/2^n) for centered f.
 
-    The subtracted term is the sum of the per-block averages
-    2^-n sum_j int_0^1 f((y+j)/2^n) dy, which telescopes exactly into the
-    global mean; it vanishes for centered f.  Cost grows like 2^n function
-    evaluations per point, hence the resource guard.
+    Cost grows like 2^n function evaluations per point, hence the resource
+    guard.
     """
     if not 1 <= n <= _MAX_COND_N:
         raise ValueError(f"resource guard: need 1 <= n <= {_MAX_COND_N} (2^n summands)")
@@ -377,7 +368,7 @@ def conditional_expectation(f: FunctionOnUnitInterval, n: int, x) -> np.ndarray:
     for j0 in range(0, count, chunk):
         js = np.arange(j0, min(count, j0 + chunk), dtype=np.float64)
         total += f((xs[:, None] + js[None, :]) * scale).sum(axis=1)
-    out = total * scale - _mean(f)
+    out = total * scale
     return float(out[0]) if scalar else out.reshape(shape)
 
 
@@ -389,8 +380,7 @@ def conditional_expectation_function(f: FunctionOnUnitInterval, n: int) -> Funct
         return np.asarray(conditional_expectation(f, n, x))
 
     return FunctionOnUnitInterval(
-        label=f"E_{n}({f.label})", evaluator=en,
-        centered=True, breakpoints=tuple(pts),
+        label=f"E_{n}({f.label})", evaluator=en, breakpoints=tuple(pts),
     )
 
 
@@ -398,63 +388,55 @@ def conditional_expectation_function(f: FunctionOnUnitInterval, n: int) -> Funct
 # diagonal-strip integrals
 # ---------------------------------------------------------------------------
 
-def _translate_integrand(f: FunctionOnUnitInterval, q: float) -> Callable[[float], QuadratureResult]:
-    """u -> J(u) = int_0^{1-u} |f(x+u) - f(x)|^q dx, with certified error."""
+def _translate_integrals(
+    f: FunctionOnUnitInterval, q: float, tol: float, max_evals: int
+) -> Tuple[Callable[[np.ndarray], np.ndarray], Dict[str, float]]:
+    """The outer integrand us -> J(u) = int_0^{1-u} |f(x+u) - f(x)|^q dx.
 
-    def J(u: float, tol: float = 1e-11, max_evals: int = 20_000) -> QuadratureResult:
-        top = 1.0 - u
-        if top <= 0.0:
-            return QuadratureResult(0.0, 0.0, 0, 0)
-        if q == 2.0 and f.circle_modulus_sq is not None and f.sup_bound is not None:
-            # interval translation differs from the exact circle modulus only
-            # on the wrap-around strip of length u: bracket and take midpoint
-            circle = f.circle_modulus_sq(u)
-            width = min(circle, u * (2.0 * f.sup_bound) ** 2)
-            return QuadratureResult(circle - 0.5 * width, 0.5 * width, 0, 1)
-        pts = {b for b in f.breakpoints if 0.0 < b < top}
-        pts |= {b - u for b in f.breakpoints if 0.0 < b - u < top}
+    Each J(u) is an inner `adaptive_integral` at (tol, max_evals).  The
+    returned record keeps the worst inner error estimate ("error") and the
+    inner evaluations spent ("evals") across every call of the integrand.
+    """
+    record = {"error": 0.0, "evals": 0}
+    circle = q == 2.0 and f.circle_modulus_sq is not None and f.sup_bound is not None
 
-        def integrand(x: np.ndarray) -> np.ndarray:
-            return np.abs(f(x + u) - f(x)) ** q
-
-        return adaptive_integral(integrand, 0.0, top, tol=tol, max_evals=max_evals,
-                                 breakpoints=sorted(pts))
-
-    return J
-
-
-def _strip_integral(
-    f: FunctionOnUnitInterval, q: float, delta_u: float, tol: float
-) -> Tuple[float, float, int]:
-    """int_0^{delta_u} J(u) du: value, error, evals (fold factors live in callers)."""
-    J = _translate_integrand(f, q)
-    inner_errors = [0.0]
-    evals = [0]
-
-    def outer(us: np.ndarray) -> np.ndarray:
-        out = np.empty_like(us)
-        for i, u in enumerate(us):
-            res = J(float(u), tol=tol / 64.0)
-            inner_errors.append(res.error)
-            evals[0] += res.evals
+    def J(us: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(us)
+        for i, u in enumerate(us.tolist()):
+            top = 1.0 - u
+            if top <= 0.0:
+                continue
+            if circle:
+                # interval and circle translation differ only on the wrap-around
+                # strip of length u: bracket the circle modulus, take the midpoint
+                modulus = f.circle_modulus_sq(u)
+                width = min(modulus, u * (2.0 * f.sup_bound) ** 2)
+                res = QuadratureResult(modulus - 0.5 * width, 0.5 * width, 0, 1)
+            else:
+                pts = {b for b in f.breakpoints if 0.0 < b < top}
+                pts |= {b - u for b in f.breakpoints if 0.0 < b - u < top}
+                res = adaptive_integral(lambda x: np.abs(f(x + u) - f(x)) ** q, 0.0, top,
+                                        tol=tol, max_evals=max_evals, breakpoints=sorted(pts))
+            record["error"] = max(record["error"], res.error)
+            record["evals"] += res.evals
             out[i] = res.value
         return out
 
-    result = adaptive_integral(outer, 0.0, delta_u, tol=tol / 2.0, max_evals=200_000)
-    err = result.error + max(inner_errors) * delta_u
-    return result.value, err, evals[0] + result.evals
+    return J, record
+
+
+def _projection_power(f: FunctionOnUnitInterval, n: int, q: float, tol: float) -> QuadratureResult:
+    """||E_n f||_q^q = int_0^1 |E_n f|^q."""
+    en = conditional_expectation_function(f, n)
+    return adaptive_integral(lambda x: np.abs(en(x)) ** q, 0.0, 1.0, tol=tol,
+                             breakpoints=en.breakpoints)
 
 
 # ---------------------------------------------------------------------------
 # smoothing-inequality check
 # ---------------------------------------------------------------------------
 
-def lemma32_check(
-    f: FunctionOnUnitInterval,
-    n: int,
-    q: float,
-    error_budget: float = 1e-6,
-) -> CriteriaReport:
+def lemma32_check(f: FunctionOnUnitInterval, n: int, q: float) -> CriteriaReport:
     """Verify both smoothing inequalities for E_n at exponent q.
 
         lhs_direct   = ||E_n f||_q^q
@@ -470,7 +452,7 @@ def lemma32_check(
     affine f the one-step left side decays like 4^-n while the strip
     integral decays like 8^-n).  Each check passes when
     lhs <= rhs + combined quadrature error; a combined error estimate above
-    `error_budget` raises QuadratureError with the achieved errors.
+    1e-6 raises QuadratureError with the achieved errors.
     """
     if q <= 1:
         raise ValueError("q must exceed 1")
@@ -478,39 +460,34 @@ def lemma32_check(
         raise ValueError("resource guard: need 1 <= n <= 20")
     report = CriteriaReport(title=f"smoothing inequalities n={n} q={q}")
     report.context.update({"n": n, "q": q, "f": f.label})
+    budget = 1e-6
     delta_u = 2.0 ** -n
     total_err = 0.0
     prefactor = 2.0 ** (n + 1)
     for tag, fn in (("direct", f), ("one_step", ftilde(f))):
-        en = conditional_expectation_function(fn, n)
-
-        def lhs_integrand(x: np.ndarray, _en=en) -> np.ndarray:
-            return np.abs(_en(x)) ** q
-
-        lhs_res = adaptive_integral(
-            lhs_integrand, 0.0, 1.0, tol=1e-9, breakpoints=en.breakpoints
-        )
-        strip, strip_err, strip_evals = _strip_integral(fn, q, delta_u, tol=1e-9)
-        rhs = prefactor * strip
-        rhs_err = prefactor * strip_err
-        err = lhs_res.error + rhs_err
+        lhs = _projection_power(fn, n, q, tol=1e-9)
+        J, inner = _translate_integrals(fn, q, tol=1e-9 / 64.0, max_evals=20_000)
+        strip = adaptive_integral(J, 0.0, delta_u, tol=1e-9 / 2.0, max_evals=200_000)
+        rhs = prefactor * strip.value
+        rhs_err = prefactor * (strip.error + inner["error"] * delta_u)
+        err = lhs.error + rhs_err
         total_err += err
         report.context[tag] = {
-            "lhs": lhs_res.value, "rhs": rhs,
-            "lhs_error": lhs_res.error, "rhs_error": rhs_err,
-            "evals": lhs_res.evals + strip_evals,
+            "lhs": lhs.value, "rhs": rhs,
+            "lhs_error": lhs.error, "rhs_error": rhs_err,
+            "evals": lhs.evals + inner["evals"] + strip.evals,
         }
         report.add(
             f"{tag} smoothing bound (n={n})",
-            lhs_res.value <= rhs + err,
-            margin=rhs - lhs_res.value,
-            detail=f"lhs={lhs_res.value:.6e} rhs={rhs:.6e} err<={err:.2e}",
+            lhs.value <= rhs + err,
+            margin=rhs - lhs.value,
+            detail=f"lhs={lhs.value:.6e} rhs={rhs:.6e} err<={err:.2e}",
         )
     report.context["combined_error"] = total_err
-    if total_err > error_budget:
+    if total_err > budget:
         raise QuadratureError(
             f"quadrature did not certify the bounds: achieved error {total_err:.3e} "
-            f"> budget {error_budget:.1e}"
+            f"> budget {budget:.1e}"
         )
     return report
 
@@ -525,13 +502,12 @@ def criterion_integral(
     weight_power: float,
     delta: float,
     u_max: float = 1.0,
-    tol: float = 1e-8,
-    max_evals: int = 2 * 10 ** 6,
 ) -> QuadratureResult:
     """iint |f(x)-f(y)|^q |x-y|^{-1} (log 1/|x-y|)^{weight_power+delta}.
 
     Folded to 2 int_0^{u_max} J(u) u^{-1} (log 1/u)^P du and integrated over
-    dyadic shells u in [2^{-m-1}, 2^{-m}].  The partial sums over shells are
+    dyadic shells u in [2^{-m-1}, 2^{-m}] to tolerance 1e-8, stopping after
+    shell 120 or 2e6 inner evaluations.  The partial sums over shells are
     subjected to a Cauchy test on 10-shell blocks: when two successive
     blocks each fail to decay below 0.9x the block before them, the partial
     integrals are not Cauchy and the result is flagged divergent (a
@@ -549,21 +525,17 @@ def criterion_integral(
         raise ValueError("delta must be positive")
     if not 0.0 < u_max <= 1.0:
         raise ValueError("u_max must lie in (0, 1]")
+    tol, max_evals = 1e-8, 2 * 10 ** 6  # overall tolerance, inner-evaluation budget
     power = weight_power + delta
-    J = _translate_integrand(f, q)
-    inner_err = [0.0]
-    evals = [0]
-
     # per-call caps keep the cost of one shell bounded (~45 outer nodes), so
     # the 20-shell divergence window always fits inside the overall budget
+    J, inner = _translate_integrals(f, q, tol=1e-11, max_evals=900)
+
     def shell_integrand(us: np.ndarray) -> np.ndarray:
-        out = np.empty_like(us)
-        for i, u in enumerate(us):
-            res = J(float(u), tol=1e-11, max_evals=900)
-            inner_err[0] = max(inner_err[0], res.error)
-            evals[0] += res.evals
+        out = J(us)
+        for i, u in enumerate(us.tolist()):
             logw = math.log(1.0 / u) ** power if u < 1.0 else 0.0
-            out[i] = res.value / u * logw
+            out[i] = out[i] / u * logw
         return out
 
     shells: List[float] = []
@@ -588,22 +560,21 @@ def criterion_integral(
                 if w2 > 0 and w2 >= 0.9 * w1 and w1 >= 0.9 * w0:
                     return QuadratureResult(
                         value=2.0 * total, error=0.0, subdivisions=subdivisions,
-                        evals=evals[0], divergent=True,
+                        evals=inner["evals"], divergent=True,
                     )
         if len(shells) >= 3 and shells[-1] < max(tol / 8.0, 1e-16 * abs(total)):
             ratio = shells[-1] / shells[-2] if shells[-2] > 0 else 0.0
             tail = shells[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else shells[-1]
             err += tail
             break
-        if m >= 120 or evals[0] > max_evals:
+        if m >= 120 or inner["evals"] > max_evals:
             err += shells[-1] if shells else 0.0
             break
         m += 1
     return QuadratureResult(
-        value=2.0 * total, error=2.0 * (err + inner_err[0]),
-        subdivisions=subdivisions, evals=evals[0],
+        value=2.0 * total, error=2.0 * (err + inner["error"]),
+        subdivisions=subdivisions, evals=inner["evals"],
     )
-
 
 # ---------------------------------------------------------------------------
 # projective series and the criterion checkers
@@ -639,13 +610,7 @@ def projective_series_report(
     for n in range(1, N + 1):
         row = {"n": n}
         for tag, fn, expo in (("proj", f, q), ("one_step", tf, q2)):
-            en = conditional_expectation_function(fn, n)
-
-            def integrand(x: np.ndarray, _en=en, _e=expo) -> np.ndarray:
-                return np.abs(_en(x)) ** _e
-
-            res = adaptive_integral(integrand, 0.0, 1.0, tol=1e-10,
-                                    breakpoints=en.breakpoints)
+            res = _projection_power(fn, n, expo, tol=1e-10)
             row[tag] = max(res.value, 0.0) ** (1.0 / expo)
             row[f"{tag}_error"] = res.error
             # A norm whose expo-th power sits within the quadrature error of
@@ -713,6 +678,28 @@ def _weak_tail_check(f: FunctionOnUnitInterval, exponent: float, report: Criteri
     )
 
 
+def _modulus_checks(report: CriteriaReport, f: FunctionOnUnitInterval,
+                    direct: Tuple[float, float], one_step: Tuple[float, float],
+                    delta: float, direct_prefix: str = "") -> None:
+    """Finiteness of the modulus integrals of f and ftilde(f), each at its (q, weight)."""
+    for key, label, fn, (q, weight), prefix in (
+        ("direct_integral", "f", f, direct, direct_prefix),
+        ("one_step_integral", "ftilde", ftilde(f), one_step, ""),
+    ):
+        res = criterion_integral(fn, q, weight, delta)
+        report.context[key] = res
+        report.add(f"modulus integral of {label} finite", not res.divergent,
+                   margin=0.0 if res.divergent else 1.0,
+                   detail=f"{prefix}value={res.value:.6g} err<={res.error:.2e}")
+
+
+def _with_verdict(report: CriteriaReport) -> CriteriaReport:
+    report.context["verdict"] = (
+        "hypotheses verified numerically" if report.all_passed else "hypotheses not verified"
+    )
+    return report
+
+
 def prop212_check(
     f: FunctionOnUnitInterval, p: float, delta: float = 0.1
 ) -> CriteriaReport:
@@ -729,20 +716,8 @@ def prop212_check(
     report = CriteriaReport(title=f"invariance-principle criterion p={p} delta={delta}")
     report.context.update({"p": p, "delta": delta, "f": f.label})
     _weak_tail_check(f, p / (p - 1.0), report)
-    direct = criterion_integral(f, p, p - 1.0, delta)
-    report.context["direct_integral"] = direct
-    report.add("modulus integral of f finite", not direct.divergent,
-               margin=0.0 if direct.divergent else 1.0,
-               detail=f"value={direct.value:.6g} err<={direct.error:.2e}")
-    one_step = criterion_integral(ftilde(f), p / (p - 1.0), 1.0 / (p - 1.0), delta)
-    report.context["one_step_integral"] = one_step
-    report.add("modulus integral of ftilde finite", not one_step.divergent,
-               margin=0.0 if one_step.divergent else 1.0,
-               detail=f"value={one_step.value:.6g} err<={one_step.error:.2e}")
-    report.context["verdict"] = (
-        "hypotheses verified numerically" if report.all_passed else "hypotheses not verified"
-    )
-    return report
+    _modulus_checks(report, f, (p, p - 1.0), (p / (p - 1.0), 1.0 / (p - 1.0)), delta)
+    return _with_verdict(report)
 
 
 def prop213_check(
@@ -772,20 +747,8 @@ def prop213_check(
     report.context["moment_r"] = moment
     report.add("f in L^r (grid moment finite)", math.isfinite(moment), margin=1.0,
                detail=f"E|f|^r ~= {moment:.6g}")
-    direct = criterion_integral(f, q, q - 1.0, delta)
-    report.context["direct_integral"] = direct
-    report.add("modulus integral of f finite", not direct.divergent,
-               margin=0.0 if direct.divergent else 1.0,
-               detail=f"q={q:.4g} value={direct.value:.6g} err<={direct.error:.2e}")
-    one_step = criterion_integral(ftilde(f), r, r - 1.0, delta)
-    report.context["one_step_integral"] = one_step
-    report.add("modulus integral of ftilde finite", not one_step.divergent,
-               margin=0.0 if one_step.divergent else 1.0,
-               detail=f"value={one_step.value:.6g} err<={one_step.error:.2e}")
-    report.context["verdict"] = (
-        "hypotheses verified numerically" if report.all_passed else "hypotheses not verified"
-    )
-    return report
+    _modulus_checks(report, f, (q, q - 1.0), (r, r - 1.0), delta, direct_prefix=f"q={q:.4g} ")
+    return _with_verdict(report)
 
 
 _COROLLARY_EXPONENTS = {
@@ -820,7 +783,4 @@ def corollary_check(
     rep.title = f"corollary {which} projective conditions (p={p}" + \
         (f", r={r})" if r is not None else ")")
     rep.context["corollary"] = which
-    rep.context["verdict"] = (
-        "hypotheses verified numerically" if rep.all_passed else "hypotheses not verified"
-    )
-    return rep
+    return _with_verdict(rep)

@@ -443,7 +443,7 @@ def _experiment_config(view: ConfigView, system: str, transfer: Any) -> Experime
         workers=view.cfg["workers"],
     )
     if system == "odometer":
-        kwargs["bits"] = view.get("system", "bits", int, default=24)
+        kwargs["bits"] = transfer.bits
     else:
         kwargs["window"] = view.get("system", "window", int, default=53,
                                     check=lambda w: 1 <= w <= 53,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -252,20 +252,25 @@ def eval_g(cex: TowerCounterexample, point: OdometerPoint) -> float:
     return math.fsum(m.value_at_level(level(point, m.i)) for m in cex.maps)
 
 
-def truncation_tail_bound(cex: TowerCounterexample) -> float:
-    """sum_{i > i_max} 2 k_i / n_i: probability any omitted g_i is nonzero.
+def _omitted_towers_sum(cex: TowerCounterexample, term: Callable[[int, int], float]) -> float:
+    """sum_{i > i_max} term(k_i, n_i) over the towers the truncation leaves out.
 
-    The series converges geometrically (k_i/n_i ~ 2^{-i(1-w)}); terms are
-    accumulated until they fall below 1e-18 relative.
+    The bounds below converge geometrically (k_i/n_i ~ 2^{-i(1-w)}); terms
+    are accumulated until they fall below 1e-18 relative.
     """
     total = 0.0
     i = cex.i_max + 1
     while True:
-        term = 2.0 * math.ceil(2 ** (i * cex.window_exp)) / (1 << i)
-        total += term
-        if term < 1e-18 * max(total, 1e-300) or i > cex.i_max + 4000:
+        t = term(math.ceil(2 ** (i * cex.window_exp)), 1 << i)
+        total += t
+        if t < 1e-18 * max(total, 1e-300) or i > cex.i_max + 4000:
             return total
         i += 1
+
+
+def truncation_tail_bound(cex: TowerCounterexample) -> float:
+    """sum_{i > i_max} 2 k_i / n_i: probability any omitted g_i is nonzero."""
+    return _omitted_towers_sum(cex, lambda k, n_i: 2.0 * k / n_i)
 
 
 def orbit_truncation_bound(cex: TowerCounterexample, n: int) -> float:
@@ -274,15 +279,7 @@ def orbit_truncation_bound(cex: TowerCounterexample, n: int) -> float:
     Union bound: a uniform start hits the nonzero band of tower i within n
     steps with probability at most (n + 2k_i)/n_i.
     """
-    total = 0.0
-    i = cex.i_max + 1
-    while True:
-        k = math.ceil(2 ** (i * cex.window_exp))
-        term = min(1.0, (n + 2.0 * k) / (1 << i))
-        total += term
-        if term < 1e-18 * max(total, 1e-300) or i > cex.i_max + 4000:
-            return min(total, 1.0)
-        i += 1
+    return min(_omitted_towers_sum(cex, lambda k, n_i: min(1.0, (n + 2.0 * k) / n_i)), 1.0)
 
 
 def g_residue_table(cex: TowerCounterexample) -> np.ndarray:
@@ -394,10 +391,7 @@ class PeakFraction:
 
     def qualifying_j(self, m: TowerLevelMap) -> range:
         units = self.fraction * m.k
-        jmin = math.ceil(units)
-        if units == int(units):
-            jmin = int(units)
-        jmin = max(jmin, 1)
+        jmin = max(math.ceil(units), 1)
         if jmin > m.k:
             return range(0)  # above the peak: empty
         return range(jmin, 2 * m.k - jmin + 1)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coblim.bernoulli_criteria import (
+    FunctionOnUnitInterval,
     QuadratureError,
     adaptive_integral,
     conditional_expectation,
@@ -66,6 +67,12 @@ def test_families_are_centered():
     ):
         f = make_function(family, **params)
         assert validate_centering(f) < 1e-8
+
+
+def test_validate_centering_rejects_uncentered_function():
+    # every FunctionOnUnitInterval is assumed centered, so a nonzero mean is an error
+    with pytest.raises(ValueError, match="not centered"):
+        validate_centering(FunctionOnUnitInterval("x", lambda x: x))
 
 
 def test_make_function_validation():

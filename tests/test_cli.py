@@ -172,6 +172,9 @@ def test_series_csv_shape(tmp_path):
     ("series", "series-327"),
     ("validate", "windows-iplil"),
     ("validate", "windows-slln"),
+    ("criteria", "criteria-affine"),
+    ("criteria", "criteria-cosine"),
+    ("criteria", "criteria-step"),
 ])
 def test_seedless_artifacts_match_recorded_digests(tmp_path, subcommand, preset):
     refs = read_json(REFS_DIR / "exact-quad.json")["ops"][f"{subcommand}.{preset}"]
