@@ -424,6 +424,9 @@ def _experiment_config(view: ConfigView, system: str, transfer: Any) -> Experime
     if not all(isinstance(n, int) and not isinstance(n, bool) for n in horizons):
         raise view.fail("n", "horizons.n must be an int or a list of ints")
     eps = view.get("epsilons", "values", list, default=[0.1, 0.5, 1.0])
+    if not eps or not all(isinstance(e, (int, float)) and not isinstance(e, bool) and e > 0
+                          for e in eps):
+        raise view.fail("values", "epsilons.values must be a nonempty list of positive numbers")
     count = view.get("paths", "count", int, default=10000, check=lambda v: v >= 100,
                      describe="at least 100 paths")
     block_exp = view.get("paths", "block_exp", (int, float), default=0.5,

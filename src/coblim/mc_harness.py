@@ -1,15 +1,19 @@
 """Monte Carlo harness for the limit-theorem conditions.
 
-Four experiment families, each reading an ExperimentConfig:
+Four experiment families, each reading an ExperimentConfig.  The three
+condition reports run on the odometer, where f = g - g.T has no martingale
+part; the CLT/LIL diagnostics run on the shift:
 
 * condition16_report — in-probability decay of n^{-1/2} max_{k<=n} |g.T^k|,
-  with an exact counterpart on the odometer from sliding window maxima of g
-  over all residues (scipy.ndimage.maximum_filter1d);
+  with an exact counterpart from sliding window maxima of g over all
+  residues (scipy.ndimage.maximum_filter1d);
 * condition17_report — the almost-sure decay of (n log log n)^{-1/2} g.T^n,
   probed through block maxima and Borel-Cantelli partial sums (a.s.
   statements are not directly samplable);
 * slln_report — partial sums of the strong-law series
-  sum_n n^{alpha p - 2} mu{max_{k<=n} |S_k(f)| >= eps n^alpha};
+  sum_n n^{alpha p - 2} mu{max_{k<=n} |S_k(f)| >= eps n^alpha}, with
+  max_{k<=n} |S_k(f)| = max(g - min_window, max_window - g) read from
+  sliding window maxima and minima of g over all residues;
 * clt_lil_report — normalized-sum normality (Kolmogorov-Smirnov), polygonal
   sup-functional quantiles and iterated-logarithm ratio estimates.
 
@@ -18,9 +22,10 @@ Conventions shared by all reports:
 * paths are independent work units keyed by (seed, path-id) through
   counter-based streams, so results are bit-identical for any worker count
   or chunking of the path range;
-* on the odometer, the residue table of g and the per-path start residues
-  are derived once per ExperimentConfig (on first use) and shared by every
-  report run on that config;
+* the residue table of g and the per-path start residues are derived once
+  per ExperimentConfig (on first use) and shared by the condition reports
+  run on that config; each odometer event depends on the start only through
+  its residue;
 * every Monte Carlo probability that has an exactly countable counterpart on
   the odometer is reported next to it (the exact side never samples);
 * "holds"/"fails" verdicts are finite-sample trend labels with the decision
@@ -33,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import ndtr as _normal_cdf  # standard normal CDF, vectorized
@@ -75,8 +80,8 @@ class ShiftFunction:
     """A closed-form g for the doubling-map system.
 
     `evaluator` must accept a float64 array of coordinates in [0, 1/2) and
-    return an array of the same shape.  `sup_bound` is ||g||_oo when finite
-    (used for deterministic zero-probability shortcuts in reports).
+    return an array of the same shape.  `sup_bound` is ||g||_oo when finite;
+    0.0 marks g = 0, which clt_lil_report never evaluates.
     """
 
     label: str
@@ -296,8 +301,9 @@ class ExperimentConfig:
         return a
 
     def transfer_cex(self) -> TowerCounterexample:
-        if not isinstance(self.transfer, TowerCounterexample):
-            raise ValueError("this report needs a TowerCounterexample transfer part")
+        if self.system != "odometer" or not isinstance(self.transfer, TowerCounterexample):
+            raise ValueError("this report runs on the odometer and needs a "
+                             "TowerCounterexample transfer part")
         if self.transfer.bits != self.bits:
             raise ValueError(
                 f"counterexample precision B={self.transfer.bits} != config bits={self.bits}"
@@ -435,44 +441,10 @@ def _shift_bits_chunk(cfg: ExperimentConfig, lo: int, hi: int, n: int) -> np.nda
 
 
 def _gather_odometer_g(table: np.ndarray, residues: np.ndarray, n: int) -> np.ndarray:
-    """g(T^k w) for k = 0..n for each start residue (rows)."""
+    """g(T^k w) for k = 0..n for each start residue (rows); the table is >= 0."""
     m = table.shape[0]
     idx = (residues[:, None] + np.arange(n + 1, dtype=np.int64)[None, :]) % m
     return table[idx]
-
-
-def _orbits(cfg: ExperimentConfig, n: int,
-            sums: bool = False) -> Iterator[Tuple[int, int, np.ndarray]]:
-    """The one orbit source of the Monte Carlo reports: (lo, hi, rows) per path chunk.
-
-    Row j - lo belongs to path j.  Column k = 0..n holds |g(T^k w)|, or with
-    ``sums`` the partial sum S_k(f) = S_k(m) + g(w) - g(T^k w) of
-    f = m + g - g.T (S_0 = 0).  On the odometer the rows are gathered from
-    cfg.g_table at cfg.start_residues; the table is >= 0 and there is no
-    martingale part.
-    """
-    odometer = cfg.system == "odometer"
-    g = None if odometer else cfg.transfer_shift()
-    if not odometer and g is None and not sums:
-        raise ValueError("the |g| orbit on the shift needs a transfer function g")
-    for lo, hi in _chunk_ranges(cfg.paths, cfg.workers, _paths_per_chunk(n)):
-        if odometer:
-            gv = _gather_odometer_g(cfg.g_table, cfg.start_residues[lo:hi], n)
-            rows = gv[:, :1] - gv if sums else gv
-        else:
-            eps_bits = _shift_bits_chunk(cfg, lo, hi, n)
-            gx = None if g is None else g(coordinate_matrix(eps_bits, n, cfg.window))
-            if not sums:
-                rows = np.abs(gx)
-            else:
-                rows = np.zeros((hi - lo, n + 1), dtype=np.float64)
-                if cfg.martingale == "rademacher":
-                    w = cfg.window
-                    incr = 2.0 * eps_bits[:, w: w + n].astype(np.float64) - 1.0
-                    rows[:, 1:] = np.cumsum(incr, axis=1)
-                if gx is not None:
-                    rows += gx[:, :1] - gx
-        yield lo, hi, rows
 
 
 def _running_max_at(x: np.ndarray, h_idx: np.ndarray) -> np.ndarray:
@@ -480,18 +452,21 @@ def _running_max_at(x: np.ndarray, h_idx: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(x[:, 1:], axis=1)[:, h_idx - 1]
 
 
-def _windowed_max_all_residues(table: np.ndarray, w: int) -> np.ndarray:
-    """max over the w positions res+1..res+w (mod M) of table, for every res.
+def _windowed_max_all_residues(table: np.ndarray, w: int, minimum: bool = False) -> np.ndarray:
+    """max (min with ``minimum``) over the w positions res+1..res+w (mod M)
+    of table, for every res.
 
     origin=-(w // 2) puts the filter window at res..res+w-1; the roll moves
     it one step on.  O(M) per window length.
     """
-    from scipy.ndimage import maximum_filter1d  # kept off the import path of coblim.cli
+    # kept off the import path of coblim.cli
+    from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
     m = table.shape[0]
     if w >= m:
-        return np.full(m, float(table.max()))
-    return np.roll(maximum_filter1d(table, size=w, mode="wrap", origin=-(w // 2)), -1)
+        return np.full(m, float(table.min() if minimum else table.max()))
+    filter1d = minimum_filter1d if minimum else maximum_filter1d
+    return np.roll(filter1d(table, size=w, mode="wrap", origin=-(w // 2)), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -515,46 +490,28 @@ def condition16_report(cfg: ExperimentConfig) -> ConditionReport:
     _level_trend_verdict on the first/last horizon estimates.
     """
     report = _new_report("condition16", cfg)
-    if cfg.system == "odometer":
-        cex, table = cfg.transfer_cex(), cfg.g_table
-        m = table.shape[0]
-        for n in cfg.horizons:
-            wm = _windowed_max_all_residues(table, n)
-            sample = wm[cfg.start_residues]
-            for eps in cfg.epsilons:
-                thr = eps * math.sqrt(n)
-                est = float(np.mean(sample >= thr))
-                exact = Fraction(int(np.count_nonzero(wm >= thr)), m)
-                report.add_row(
-                    n=n, epsilon=eps, estimate=est,
-                    se=_binomial_se(est, cfg.paths), threshold=thr, paths=cfg.paths,
-                )
-                i_star = min(cex.i_max, max(cex.i0, n.bit_length() - 1))
-                tower_bound = exact_violation_probability(
-                    cex, i_star, AbsoluteThreshold(thr), window=(1, n)
-                )
-                report.exact_rows.append({
-                    "n": n, "epsilon": eps, "threshold": thr,
-                    "exact_prob": exact, "tower_bound": tower_bound,
-                    "tower_index": i_star, "mc_abs_error": abs(est - float(exact)),
-                })
-    else:
-        g = cfg.transfer_shift()
-        cummax_at = np.empty((cfg.paths, len(cfg.horizons)), dtype=np.float64)
-        h_idx = np.asarray(cfg.horizons, dtype=np.int64)
-        for lo, hi, gv in _orbits(cfg, cfg.horizons[-1]):
-            cummax_at[lo:hi] = _running_max_at(gv, h_idx)
-        for gi, n in enumerate(cfg.horizons):
-            for eps in cfg.epsilons:
-                thr = eps * math.sqrt(n)
-                if g.sup_bound is not None and g.sup_bound < thr:
-                    est = 0.0  # deterministic: max <= ||g||_oo < eps sqrt(n)
-                else:
-                    est = float(np.mean(cummax_at[:, gi] >= thr))
-                report.add_row(
-                    n=n, epsilon=eps, estimate=est,
-                    se=_binomial_se(est, cfg.paths), threshold=thr, paths=cfg.paths,
-                )
+    cex, table = cfg.transfer_cex(), cfg.g_table
+    m = table.shape[0]
+    for n in cfg.horizons:
+        wm = _windowed_max_all_residues(table, n)
+        sample = wm[cfg.start_residues]
+        for eps in cfg.epsilons:
+            thr = eps * math.sqrt(n)
+            est = float(np.mean(sample >= thr))
+            exact = Fraction(int(np.count_nonzero(wm >= thr)), m)
+            report.add_row(
+                n=n, epsilon=eps, estimate=est,
+                se=_binomial_se(est, cfg.paths), threshold=thr, paths=cfg.paths,
+            )
+            i_star = min(cex.i_max, max(cex.i0, n.bit_length() - 1))
+            tower_bound = exact_violation_probability(
+                cex, i_star, AbsoluteThreshold(thr), window=(1, n)
+            )
+            report.exact_rows.append({
+                "n": n, "epsilon": eps, "threshold": thr,
+                "exact_prob": exact, "tower_bound": tower_bound,
+                "tower_index": i_star, "mc_abs_error": abs(est - float(exact)),
+            })
     for eps in cfg.epsilons:
         series = [row["estimate"] for row in report.rows if row["epsilon"] == eps]
         report.verdicts[f"{eps}"] = _level_trend_verdict(series[0], series[-1])
@@ -566,20 +523,16 @@ def _paths_per_chunk(n: int) -> int:
 
 
 def _new_report(condition: str, cfg: ExperimentConfig) -> ConditionReport:
-    """An empty report with the config echo.
-
-    On the odometer it carries the truncation bounds of g at the top
-    horizon, which every odometer estimate inherits.
-    """
+    """An empty odometer report with the config echo and the truncation
+    bounds of g at the top horizon, which every estimate inherits."""
+    cex = cfg.transfer_cex()
     echo = cfg.echo()
     report = ConditionReport(condition=condition, config=echo,
                              config_sha256=config_hash(echo), version=__version__)
-    if cfg.system == "odometer":
-        cex = cfg.transfer_cex()
-        report.extras["truncation"] = {
-            "tail_measure_bound": truncation_tail_bound(cex),
-            "orbit_bound_at_max_horizon": orbit_truncation_bound(cex, cfg.horizons[-1]),
-        }
+    report.extras["truncation"] = {
+        "tail_measure_bound": truncation_tail_bound(cex),
+        "orbit_bound_at_max_horizon": orbit_truncation_bound(cex, cfg.horizons[-1]),
+    }
     return report
 
 
@@ -597,9 +550,9 @@ def condition17_report(cfg: ExperimentConfig) -> ConditionReport:
 
     whose summability (Borel-Cantelli) is what the almost-sure statement
     needs.  Also reported per path: sup_{n0<=n<=n_G} |g.T^n| / sqrt(n
-    loglog n).  On the odometer, dyadic windows [2^i, 2^{i+1}] get exact
-    single-tower lower bounds at the fixed threshold eps sqrt(2^{i+1}
-    loglog 2^{i+1}), with matching Monte Carlo estimates of the same event.
+    loglog n).  Dyadic windows [2^i, 2^{i+1}] get exact single-tower lower
+    bounds at the fixed threshold eps sqrt(2^{i+1} loglog 2^{i+1}), with
+    matching Monte Carlo estimates of the same event.
 
     Verdict rule per eps: Borel-Cantelli increments are aggregated per
     dyadic span of m_j and fed to _increment_trend_verdict.
@@ -626,18 +579,17 @@ def condition17_report(cfg: ExperimentConfig) -> ConditionReport:
         for eps in cfg.epsilons
     }
 
-    dyadic_is: List[int] = []
-    if cfg.system == "odometer":
-        cex = cfg.transfer_cex()
-        dyadic_is = [
-            i for i in range(cex.i0, cex.i_max + 1)
-            if (1 << i) >= n0 and (1 << (i + 1)) <= n_top
-        ]
+    cex = cfg.transfer_cex()
+    dyadic_is = [
+        i for i in range(cex.i0, cex.i_max + 1)
+        if (1 << i) >= n0 and (1 << (i + 1)) <= n_top
+    ]
 
     tail_sups = np.empty(cfg.paths, dtype=np.float64)
     exceed = {eps: np.zeros(len(blocks), dtype=np.int64) for eps in cfg.epsilons}
     dyadic_exceed = {eps: np.zeros(len(dyadic_is), dtype=np.int64) for eps in cfg.epsilons}
-    for lo, hi, gv in _orbits(cfg, n_top):
+    for lo, hi in _chunk_ranges(cfg.paths, cfg.workers, _paths_per_chunk(n_top)):
+        gv = _gather_odometer_g(cfg.g_table, cfg.start_residues[lo:hi], n_top)
         tail_sups[lo:hi] = np.max(gv[:, n0:] / norm[None, :], axis=1)
         # segment boundaries [m_j, m_{j+1}) plus the closing right endpoint
         bounds = np.concatenate([starts, ends[-1:]])
@@ -703,8 +655,12 @@ def slln_report(cfg: ExperimentConfig) -> ConditionReport:
     The weight of each geometric horizon block (n_{G-1}, n_G] is the exact
     sum of n^{alpha p - 2} over the integers in the block (compensated
     summation); mu is replaced by the Monte Carlo estimate at the block's
-    right endpoint.  f = m + g - g.T per config; on the odometer the partial
-    sums telescope, S_k(f) = g - g.T^k, and are computed that way.
+    right endpoint.  On the odometer f = g - g.T, so the partial sums
+    telescope, S_k(f) = g - g.T^k, and max_{1<=k<=n} |S_k(f)| =
+    max(g - min_window, max_window - g) over the window of T^1..T^n.  The
+    sliding maxima and minima of g over all residues are read at the start
+    residues; rounding is monotone, so this equals the per-path maximum of
+    |fl(g - g.T^k)| bit for bit.
 
     Verdict rule per eps: _increment_trend_verdict on the per-block
     increments weight * estimate.
@@ -713,14 +669,16 @@ def slln_report(cfg: ExperimentConfig) -> ConditionReport:
         raise ValueError("slln_report requires the exponent p")
     alpha = cfg.resolved_alpha()
     p = float(cfg.p)
-    n_top = cfg.horizons[-1]
     report = _new_report("slln", cfg)
     report.extras["alpha"] = alpha
 
+    table, res = cfg.g_table, cfg.start_residues
+    g0 = table[res]
     maxS_at = np.empty((cfg.paths, len(cfg.horizons)), dtype=np.float64)
-    h_idx = np.asarray(cfg.horizons, dtype=np.int64)
-    for lo, hi, s in _orbits(cfg, n_top, sums=True):
-        maxS_at[lo:hi] = _running_max_at(np.abs(s), h_idx)
+    for gi, n in enumerate(cfg.horizons):
+        wmax = _windowed_max_all_residues(table, n)[res]
+        wmin = _windowed_max_all_residues(table, n, minimum=True)[res]
+        maxS_at[:, gi] = np.maximum(g0 - wmin, wmax - g0)
 
     prev = 0
     weights = []
@@ -784,11 +742,15 @@ def clt_lil_report(cfg: ExperimentConfig) -> CltReport:
 
     sigma is exact (1) for the Rademacher martingale part; with a zero
     martingale part it is estimated at the top horizon and a value below
-    1e-9 raises, signalling a degenerate f.
+    1e-9 raises, signalling a degenerate f.  A g with sup_bound 0.0 is
+    g = 0 and is never evaluated.
     """
     if cfg.system != "shift":
         raise ValueError("clt/lil diagnostics run on the shift system")
-    n_top = cfg.horizons[-1]
+    n_top, w = cfg.horizons[-1], cfg.window
+    g = cfg.transfer_shift()
+    if g is not None and g.sup_bound == 0.0:
+        g = None
     sigma = 1.0 if cfg.martingale == "rademacher" else None  # else estimated below
 
     finals = np.empty((cfg.paths, len(cfg.horizons)), dtype=np.float64)
@@ -798,10 +760,21 @@ def clt_lil_report(cfg: ExperimentConfig) -> CltReport:
     ks_grid = np.arange(k0, n_top + 1, dtype=np.float64)
     lil_norm = np.sqrt(2.0 * ks_grid * np.log(np.log(ks_grid)))
     h_idx = np.asarray(cfg.horizons, dtype=np.int64)
-    for lo, hi, s in _orbits(cfg, n_top, sums=True):
+    for lo, hi in _chunk_ranges(cfg.paths, cfg.workers, _paths_per_chunk(n_top)):
+        # S_k(f) = S_k(m) + g(w) - g(T^k w), k = 0..n_top (S_0 = 0), built in
+        # place: each extra chunk-sized array raises the peak memory
+        eps_bits = _shift_bits_chunk(cfg, lo, hi, n_top)
+        s = np.zeros((hi - lo, n_top + 1), dtype=np.float64)
+        if cfg.martingale == "rademacher":
+            np.cumsum(2.0 * eps_bits[:, w: w + n_top] - 1.0, axis=1, out=s[:, 1:])
+        if g is not None:
+            gx = g(coordinate_matrix(eps_bits, n_top, w))
+            s += gx[:, :1] - gx
+            del gx
         finals[lo:hi] = s[:, h_idx]
-        sups[lo:hi] = _running_max_at(np.abs(s), h_idx)
-        tail_ratio[lo:hi] = np.max(np.abs(s[:, k0:]) / lil_norm[None, :], axis=1)
+        np.abs(s, out=s)
+        sups[lo:hi] = _running_max_at(s, h_idx)
+        tail_ratio[lo:hi] = np.max(s[:, k0:] / lil_norm[None, :], axis=1)
 
     if sigma is None:
         sigma = float(np.std(finals[:, -1]) / math.sqrt(n_top))

@@ -17,6 +17,8 @@ from coblim.reports import csv_text, plot_text
 # sha256 of every artifact of the benchmark operations, recorded by the
 # benchmark (see perfbench/record_refs.py); read here, never copied.
 REFS_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+# The second entry of the benchmark's seed pool (perfbench/workloads.py).
+SECOND_SEED = 5820497035323295070
 
 
 def run_cli(*args):
@@ -27,10 +29,10 @@ def read_json(path: Path):
     return json.loads(path.read_text())
 
 
-def preset_digests(tmp_path: Path, subcommand: str, preset: str):
+def preset_digests(tmp_path: Path, subcommand: str, preset: str, *args: str):
     """sha256 of every artifact but the manifest of one preset run."""
     out = tmp_path / "run"
-    run_cli(subcommand, "--preset", preset, "--out", str(out))
+    run_cli(subcommand, "--preset", preset, "--out", str(out), *args)
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in out.iterdir() if p.name != "manifest.json"}
 
@@ -189,9 +191,14 @@ def test_seedless_artifacts_match_recorded_digests(tmp_path, subcommand, preset)
     ("exact-quad", "maximal", "maximal-smoke"),
 ])
 def test_seeded_artifacts_match_recorded_digests(tmp_path, workload, subcommand, preset):
-    # run at the CLI's default seed, one of the seeds the references cover
+    # run at the CLI's default seed, one of the seeds the references cover;
+    # the conditions presets also at a second recorded seed
     refs = read_json(REFS_DIR / f"{workload}.json")["ops"][f"{subcommand}.{preset}"]
     assert preset_digests(tmp_path, subcommand, preset) == refs[str(DEFAULT_SEED)]["digests"]
+    if subcommand == "conditions":
+        digests = preset_digests(tmp_path / "second", subcommand, preset,
+                                 "--seed", str(SECOND_SEED))
+        assert digests == refs[str(SECOND_SEED)]["digests"]
 
 
 def test_config_error_leaves_no_partial_output(tmp_path, capsys):
@@ -221,6 +228,21 @@ def test_system_name_must_match_subcommand(tmp_path, capsys, subcommand, preset,
     err = capsys.readouterr().err
     assert code == 2
     assert f"system.json:{line}: system.name = {name!r} invalid" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values", [[True, 4.0], ["x"]], ids=["bool", "string"])
+def test_malformed_epsilons_rejected_at_values_line(tmp_path, capsys, values):
+    config = tmp_path / "eps.json"
+    config.write_text(json.dumps({"preset": "tower-iplil", "epsilons": {"values": values}},
+                                 indent=1))
+    line = next(i for i, text in enumerate(config.read_text().splitlines(), start=1)
+                if '"values"' in text)
+    out = tmp_path / "run"
+    code = run_cli("conditions", "--config", str(config), "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"eps.json:{line}: epsilons.values must be a nonempty list of positive numbers" in err
     assert not out.exists()
 
 

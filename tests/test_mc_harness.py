@@ -174,8 +174,8 @@ def test_condition16_estimates_within_three_sigma_of_exact():
 
 
 def test_windowed_max_all_residues_matches_brute_force():
-    # entry res is the max of table[res+1 .. res+w] mod M; w >= M covers the
-    # whole table
+    # entry res is the max (min) of table[res+1 .. res+w] mod M; w >= M
+    # covers the whole table
     rng = np.random.default_rng(7)
     for m in range(1, 65):
         tables = [rng.standard_normal(m), rng.integers(0, 3, m).astype(np.float64),
@@ -183,10 +183,11 @@ def test_windowed_max_all_residues_matches_brute_force():
         for table in tables:
             for w in range(1, m + 3):
                 idx = (np.arange(m)[:, None] + np.arange(1, w + 1)[None, :]) % m
-                expected = table[idx].max(axis=1)
-                got = _windowed_max_all_residues(table, w)
-                assert got.dtype == np.float64
-                assert np.array_equal(got, expected), (m, w, table)
+                for minimum in (False, True):
+                    expected = table[idx].min(axis=1) if minimum else table[idx].max(axis=1)
+                    got = _windowed_max_all_residues(table, w, minimum=minimum)
+                    assert got.dtype == np.float64
+                    assert np.array_equal(got, expected), (m, w, minimum, table)
 
 
 def test_odometer_state_derived_once_per_config(monkeypatch):
@@ -225,25 +226,22 @@ def test_condition16_deterministic_across_workers():
     assert a == b  # the config echo never includes the worker count
 
 
-def test_condition16_shift_needs_transfer():
-    cfg = ExperimentConfig(system="shift", horizons=(64,), paths=200, seed=1)
-    with pytest.raises(ValueError, match="needs a transfer function"):
-        condition16_report(cfg)
+@pytest.mark.parametrize("report_fn", [condition16_report, condition17_report, slln_report],
+                         ids=["condition16", "condition17", "slln"])
+def test_condition_reports_refuse_shift_config(report_fn):
+    # the condition reports run on the odometer only, whatever the transfer
+    cex = build_tower_counterexample("ip_lil", p=1.2, r=4.0, i_max=12, bits=14)
+    for transfer in ("cosine", cex):
+        cfg = ExperimentConfig(system="shift", horizons=(64, 256), paths=200, seed=1,
+                               p=1.5, transfer=transfer, bits=14)
+        with pytest.raises(ValueError, match="TowerCounterexample"):
+            report_fn(cfg)
 
 
-def test_condition16_shift_bounded_g_never_violates():
-    # bounded g: max |g| <= sup g < eps sqrt(n) for large eps, estimate = 0
-    cfg = ExperimentConfig(
-        system="shift", horizons=(256,), paths=200, seed=5,
-        epsilons=(4.0,), transfer="cosine",
-    )
-    report = condition16_report(cfg)
-    assert report.rows[0]["estimate"] == 0.0
-
-
-# On the odometer, g.T^k and S_k(f) = g - g.T^k come from a gather over the
-# residue table of g; the reference walks each path point by point with
-# odometer_advance and eval_g.
+# On the odometer, condition17 gathers g.T^k from the residue table of g, and
+# condition16 and slln read window extrema of that table at the start
+# residues; the reference walks each path point by point with odometer_advance
+# and eval_g.
 
 def odometer_reference(cfg):
     """Per path j: g(T^k w_j) for k = 0..n at n = top horizon."""
@@ -297,61 +295,6 @@ def test_unknown_martingale_rejected():
     with pytest.raises(ValueError, match="unknown martingale part 'gaussian'"):
         ExperimentConfig(system="shift", horizons=(64,), paths=200, seed=1,
                          martingale="gaussian", transfer="identity")
-
-
-# With g the identity, |g| and S_k(f) are exact dyadic arithmetic, so the
-# chunked reports must equal a per-path reference built from the scalar
-# coordinate recurrence of ShiftTrajectory.
-
-def shift_reference(cfg):
-    """Per path j: (x_0..x_n, Rademacher partial sums S_0..S_n(m)) at n = top horizon."""
-    n = cfg.horizons[-1]
-    for j in range(cfg.paths):
-        traj = ShiftTrajectory.generate(cfg.seed, j, n, cfg.window)
-        steps = 2 * traj.eps[cfg.window: cfg.window + n].astype(np.int64) - 1
-        yield traj.coordinates(), np.concatenate([[0], np.cumsum(steps)])
-
-
-def test_condition17_shift_matches_per_path_reference():
-    cfg = ExperimentConfig(system="shift", horizons=(16, 64), paths=150, seed=11,
-                           epsilons=(0.05, 0.1), transfer="identity", workers=3)
-    report = condition17_report(cfg)
-    xs = [x for x, _ in shift_reference(cfg)]
-    for row in report.rows:
-        mj, end = row["m_j"], row["m_j"] + row["block_len"]
-        assert row["threshold"] == pytest.approx(
-            row["epsilon"] * math.sqrt(mj * math.log(math.log(mj))), rel=1e-15)
-        hits = sum(x[mj: end + 1].max() > row["threshold"] for x in xs)
-        assert row["estimate"] == hits / cfg.paths
-    assert any(0 < row["estimate"] < 1 for row in report.rows)
-
-    n0, n_top = cfg.horizons[0], cfg.horizons[-1]
-    ks = np.arange(n0, n_top + 1, dtype=np.float64)
-    tail_sups = np.asarray([np.max(x[n0:] / np.sqrt(ks * np.log(np.log(ks)))) for x in xs])
-    assert report.extras["tail_sup"] == {
-        "window": [n0, n_top],
-        "mean": float(np.mean(tail_sups)),
-        "quantiles": {str(q): float(np.quantile(tail_sups, q)) for q in (0.5, 0.9, 0.99)},
-        "max": float(np.max(tail_sups)),
-    }
-
-
-@pytest.mark.parametrize("martingale,epsilons", [("rademacher", (0.25, 0.5)),
-                                                 ("zero", (0.01, 0.02))])
-def test_slln_shift_matches_per_path_reference(martingale, epsilons):
-    cfg = ExperimentConfig(system="shift", horizons=(16, 64, 256), paths=150, seed=12,
-                           epsilons=epsilons, p=1.5, martingale=martingale,
-                           transfer="identity", workers=3)
-    report = slln_report(cfg)
-    sup_abs = []
-    for x, sm in shift_reference(cfg):
-        s = (x[0] - x) + (sm if martingale == "rademacher" else 0)
-        sup_abs.append({n: np.max(np.abs(s[1: n + 1])) for n in cfg.horizons})
-    alpha = cfg.resolved_alpha()
-    for row in report.rows:
-        hits = sum(sup[row["n"]] >= row["epsilon"] * row["n"] ** alpha for sup in sup_abs)
-        assert row["estimate"] == hits / cfg.paths
-    assert any(0 < row["estimate"] < 1 for row in report.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +359,52 @@ def test_clt_bounded_transfer_moves_sums_at_most_two_sup():
     n = 256
     # same seed, same martingale bits: scaled means differ by <= 2 sup|g|/sqrt(n)
     assert abs(r1.rows[0]["mean"] - r0.rows[0]["mean"]) <= 2 * sup_g / math.sqrt(n)
+
+
+# With g the identity, S_k(f) is exact dyadic arithmetic, so the chunked
+# shift sums must equal a per-path reference built from the scalar coordinate
+# recurrence of ShiftTrajectory.
+
+def shift_reference(cfg):
+    """Per path j: (x_0..x_n, Rademacher partial sums S_0..S_n(m)) at n = top horizon."""
+    n = cfg.horizons[-1]
+    for j in range(cfg.paths):
+        traj = ShiftTrajectory.generate(cfg.seed, j, n, cfg.window)
+        steps = 2 * traj.eps[cfg.window: cfg.window + n].astype(np.int64) - 1
+        yield traj.coordinates(), np.concatenate([[0], np.cumsum(steps)])
+
+
+@pytest.mark.parametrize("martingale", ["rademacher", "zero"])
+def test_clt_matches_per_path_reference(martingale):
+    cfg = ExperimentConfig(system="shift", horizons=(16, 64, 256), paths=150, seed=12,
+                           martingale=martingale, transfer="identity", workers=3)
+    report = clt_lil_report(cfg)
+    sums = [(x[0] - x) + (sm if martingale == "rademacher" else 0)
+            for x, sm in shift_reference(cfg)]
+    n_top = cfg.horizons[-1]
+    finals = np.asarray([[s[n] for n in cfg.horizons] for s in sums])
+    sups = np.asarray([[np.max(np.abs(s[1: n + 1])) for n in cfg.horizons] for s in sums])
+    sigma = 1.0 if martingale == "rademacher" else float(np.std(finals[:, -1]) / math.sqrt(n_top))
+    assert report.sigma == sigma
+    qs = (0.5, 0.9, 0.99)
+    for gi, (row, n) in enumerate(zip(report.rows, cfg.horizons)):
+        z = finals[:, gi] / (sigma * math.sqrt(n))
+        sup_scaled = sups[:, gi] / (sigma * math.sqrt(n))
+        assert row == {
+            "n": n, "ks_distance": ks_statistic(z), "mean": float(np.mean(z)),
+            "sup_mean": float(np.mean(sup_scaled)),
+            **{f"sup_q{int(q * 100)}": float(np.quantile(sup_scaled, q)) for q in qs},
+        }
+    k0 = max(16, n_top // 8)
+    ks = np.arange(k0, n_top + 1, dtype=np.float64)
+    lil_norm = np.sqrt(2.0 * ks * np.log(np.log(ks)))
+    ratio = np.asarray([np.max(np.abs(s[k0:]) / lil_norm) for s in sums]) / sigma
+    assert report.limsup == {
+        "tail_window": [k0, n_top],
+        "normalization": "sqrt(2 sigma^2 k loglog k)",
+        "mean": float(np.mean(ratio)),
+        "quantiles": {str(q): float(np.quantile(ratio, q)) for q in qs},
+    }
 
 
 def test_clt_requires_shift_system():
