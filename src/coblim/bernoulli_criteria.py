@@ -248,6 +248,18 @@ def _build_lacunary(b: float) -> FunctionOnUnitInterval:
     )
 
 
+#: The named families and the parameters each one takes.
+_FAMILY_PARAMS = {
+    "affine": (),
+    "cosine": ("k",),
+    "indicator_step": ("c",),
+    "weierstrass": ("a", "b", "terms"),
+    "log_power": ("s",),
+    "lacunary": ("b",),
+}
+FUNCTION_FAMILIES = tuple(_FAMILY_PARAMS)
+
+
 def make_function(family: str, **params: float) -> FunctionOnUnitInterval:
     """Build one of the named families (all centered by construction).
 
@@ -257,7 +269,15 @@ def make_function(family: str, **params: float) -> FunctionOnUnitInterval:
     weierstrass(a, b, terms)  sum_{m<terms} a^m cos(2 pi b^m x)
     log_power(s)      (log(e/x))^{-s} minus its mean
     lacunary(b)       sum_k k^{-b} cos(2 pi 2^k x) - zeta(b), b in (1, 2]
+
+    Raises ValueError for an unknown family or a parameter it does not take.
     """
+    if family not in _FAMILY_PARAMS:
+        raise ValueError(f"unknown function family {family!r}; known: {sorted(FUNCTION_FAMILIES)}")
+    for name in params:
+        if name not in _FAMILY_PARAMS[family]:
+            raise ValueError(f"{family} takes no parameter {name!r}; "
+                             f"it takes: {', '.join(_FAMILY_PARAMS[family]) or 'none'}")
     if family == "affine":
         return FunctionOnUnitInterval("affine", lambda x: x - 0.5)
     if family == "cosine":
@@ -292,14 +312,7 @@ def make_function(family: str, **params: float) -> FunctionOnUnitInterval:
         return FunctionOnUnitInterval(f"weierstrass(a={a},b={b},terms={terms})", wf)
     if family == "log_power":
         return _build_log_power(float(params.get("s", 0.4)))
-    if family == "lacunary":
-        return _build_lacunary(float(params.get("b", 1.02)))
-    raise ValueError(f"unknown function family {family!r}; known: {sorted(FUNCTION_FAMILIES)}")
-
-
-FUNCTION_FAMILIES = (
-    "affine", "cosine", "indicator_step", "weierstrass", "log_power", "lacunary",
-)
+    return _build_lacunary(float(params.get("b", 1.02)))
 
 
 def validate_centering(f: FunctionOnUnitInterval, tol: float = 1e-8) -> float:

@@ -93,6 +93,16 @@ TOP_LEVEL_KEYS = (
     "seed",
     "workers",
 )
+#: Keys each config section may hold; a key is accepted when any subcommand
+#: reads it, so one file can drive several subcommands.
+SECTION_KEYS: Dict[str, Tuple[str, ...]] = {
+    "system": ("name", "kind", "bits", "i0", "i_max", "window", "level", "theorems"),
+    "exponents": ("p", "q", "r", "alpha", "beta", "slln_alpha", "delta"),
+    "horizons": ("n", "n_max", "K_max", "N"),
+    "paths": ("count", "block_exp"),
+    "epsilons": ("values", "floor", "tail_start", "grid", "dr_threshold"),
+    "function": ("martingale", "transfer", "family", "params"),
+}
 SUBCOMMANDS = (
     "counterexample",
     "conditions",
@@ -235,8 +245,9 @@ class ConfigView:
     """Resolved config with line-anchored error reporting.
 
     ``raw_text`` is the original JSON document (empty for preset-only runs);
-    errors anchor at the first line mentioning the offending key, falling
-    back to line 1.
+    errors anchor at the first line mentioning the offending key (at or
+    after the first line mentioning its section, when one is given),
+    falling back to line 1.
     """
 
     def __init__(self, cfg: Dict[str, Any], path: Optional[str], raw_text: str):
@@ -244,14 +255,17 @@ class ConfigView:
         self.path = path or "<preset>"
         self.raw_text = raw_text
 
-    def anchor(self, key: str) -> int:
-        for idx, line in enumerate(self.raw_text.splitlines(), start=1):
+    def anchor(self, key: str, section: Optional[str] = None) -> int:
+        lines = self.raw_text.splitlines()
+        start = 0 if section is None else next(
+            (i for i, line in enumerate(lines) if f'"{section}"' in line), 0)
+        for idx, line in enumerate(lines[start:], start=start + 1):
             if f'"{key}"' in line:
                 return idx
         return 1
 
-    def fail(self, key: str, message: str) -> "ConfigError":
-        return ConfigError(message, path=self.path, line=self.anchor(key))
+    def fail(self, key: str, message: str, section: Optional[str] = None) -> "ConfigError":
+        return ConfigError(message, path=self.path, line=self.anchor(key, section))
 
     def section(self, name: str) -> Dict[str, Any]:
         val = self.cfg.get(name, {})
@@ -269,6 +283,7 @@ class ConfigView:
         check=None,
         describe: str = "",
     ) -> Any:
+        assert key in SECTION_KEYS[section], f"{section}.{key} missing from SECTION_KEYS"
         sec = self.section(section)
         if key not in sec:
             if required:
@@ -314,23 +329,27 @@ def resolve_config(
 ) -> ConfigView:
     """Preset defaults <- config file <- command-line flag overrides."""
     file_cfg, raw_text = load_config(config_path)
+    file_view = ConfigView(file_cfg, config_path, raw_text)
 
-    for key in file_cfg:
+    for key, val in file_cfg.items():
         if key not in TOP_LEVEL_KEYS:
-            view = ConfigView(file_cfg, config_path, raw_text)
-            raise view.fail(key, f"unknown top-level config key {key!r}; "
-                                 f"allowed: {', '.join(TOP_LEVEL_KEYS)}")
+            raise file_view.fail(key, f"unknown top-level config key {key!r}; "
+                                      f"allowed: {', '.join(TOP_LEVEL_KEYS)}")
+        if key in SECTION_KEYS and isinstance(val, dict):
+            for sub in val:
+                if sub not in SECTION_KEYS[key]:
+                    raise file_view.fail(sub, f"unknown config key {key}.{sub}; allowed in "
+                                              f"{key!r}: {', '.join(SECTION_KEYS[key])}", key)
     version = file_cfg.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
-        view = ConfigView(file_cfg, config_path, raw_text)
-        raise view.fail("schema_version",
-                        f"unsupported schema_version {version!r} (supported: {SCHEMA_VERSION})")
+        raise file_view.fail("schema_version",
+                             f"unsupported schema_version {version!r} "
+                             f"(supported: {SCHEMA_VERSION})")
 
     preset_name = preset_flag or file_cfg.get("preset") or DEFAULT_PRESET[subcommand]
     if not isinstance(preset_name, str) or preset_name not in PRESETS:
-        view = ConfigView(file_cfg, config_path, raw_text)
-        raise view.fail("preset", f"unknown preset {preset_name!r}; "
-                                  f"available: {', '.join(sorted(PRESETS))}")
+        raise file_view.fail("preset", f"unknown preset {preset_name!r}; "
+                                       f"available: {', '.join(sorted(PRESETS))}")
 
     cfg = _merge(PRESETS[preset_name], file_cfg)
     cfg["preset"] = preset_name

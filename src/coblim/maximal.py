@@ -91,14 +91,14 @@ class LevelFunction:
         return Fraction(max(abs(v) for v in self.numerators), self.denominator)
 
 
-def random_level_function(
-    seed: int,
-    stream: int,
-    i: int = 8,
-    scale_bits: int = 12,
-    max_units: int = 1 << 18,
-    zero_fraction: float = 0.25,
-) -> LevelFunction:
+# Draws of random_level_function: numerators uniform in [-2^18, 2^18] over
+# 2^12, and about a quarter of the levels set to zero.
+_RANDOM_SCALE_BITS = 12
+_RANDOM_MAX_UNITS = 1 << 18
+_RANDOM_ZERO_FRACTION = 0.25
+
+
+def random_level_function(seed: int, stream: int, i: int = 8) -> LevelFunction:
     """Seeded random dyadic level function (signed, partially sparse).
 
     Mixed signs exercise the two-sided maximal function; the zeroed levels
@@ -107,9 +107,10 @@ def random_level_function(
     """
     rng = stream_generator(seed, stream)
     n = 1 << i
-    nums = rng.integers(-max_units, max_units + 1, size=n, dtype=np.int64)
-    nums[rng.random(n) < zero_fraction] = 0
-    return LevelFunction(i=i, numerators=tuple(int(v) for v in nums), scale_bits=scale_bits)
+    nums = rng.integers(-_RANDOM_MAX_UNITS, _RANDOM_MAX_UNITS + 1, size=n, dtype=np.int64)
+    nums[rng.random(n) < _RANDOM_ZERO_FRACTION] = 0
+    return LevelFunction(i=i, numerators=tuple(int(v) for v in nums),
+                         scale_bits=_RANDOM_SCALE_BITS)
 
 
 def truncated_mstar(h: Callable[[OdometerPoint], float], point: OdometerPoint, n_max: int) -> float:

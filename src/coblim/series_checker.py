@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -165,71 +165,39 @@ def _validate_invariants(
     lt: np.ndarray,
     lc: np.ndarray,
     lr: np.ndarray,
-    carry: dict,
-) -> None:
+    prev: Optional[tuple[float, float, float, float]],
+) -> tuple[float, float, float, float]:
     """Check declared monotonicity/range invariants on one chunk.
 
     Raises ValueError naming the violated invariant and the first
-    offending index.  ``carry`` holds the previous chunk's last values
-    so the check spans chunk boundaries.
+    offending index.  ``prev`` is the previous chunk's last
+    ``(k, lt, lc, lr)`` (None on the first chunk), so the monotonicity
+    checks span chunk boundaries; returns this chunk's last tuple.
     """
-    label = family.label
-    for name, arr in (("theta", lt), ("count", lc), ("rho", lr)):
-        if not np.all(np.isfinite(arr)):
-            k_bad = int(ks[np.nonzero(~np.isfinite(arr))[0][0]])
-            raise ValueError(
-                f"family '{label}' violates invariant: log2 {name} "
-                f"is not finite at k={k_bad}"
-            )
-    if np.any(lc < -1e-9):
-        k_bad = int(ks[np.nonzero(lc < -1e-9)[0][0]])
-        raise ValueError(
-            f"family '{label}' violates invariant: count_k must be a "
-            f"positive integer (>= 1) but log2 count < 0 at k={k_bad}"
-        )
-    if np.any(lr >= 0.0):
-        k_bad = int(ks[np.nonzero(lr >= 0.0)[0][0]])
-        raise ValueError(
-            f"family '{label}' violates invariant: rho_k must lie in "
-            f"(0, 1) but rho >= 1 at k={k_bad}"
-        )
 
-    # Monotonicity from the burn-in index onward.  The count sequence
-    # is integer-valued so ceiling plateaus are allowed (non-strict).
-    mask = ks >= family.burn_in
-    if np.any(mask):
-        for name, arr, prev_key in (
-            ("theta_k non-decreasing", lt, "lt"),
-            ("count_k non-decreasing", lc, "lc"),
-        ):
-            vals = arr[mask]
-            kv = ks[mask]
-            if prev_key in carry and carry["k_prev"] >= family.burn_in:
-                vals = np.concatenate(([carry[prev_key]], vals))
-                kv = np.concatenate(([carry["k_prev"]], kv))
-            drops = np.nonzero(np.diff(vals) < -1e-9)[0]
-            if drops.size:
-                k_bad = int(kv[drops[0] + 1])
-                raise ValueError(
-                    f"family '{family.label}' violates invariant: "
-                    f"{name} fails at k={k_bad}"
-                )
-        vals = lr[mask]
-        kv = ks[mask]
-        if "lr" in carry and carry["k_prev"] >= family.burn_in:
-            vals = np.concatenate(([carry["lr"]], vals))
-            kv = np.concatenate(([carry["k_prev"]], kv))
-        rises = np.nonzero(np.diff(vals) > 1e-9)[0]
-        if rises.size:
-            k_bad = int(kv[rises[0] + 1])
-            raise ValueError(
-                f"family '{family.label}' violates invariant: "
-                f"rho_k decreasing fails at k={k_bad}"
-            )
-    carry["k_prev"] = float(ks[-1])
-    carry["lt"] = float(lt[-1])
-    carry["lc"] = float(lc[-1])
-    carry["lr"] = float(lr[-1])
+    def check(bad: np.ndarray, kv: np.ndarray, what: str) -> None:
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            raise ValueError(f"family '{family.label}' violates invariant: "
+                             f"{what} at k={int(kv[hits[0]])}")
+
+    for name, arr in (("theta", lt), ("count", lc), ("rho", lr)):
+        check(~np.isfinite(arr), ks, f"log2 {name} is not finite")
+    check(lc < -1e-9, ks, "count_k must be a positive integer (>= 1) but log2 count < 0")
+    check(lr >= 0.0, ks, "rho_k must lie in (0, 1) but rho >= 1")
+
+    # Monotonicity from the burn-in index onward (ks ascends, so that is a
+    # suffix).  The count sequence is integer-valued so ceiling plateaus are
+    # allowed (non-strict); rho is checked as -rho non-decreasing.
+    i0 = int(np.searchsorted(ks, family.burn_in))
+    head = prev is not None and prev[0] >= family.burn_in
+    kv = np.concatenate(([prev[0]], ks[i0:])) if head else ks[i0:]
+    for i, arr, sign, name in ((1, lt, 1.0, "theta_k non-decreasing"),
+                               (2, lc, 1.0, "count_k non-decreasing"),
+                               (3, lr, -1.0, "rho_k decreasing")):
+        vals = np.concatenate(([prev[i]], arr[i0:])) if head else arr[i0:]
+        check(sign * np.diff(vals) < -1e-9, kv[1:], f"{name} fails")
+    return float(ks[-1]), float(lt[-1]), float(lc[-1]), float(lr[-1])
 
 
 def _tail_product(family: SequenceFamily, k: int, rho_partial_from_k: float) -> tuple[float, bool]:
@@ -248,16 +216,15 @@ def prop23_report(
     family: SequenceFamily,
     K_max: int = 10**6,
     dr_threshold: float = 5.0,
-    checkpoints: Optional[Sequence[int]] = None,
 ) -> CriteriaReport:
     """Partial-sum trend report for the three summability conditions.
 
     Sums the main and quadratic series over k in [k_start, K_max]
     with compensated per-segment accumulation, records partial sums
-    at the decade checkpoints, validates the
-    family's declared invariants on the evaluated range, and attaches
-    one verdict per condition using the decision rules documented in
-    the module docstring.
+    at the checkpoints (the ``DEFAULT_CHECKPOINTS`` below K_max, then
+    K_max itself), validates the family's declared invariants on the
+    evaluated range, and attaches one verdict per condition using the
+    decision rules documented in the module docstring.
 
     The report context carries, per condition, the checkpoints, the
     partial sums (or values, for the tail product), the verdict, and
@@ -268,53 +235,32 @@ def prop23_report(
     if dr_threshold <= 1.0:
         raise ValueError(f"dr_threshold must exceed 1; got {dr_threshold}")
 
-    if checkpoints is None:
-        cps = [c for c in DEFAULT_CHECKPOINTS if c < K_max] + [K_max]
-    else:
-        cps = sorted({int(c) for c in checkpoints if family.k_start < int(c) <= K_max})
-        if not cps or cps[-1] != K_max:
-            cps.append(K_max)
+    cps = [c for c in DEFAULT_CHECKPOINTS if c < K_max] + [K_max]
     p = family.p
 
-    # Per-segment compensated sums: segment j covers (cps[j-1], cps[j]].
-    n_seg = len(cps)
-    seg_main = [[] for _ in range(n_seg)]
-    seg_quad = [[] for _ in range(n_seg)]
-    seg_rho = [[] for _ in range(n_seg)]
-
-    carry: dict = {}
-    lo = family.k_start
-    while lo <= K_max:
-        hi = min(lo + _CHUNK - 1, K_max)
-        ks = np.arange(lo, hi + 1, dtype=np.float64)
+    # parts[row][j] collects one compensated sum per chunk of segment j,
+    # which covers (cps[j-1], cps[j]]; the rows are main, quadratic, rho.
+    parts = [[[] for _ in cps] for _ in range(3)]
+    prev = None
+    for lo in range(family.k_start, K_max + 1, _CHUNK):
+        ks = np.arange(lo, min(lo + _CHUNK, K_max + 1), dtype=np.float64)
         lt = np.asarray(family.log2_theta(ks), dtype=np.float64)
         lc = np.asarray(family.log2_count(ks), dtype=np.float64)
         lr = np.asarray(family.log2_rho(ks), dtype=np.float64)
-        _validate_invariants(family, ks, lt, lc, lr, carry)
+        prev = _validate_invariants(family, ks, lt, lc, lr, prev)
 
-        t_main = np.exp2(p * lt + (p / 2.0) * lc + lr)
-        t_quad = np.exp2(2.0 * lt + 0.5 * lc + lr)
-        t_rho = np.exp2(lr)
+        terms = (np.exp2(p * lt + (p / 2.0) * lc + lr),
+                 np.exp2(2.0 * lt + 0.5 * lc + lr),
+                 np.exp2(lr))
+        cuts = [0, *np.searchsorted(ks, cps, side="right").tolist()]
+        for row, t in zip(parts, terms):
+            for seg, a, b in zip(row, cuts, cuts[1:]):
+                if a < b:
+                    seg.append(math.fsum(t[a:b].tolist()))
 
-        # Split the chunk across checkpoint segments.
-        seg_lo = lo
-        for j, cp in enumerate(cps):
-            if seg_lo > hi or seg_lo > cp:
-                continue
-            seg_hi = min(hi, cp)
-            i0, i1 = seg_lo - lo, seg_hi - lo + 1
-            seg_main[j].append(math.fsum(t_main[i0:i1].tolist()))
-            seg_quad[j].append(math.fsum(t_quad[i0:i1].tolist()))
-            seg_rho[j].append(math.fsum(t_rho[i0:i1].tolist()))
-            seg_lo = seg_hi + 1
-        lo = hi + 1
-
-    inc_main = [math.fsum(parts) for parts in seg_main]
-    inc_quad = [math.fsum(parts) for parts in seg_quad]
-    inc_rho = [math.fsum(parts) for parts in seg_rho]
-    sums_main = list(np.cumsum(inc_main))
-    sums_quad = list(np.cumsum(inc_quad))
-    sums_rho = list(np.cumsum(inc_rho))
+    inc_main, inc_quad, inc_rho = ([math.fsum(seg) for seg in row] for row in parts)
+    sums_main, sums_quad, sums_rho = (list(np.cumsum(inc))
+                                      for inc in (inc_main, inc_quad, inc_rho))
 
     if sums_rho[-1] >= 1.0:
         raise ValueError(

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coblim.cli import DEFAULT_SEED, PRESETS, SUBCOMMANDS, main
+from coblim.cli import DEFAULT_SEED, PRESETS, SECTION_KEYS, SUBCOMMANDS, main
 from coblim.reports import csv_text, plot_text
 
 # sha256 of every artifact of the benchmark operations, recorded by the
@@ -243,6 +243,46 @@ def test_malformed_epsilons_rejected_at_values_line(tmp_path, capsys, values):
     err = capsys.readouterr().err
     assert code == 2
     assert f"eps.json:{line}: epsilons.values must be a nonempty list of positive numbers" in err
+    assert not out.exists()
+
+
+def test_presets_use_only_known_section_keys():
+    for name, preset in PRESETS.items():
+        for section, keys in preset.items():
+            assert set(keys) <= set(SECTION_KEYS[section]), name
+
+
+@pytest.mark.parametrize("section,key", [("paths", "cout"), ("function", "transfr"),
+                                         ("paths", "n")])
+def test_unknown_section_key_anchored(tmp_path, capsys, section, key):
+    # horizons.n comes first, so paths.n must anchor at its own line
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps({"preset": "clt-rademacher", "horizons": {"n": [512]},
+                                  section: {key: 500}}, indent=1))
+    lines = config.read_text().splitlines()
+    start = lines.index(f' "{section}": {{')
+    line = next(i for i, text in enumerate(lines[start:], start=start + 1) if f'"{key}"' in text)
+    out = tmp_path / "run"
+    code = run_cli("clt", "--config", str(config), "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"typo.json:{line}: unknown config key {section}.{key}; allowed in" in err
+    assert not out.exists()
+
+
+def test_unknown_function_param_anchored(tmp_path, capsys):
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps({"preset": "criteria-cosine",
+                                  "function": {"family": "cosine", "params": {"kk": 3}}},
+                                 indent=1))
+    line = next(i for i, text in enumerate(config.read_text().splitlines(), start=1)
+                if '"params"' in text)
+    out = tmp_path / "run"
+    code = run_cli("criteria", "--config", str(config), "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert (f"params.json:{line}: function construction rejected: "
+            f"cosine takes no parameter 'kk'") in err
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Tests for the exact maximal-function enumeration and its inequalities."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -62,7 +63,7 @@ def test_level_function_abs_rep_mass():
 @settings(deadline=None, max_examples=20)
 @given(st.integers(min_value=0, max_value=1000), st.integers(min_value=1, max_value=40))
 def test_enumerate_matches_truncated_scan(seed, n_max):
-    h = random_level_function(seed, 0, i=4, scale_bits=4)
+    h = replace(random_level_function(seed, 0, i=4), scale_bits=4)
     best_num, best_den = enumerate_mstar(h, n_max)
     for residue in range(1 << h.i):
         pt = OdometerPoint(residue, h.i)

@@ -291,6 +291,28 @@ def test_condition17_and_slln_reports_run():
     assert any(0 < row["estimate"] < 1 for row in rs.rows)
 
 
+def test_slln_window_extrema_match_brute_force_on_table_without_zeros():
+    # On the tower tables g vanishes on most residues, so most window minima
+    # are 0 and a window that misses one end goes unseen.  A random table
+    # without zeros and short horizons make both window ends matter.
+    cfg = odometer_config(horizons=(4, 16), epsilons=(0.25, 0.4))
+    m = len(cfg.g_table)
+    table = np.random.default_rng(11).standard_normal(m)
+    assert np.all(table != 0.0)
+    cfg.__dict__["g_table"] = table
+    res = cfg.start_residues
+    alpha = cfg.resolved_alpha()
+    report = slln_report(cfg)
+    assert len(report.rows) == 4
+    for row in report.rows:
+        n = row["n"]
+        window = table[(res[:, None] + np.arange(1, n + 1)) % m]
+        sup = np.max(np.abs(table[res][:, None] - window), axis=1)
+        expected = float(np.mean(sup >= row["epsilon"] * n ** alpha))
+        assert 0.0 < expected < 1.0
+        assert row["estimate"] == expected
+
+
 def test_unknown_martingale_rejected():
     with pytest.raises(ValueError, match="unknown martingale part 'gaussian'"):
         ExperimentConfig(system="shift", horizons=(64,), paths=200, seed=1,

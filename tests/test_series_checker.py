@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coblim.series_checker import (
+    _CHUNK,
     DEFAULT_CHECKPOINTS,
     SequenceFamily,
     geometric_family,
@@ -115,13 +116,6 @@ def test_short_range_is_inconclusive():
     assert "fewer than two full decades" in main["rule"]
 
 
-def test_custom_checkpoints_are_normalized():
-    rep = prop23_report(
-        geometric_family(1.5), K_max=5000, checkpoints=[100, 1000, 100, 9999]
-    )
-    assert rep.context["checkpoints"] == [100, 1000, 5000]
-
-
 def test_parameter_guards():
     with pytest.raises(ValueError, match="K_max"):
         prop23_report(geometric_family(1.5), K_max=500)
@@ -191,6 +185,33 @@ def test_fractional_count_rejected():
     fam = flat_family(label="thin-count", log2_count=lambda k: np.full_like(k, -1.0))
     with pytest.raises(ValueError, match="violates invariant"):
         prop23_report(fam, K_max=10**4)
+
+
+# k = 2 + _CHUNK opens the second chunk, so a drop there is only seen
+# against the first chunk's last value
+_B = 2 + _CHUNK
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (dict(log2_theta=lambda k: np.where(k >= _B, -1.0, 0.0)),
+     f"theta_k non-decreasing fails at k={_B}"),
+    (dict(log2_count=lambda k: np.where(k >= _B, 1.0, 2.0)),
+     f"count_k non-decreasing fails at k={_B}"),
+    (dict(log2_rho=lambda k: np.where(k >= _B + 7, -20.0, -40.0)),
+     f"rho_k decreasing fails at k={_B + 7}"),
+    (dict(log2_count=lambda k: np.where(k == 12345, np.inf, 0.0)),
+     "log2 count is not finite at k=12345"),
+    (dict(log2_count=lambda k: np.where(k >= 99, -1.0, 0.0)),
+     "count_k must be a positive integer (>= 1) but log2 count < 0 at k=99"),
+    (dict(log2_rho=lambda k: np.where(k == 3000, 0.0, -k)),
+     "rho_k must lie in (0, 1) but rho >= 1 at k=3000"),
+], ids=["theta-boundary", "count-boundary", "rho-second-chunk", "count-inf",
+        "count-negative", "rho-one"])
+def test_invariant_violation_names_first_offending_k(overrides, message):
+    fam = flat_family(label="bad", **overrides)
+    with pytest.raises(ValueError) as info:
+        prop23_report(fam, K_max=_B + 100)
+    assert str(info.value) == f"family 'bad' violates invariant: {message}"
 
 
 def test_family_constructor_guards():
