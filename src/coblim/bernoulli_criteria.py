@@ -114,10 +114,68 @@ class QuadratureResult:
 _GL_NODES, _GL_WEIGHTS = leggauss(15)
 
 
-def _gl15(func: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half * float(np.dot(_GL_WEIGHTS, func(mid + half * _GL_NODES)))
+def _lockstep_integrals(
+    func: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    problems: Sequence[Tuple[float, float, Sequence[float]]],
+    tol: float,
+    max_evals: int,
+) -> List[QuadratureResult]:
+    """int_a^b of many (a, b, breakpoints) problems, refined in lockstep.
+
+    `func(xs, owner)` evaluates the integrand of problem `owner[k]` at
+    `xs[k]`.  Each round evaluates the pending panels of every unfinished
+    problem in one `func` call, 45 nodes per panel (the panel, then its left
+    and right half, 15 Gauss-Legendre nodes each).  Then each unfinished
+    problem takes one step of `adaptive_integral`'s refinement on its own
+    heap, so its panels, and its result, do not depend on the other
+    problems of the batch.
+    """
+    results = [QuadratureResult(0.0, 0.0, 0, 0) for _ in problems]
+    heaps: List[List[Tuple[float, float, float, float]]] = [[] for _ in problems]
+    evals = [0] * len(problems)
+    subdivisions = [0] * len(problems)
+    pending: Dict[int, List[Tuple[float, float]]] = {}  # problem -> panels to evaluate
+    for j, (a, b, breakpoints) in enumerate(problems):
+        if b > a:
+            cuts = sorted({a, b, *(c for c in breakpoints if a < c < b)})
+            subdivisions[j] = len(cuts) - 1
+            pending[j] = list(zip(cuts[:-1], cuts[1:]))
+    while pending:
+        panels = [(j, lo, hi) for j, todo in pending.items() for lo, hi in todo]
+        owner = np.array([j for j, _, _ in panels])
+        lo, hi = np.array([(plo, phi) for _, plo, phi in panels], dtype=np.float64).T
+        mid = 0.5 * (lo + hi)
+        a = np.stack([lo, lo, mid], axis=1)
+        b = np.stack([hi, mid, hi], axis=1)
+        half = 0.5 * (b - a)
+        xs = (0.5 * (a + b))[:, :, None] + half[:, :, None] * _GL_NODES
+        ys = func(xs.ravel(), np.repeat(owner, 45))
+        # one dot per 15-point rule: a batched product sums in another order
+        dots = np.fromiter(map(_GL_WEIGHTS.dot, ys.reshape(-1, 15)), np.float64)
+        rules = half * dots.reshape(-1, 3)
+        halves = rules[:, 1] + rules[:, 2]
+        neg_errs = -np.abs(rules[:, 0] - halves)
+        for (j, plo, phi), neg_err, value in zip(panels, neg_errs.tolist(), halves.tolist()):
+            evals[j] += 45
+            heappush(heaps[j], (neg_err, plo, phi, value))
+        for j in list(pending):
+            heap = heaps[j]
+            while True:
+                total_err = -math.fsum(item[0] for item in heap)
+                if total_err <= tol or evals[j] + 90 > max_evals:
+                    value = math.fsum(item[3] for item in heap)
+                    results[j] = QuadratureResult(value, total_err, subdivisions[j], evals[j])
+                    del pending[j]
+                    break
+                neg_err, plo, phi, _ = heappop(heap)
+                pmid = 0.5 * (plo + phi)
+                if pmid <= plo or pmid >= phi:  # panel at float resolution: accept as-is
+                    heappush(heap, (-0.0, plo, phi, -neg_err * 0.0))
+                    continue
+                pending[j] = [(plo, pmid), (pmid, phi)]
+                subdivisions[j] += 1
+                break
+    return results
 
 
 def adaptive_integral(
@@ -132,40 +190,16 @@ def adaptive_integral(
 
     Each segment's value is the two-half 15-point rule; its error estimate
     is the defect against the single-panel rule.  Segments never straddle a
-    breakpoint.  Refinement stops when the summed error estimate drops below
-    `tol` or the evaluation budget is spent — the achieved error is always
-    reported, so callers can decide whether it is good enough.
+    breakpoint.  Refinement runs in rounds: the first evaluates every
+    breakpoint segment, each later one splits the worst segment and
+    evaluates both halves, in one `func` call per round.  It stops when the
+    summed error estimate drops below `tol` or the evaluation budget is
+    spent — the achieved error is always reported, so callers can decide
+    whether it is good enough.  This is the one-problem case of the lockstep
+    engine that also runs the inner translate integrals.
     """
-    if not b > a:
-        return QuadratureResult(0.0, 0.0, 0, 0)
-    cuts = sorted({a, b, *(c for c in breakpoints if a < c < b)})
-    heap: List[Tuple[float, float, float, float]] = []
-    evals = 0
-
-    def push(lo: float, hi: float) -> None:
-        nonlocal evals
-        whole = _gl15(func, lo, hi)
-        mid = 0.5 * (lo + hi)
-        halves = _gl15(func, lo, mid) + _gl15(func, mid, hi)
-        evals += 45
-        heappush(heap, (-abs(whole - halves), lo, hi, halves))
-
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        push(lo, hi)
-    subdivisions = len(cuts) - 1
-    while True:
-        total_err = -math.fsum(item[0] for item in heap)
-        if total_err <= tol or evals + 90 > max_evals:
-            value = math.fsum(item[3] for item in heap)
-            return QuadratureResult(value, total_err, subdivisions, evals)
-        neg_err, lo, hi, _ = heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval at float resolution: accept as-is
-            heappush(heap, (-0.0, lo, hi, -neg_err * 0.0))
-            continue
-        push(lo, mid)
-        push(mid, hi)
-        subdivisions += 1
+    problem = (a, b, breakpoints)
+    return _lockstep_integrals(lambda xs, owner: func(xs), [problem], tol, max_evals)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +394,10 @@ def ftilde(f: FunctionOnUnitInterval) -> FunctionOnUnitInterval:
 # ---------------------------------------------------------------------------
 
 _MAX_COND_N = 30
+# Summands per block of the 2^n-term sum, fixed so that E_n f(x) keeps its
+# bits however many points arrive in one call: 2^22 evaluations for the 15
+# nodes of one Gauss-Legendre rule.
+_COND_CHUNK = (1 << 22) // 15
 
 
 def conditional_expectation(f: FunctionOnUnitInterval, n: int, x) -> np.ndarray:
@@ -377,10 +415,13 @@ def conditional_expectation(f: FunctionOnUnitInterval, n: int, x) -> np.ndarray:
     total = np.zeros_like(xs)
     count = 1 << n
     scale = 1.0 / count
-    chunk = max(1, (1 << 22) // max(1, xs.size))
-    for j0 in range(0, count, chunk):
-        js = np.arange(j0, min(count, j0 + chunk), dtype=np.float64)
-        total += f((xs[:, None] + js[None, :]) * scale).sum(axis=1)
+    chunk = min(count, _COND_CHUNK)
+    rows = (1 << 22) // chunk  # points per block: at most 2^22 evaluations at once
+    for r0 in range(0, xs.size, rows):
+        block = xs[r0:r0 + rows, None]
+        for j0 in range(0, count, chunk):
+            js = np.arange(j0, min(count, j0 + chunk), dtype=np.float64)
+            total[r0:r0 + rows] += f((block + js[None, :]) * scale).sum(axis=1)
     out = total * scale
     return float(out[0]) if scalar else out.reshape(shape)
 
@@ -406,30 +447,39 @@ def _translate_integrals(
 ) -> Tuple[Callable[[np.ndarray], np.ndarray], Dict[str, float]]:
     """The outer integrand us -> J(u) = int_0^{1-u} |f(x+u) - f(x)|^q dx.
 
-    Each J(u) is an inner `adaptive_integral` at (tol, max_evals).  The
-    returned record keeps the worst inner error estimate ("error") and the
-    inner evaluations spent ("evals") across every call of the integrand.
+    Each J(u) is an inner adaptive integral at (tol, max_evals); one call
+    of the integrand refines the inner integrals of all its nodes u in
+    lockstep.  The returned record keeps the worst inner error estimate
+    ("error") and the inner evaluations spent ("evals") across every call
+    of the integrand.
     """
     record = {"error": 0.0, "evals": 0}
     circle = q == 2.0 and f.circle_modulus_sq is not None and f.sup_bound is not None
 
+    def circle_result(u: float) -> QuadratureResult:
+        # interval and circle translation differ only on the wrap-around
+        # strip of length u: bracket the circle modulus, take the midpoint
+        modulus = f.circle_modulus_sq(u)
+        width = min(modulus, u * (2.0 * f.sup_bound) ** 2)
+        return QuadratureResult(modulus - 0.5 * width, 0.5 * width, 0, 1)
+
+    def inner_problem(u: float) -> Tuple[float, float, List[float]]:
+        top = 1.0 - u
+        pts = {b for b in f.breakpoints if 0.0 < b < top}
+        pts |= {b - u for b in f.breakpoints if 0.0 < b - u < top}
+        return 0.0, top, sorted(pts)
+
     def J(us: np.ndarray) -> np.ndarray:
         out = np.zeros_like(us)
-        for i, u in enumerate(us.tolist()):
-            top = 1.0 - u
-            if top <= 0.0:
-                continue
-            if circle:
-                # interval and circle translation differ only on the wrap-around
-                # strip of length u: bracket the circle modulus, take the midpoint
-                modulus = f.circle_modulus_sq(u)
-                width = min(modulus, u * (2.0 * f.sup_bound) ** 2)
-                res = QuadratureResult(modulus - 0.5 * width, 0.5 * width, 0, 1)
-            else:
-                pts = {b for b in f.breakpoints if 0.0 < b < top}
-                pts |= {b - u for b in f.breakpoints if 0.0 < b - u < top}
-                res = adaptive_integral(lambda x: np.abs(f(x + u) - f(x)) ** q, 0.0, top,
-                                        tol=tol, max_evals=max_evals, breakpoints=sorted(pts))
+        nodes = [(i, u) for i, u in enumerate(us.tolist()) if 1.0 - u > 0.0]
+        if circle:
+            results = [circle_result(u) for _, u in nodes]
+        else:
+            shifts = np.array([u for _, u in nodes], dtype=np.float64)
+            results = _lockstep_integrals(
+                lambda xs, owner: np.abs(f(xs + shifts[owner]) - f(xs)) ** q,
+                [inner_problem(u) for _, u in nodes], tol, max_evals)
+        for (i, _), res in zip(nodes, results):
             record["error"] = max(record["error"], res.error)
             record["evals"] += res.evals
             out[i] = res.value

@@ -193,9 +193,10 @@ PRESETS: Dict[str, Dict[str, Any]] = {
         "exponents": {"p": 1.5, "r": 1.8, "delta": 0.1},
         "horizons": {"N": 6},
     },
-    # Six terms keep the top frequency at 2^6, where the adaptive quadrature
-    # still resolves the translate integrals in seconds; the function is
-    # genuinely rough on every scale the criteria probe.
+    # Six terms keep the top frequency at 2^6; the function is genuinely
+    # rough on every scale the criteria probe.  The lockstep inner integrals
+    # run this preset in a few seconds (about 4 s on 2 CPUs), but it is not a
+    # benchmark operation, so tests/test_cli.py pins its artifact digests.
     "criteria-weierstrass": {
         "function": {"family": "weierstrass", "params": {"a": 0.5, "b": 2, "terms": 6}},
         "exponents": {"p": 1.5, "r": 1.8, "delta": 0.1},

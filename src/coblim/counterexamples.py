@@ -93,7 +93,7 @@ class TowerLevelMap:
     def rep(self) -> SimpleFunctionRep:
         """Exact distribution of g_i under the uniform measure."""
         _, vals = self.profile()
-        return SimpleFunctionRep.from_pairs(vals.tolist(), [Fraction(1, self.n)] * len(vals))
+        return SimpleFunctionRep.from_uniform(vals.tolist(), self.n)
 
     def diff_rep(self) -> SimpleFunctionRep:
         """Exact distribution of |g_i - g_i o T|.

@@ -83,9 +83,8 @@ class LevelFunction:
 
     def abs_rep(self) -> SimpleFunctionRep:
         """Exact distribution of |h| (uniform mass 2^-i per level)."""
-        n = 1 << self.i
-        vals = [num / self.denominator for num in self.numerators]
-        return SimpleFunctionRep.from_pairs(vals, [Fraction(1, n)] * n)
+        return SimpleFunctionRep.from_uniform(
+            [num / self.denominator for num in self.numerators], 1 << self.i)
 
     def max_abs(self) -> Fraction:
         return Fraction(max(abs(v) for v in self.numerators), self.denominator)
@@ -253,9 +252,7 @@ def maximal_inequality_report(
     abs_nums = [abs(v) for v in h.numerators]
 
     report = MaximalReport(i=h.i, bits=bits, n_max=n_max, q=q, scale_bits=h.scale_bits)
-    mstar_rep = SimpleFunctionRep.from_pairs(
-        [bn / (bd * scale) for bn, bd in pairs], [Fraction(1, m)] * m
-    )
+    mstar_rep = SimpleFunctionRep.from_uniform([bn / (bd * scale) for bn, bd in pairs], m)
     report.mstar_strong_q = strong_norm(mstar_rep, q)
     report.h_weak_q = weak_norm(h.abs_rep(), q)
     cq = q / (q - 1.0)
@@ -267,9 +264,7 @@ def maximal_inequality_report(
         mu = Fraction(len(hit), m)
         expectation = Fraction(sum(abs_nums[r] for r in hit), m * scale)
         slack = expectation - t * mu
-        restricted = SimpleFunctionRep.from_pairs(
-            [abs_nums[r] / scale for r in hit], [Fraction(1, m)] * len(hit)
-        )
+        restricted = SimpleFunctionRep.from_uniform([abs_nums[r] / scale for r in hit], m)
         lhs_weak = float(t) * float(mu) ** (1.0 / q)
         rhs_weak = cq * weak_norm(restricted, q)
         report.rows.append(ThresholdRow(

@@ -11,9 +11,10 @@ with exact rational measures.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 __all__ = [
     "SimpleFunctionRep",
@@ -57,6 +58,17 @@ class SimpleFunctionRep:
             acc[av] = acc.get(av, Fraction(0)) + Fraction(m)
         pairs = tuple(sorted(acc.items()))
         return cls(pairs=pairs)
+
+    @classmethod
+    def from_uniform(cls, values: Iterable[float], m: int) -> "SimpleFunctionRep":
+        """Build the rep of a function that takes each of `values` on a set of measure 1/m.
+
+        Equal to `from_pairs(values, [Fraction(1, m)] * len(values))`, but
+        counts each distinct |value| first and makes one Fraction per value.
+        """
+        counts = Counter(abs(float(v)) for v in values)
+        counts.pop(0.0, None)
+        return cls(pairs=tuple(sorted((v, Fraction(c, m)) for v, c in counts.items())))
 
     @property
     def total_mass(self) -> Fraction:

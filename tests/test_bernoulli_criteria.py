@@ -1,6 +1,7 @@
 """Tests for the dyadic-projection criteria on the unit interval."""
 
 import math
+from heapq import heappop, heappush
 
 import numpy as np
 import pytest
@@ -10,6 +11,11 @@ from hypothesis import strategies as st
 from coblim.bernoulli_criteria import (
     FunctionOnUnitInterval,
     QuadratureError,
+    QuadratureResult,
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _lockstep_integrals,
+    _translate_integrals,
     adaptive_integral,
     conditional_expectation,
     conditional_expectation_function,
@@ -51,6 +57,105 @@ def test_adaptive_integral_kink_with_breakpoint():
 def test_adaptive_integral_oscillatory():
     res = adaptive_integral(lambda x: np.cos(2 * np.pi * 8 * x), 0.0, 1.0, tol=1e-11)
     assert abs(res.value) < 1e-10
+
+
+def reference_adaptive_integral(func, a, b, tol, max_evals, breakpoints=()):
+    """The per-panel loop: three 15-point rules, each in its own func call."""
+    def gl15(lo, hi):
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (lo + hi)
+        return half * float(np.dot(_GL_WEIGHTS, func(mid + half * _GL_NODES)))
+
+    if not b > a:
+        return QuadratureResult(0.0, 0.0, 0, 0)
+    cuts = sorted({a, b, *(c for c in breakpoints if a < c < b)})
+    heap, evals = [], 0
+
+    def push(lo, hi):
+        nonlocal evals
+        whole = gl15(lo, hi)
+        mid = 0.5 * (lo + hi)
+        halves = gl15(lo, mid) + gl15(mid, hi)
+        evals += 45
+        heappush(heap, (-abs(whole - halves), lo, hi, halves))
+
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        push(lo, hi)
+    subdivisions = len(cuts) - 1
+    while True:
+        total_err = -math.fsum(item[0] for item in heap)
+        if total_err <= tol or evals + 90 > max_evals:
+            return QuadratureResult(math.fsum(item[3] for item in heap), total_err,
+                                    subdivisions, evals)
+        neg_err, lo, hi, _ = heappop(heap)
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            heappush(heap, (-0.0, lo, hi, -neg_err * 0.0))
+            continue
+        push(lo, mid)
+        push(mid, hi)
+        subdivisions += 1
+
+
+def test_lockstep_batch_matches_one_problem_calls():
+    # Each problem of a lockstep batch refines on its own heap, so its result
+    # must equal, bit for bit, a one-problem call at the same tol and budget,
+    # and that call must equal the per-panel loop.
+    third = 1.0 / 3.0
+    ulp = float(np.spacing(third))
+    tol, max_evals = 1e-13, 2000
+    cases = [
+        (np.exp, 0.0, 1.0, ()),                                     # smooth
+        (np.abs, -1.0, 1.0, (0.0,)),                                # kink at a breakpoint
+        (lambda x: np.sqrt(np.abs(x - third)), 0.0, 1.0, ()),       # stops on max_evals
+        (np.cos, 1.0, 0.5, ()),                                     # b <= a
+        # a jump inside an 8-ulp interval: bisection reaches 1-ulp panels,
+        # which the float-resolution branch accepts as they are
+        (lambda x: 1e6 * (x > third + 3 * ulp), third, third + 8 * ulp, ()),
+    ]
+
+    def batch_integrand(xs, owner):
+        ys = np.empty_like(xs)
+        for j, (fn, _, _, _) in enumerate(cases):
+            mask = owner == j
+            ys[mask] = fn(xs[mask])
+        return ys
+
+    batch = _lockstep_integrals(batch_integrand, [(a, b, bps) for _, a, b, bps in cases],
+                                tol, max_evals)
+    singles = [adaptive_integral(fn, a, b, tol=tol, max_evals=max_evals, breakpoints=bps)
+               for fn, a, b, bps in cases]
+    assert batch == singles
+    assert singles == [reference_adaptive_integral(fn, a, b, tol, max_evals, bps)
+                       for fn, a, b, bps in cases]
+    assert singles[2].error > tol and singles[2].evals + 90 > max_evals
+    assert singles[3] == QuadratureResult(0.0, 0.0, 0, 0)
+    assert singles[4].error <= tol and singles[4].subdivisions > 3
+
+
+@pytest.mark.parametrize("family,params", [
+    ("indicator_step", {"c": 0.3}),            # breakpoints at c and c - u
+    ("weierstrass", {"a": 0.5, "b": 2, "terms": 4}),  # refines up to the budget
+])
+def test_translate_integrals_match_per_node_adaptive_integrals(family, params):
+    f = make_function(family, **params)
+    q, tol, max_evals = 1.5, 1e-11, 900
+    us = np.linspace(0.0, 1.0, 45)
+    J, record = _translate_integrals(f, q, tol, max_evals)
+    values = J(us)
+    expected = []
+    for u in us.tolist():
+        top = 1.0 - u
+        if top <= 0.0:
+            expected.append(None)
+            continue
+        pts = {b for b in f.breakpoints if 0.0 < b < top}
+        pts |= {b - u for b in f.breakpoints if 0.0 < b - u < top}
+        expected.append(adaptive_integral(lambda x: np.abs(f(x + u) - f(x)) ** q, 0.0, top,
+                                          tol=tol, max_evals=max_evals, breakpoints=sorted(pts)))
+    assert values.tolist() == [0.0 if r is None else r.value for r in expected]
+    done = [r for r in expected if r is not None]
+    assert record == {"error": max(r.error for r in done), "evals": sum(r.evals for r in done)}
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +269,14 @@ def test_conditional_expectation_annihilates_cosine():
     for n in (1, 2, 4):
         vals = conditional_expectation(make_function("cosine"), n, x)
         assert np.max(np.abs(vals)) < 1e-12
+
+
+def test_conditional_expectation_does_not_depend_on_batch_size():
+    # at n = 17 the 2^17-term sum spans more than one block for 45 points
+    f = make_function("cosine", k=3)
+    x = np.linspace(0.01, 0.99, 45)
+    assert conditional_expectation(f, 17, x)[:15].tolist() == \
+        conditional_expectation(f, 17, x[:15]).tolist()
 
 
 def test_conditional_expectation_semigroup():

@@ -183,6 +183,20 @@ def test_seedless_artifacts_match_recorded_digests(tmp_path, subcommand, preset)
     assert preset_digests(tmp_path, subcommand, preset) == refs["seedless"]["digests"]
 
 
+# criteria-weierstrass is not a benchmark operation, so perfbench/refs holds
+# no digests for it; these were recorded from the per-panel quadrature that
+# evaluated each 15-point rule in its own call.
+WEIERSTRASS_DIGESTS = {
+    "report.json": "10e18068f8de8234f3637627515d78edcdc3a6509e4fb57944a3248a2da49447",
+    "projective_norms.csv": "ba491ac010d8bd67f41731fc49ed447a8c6353919f8b8248a263a7dc1cab016c",
+    "projective_decay.dat": "df758eb632bdd62f077220e5625bfdc4f06ae11c0d514ec562afdd9919c34159",
+}
+
+
+def test_weierstrass_artifacts_match_recorded_digests(tmp_path):
+    assert preset_digests(tmp_path, "criteria", "criteria-weierstrass") == WEIERSTRASS_DIGESTS
+
+
 @pytest.mark.parametrize("workload,subcommand,preset", [
     ("odometer-mc", "conditions", "tower-iplil"),
     ("odometer-mc", "conditions", "tower-slln"),

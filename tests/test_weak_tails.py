@@ -48,6 +48,13 @@ def test_from_pairs_drops_zero_values():
     assert rep.total_mass == Fraction(1, 4)
 
 
+@given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.75, 1.0, 2.5]), max_size=40))
+def test_from_uniform_equals_from_pairs_with_equal_masses(values):
+    m = 64
+    assert SimpleFunctionRep.from_uniform(values, m) == \
+        SimpleFunctionRep.from_pairs(values, [Fraction(1, m)] * len(values))
+
+
 def test_from_pairs_rejects_overfull_measure():
     with pytest.raises(ValueError):
         SimpleFunctionRep.from_pairs([1.0, 2.0], [Fraction(3, 4), Fraction(1, 2)])
