@@ -285,8 +285,8 @@ def orbit_truncation_bound(cex: TowerCounterexample, n: int) -> float:
 def g_residue_table(cex: TowerCounterexample) -> np.ndarray:
     """g as a dense table over residues mod 2^{i_max}.
 
-    g depends on the point only through value mod 2^{i_max}; the table makes
-    window maxima over orbits cheap and exact (one gather per step).
+    g depends on the point only through value mod 2^{i_max}, and T adds 1 to
+    it, so an orbit of g is a run of consecutive (cyclic) table entries.
     """
     size = 1 << cex.i_max
     table = np.zeros(size, dtype=np.float64)

@@ -5,15 +5,15 @@ condition reports run on the odometer, where f = g - g.T has no martingale
 part; the CLT/LIL diagnostics run on the shift:
 
 * condition16_report — in-probability decay of n^{-1/2} max_{k<=n} |g.T^k|,
-  with an exact counterpart from sliding window maxima of g over all
-  residues (scipy.ndimage.maximum_filter1d);
+  with an exact counterpart that counts, over all residues, the windows
+  meeting a value above the threshold;
 * condition17_report — the almost-sure decay of (n log log n)^{-1/2} g.T^n,
   probed through block maxima and Borel-Cantelli partial sums (a.s.
   statements are not directly samplable);
 * slln_report — partial sums of the strong-law series
   sum_n n^{alpha p - 2} mu{max_{k<=n} |S_k(f)| >= eps n^alpha}, with
-  max_{k<=n} |S_k(f)| = max(g - min_window, max_window - g) read from
-  sliding window maxima and minima of g over all residues;
+  max_{k<=n} |S_k(f)| = max(g - min_window, max_window - g) read from the
+  window extrema of g at the start residues;
 * clt_lil_report — normalized-sum normality (Kolmogorov-Smirnov), polygonal
   sup-functional quantiles and iterated-logarithm ratio estimates.
 
@@ -22,10 +22,9 @@ Conventions shared by all reports:
 * paths are independent work units keyed by (seed, path-id) through
   counter-based streams, so results are bit-identical for any worker count
   or chunking of the path range;
-* the residue table of g and the per-path start residues are derived once
-  per ExperimentConfig (on first use) and shared by the condition reports
-  run on that config; each odometer event depends on the start only through
-  its residue;
+* g_table, start_residues, orbits and window_extrema are derived once per
+  ExperimentConfig (on first use) and shared by the condition reports run on
+  that config; each odometer event depends on the start only via its residue;
 * every Monte Carlo probability that has an exactly countable counterpart on
   the odometer is reported next to it (the exact side never samples);
 * "holds"/"fails" verdicts are finite-sample trend labels with the decision
@@ -41,6 +40,7 @@ from fractions import Fraction
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import ndtr as _normal_cdf  # standard normal CDF, vectorized
 
 from . import __version__
@@ -322,6 +322,26 @@ class ExperimentConfig:
                  for j in range(self.paths)]
         return np.asarray(draws, dtype=np.int64) % self.g_table.shape[0]
 
+    @cached_property
+    def orbits(self) -> np.ndarray:
+        """Read-only view with rows g(T^k r), k = 0..n_top, over g_table plus its first
+        n_top entries cyclically (np.resize of the whole table would hold two copies)."""
+        n_top, table = self.horizons[-1], self.g_table
+        wrapped = np.concatenate([table, np.resize(table, n_top)])
+        return sliding_window_view(wrapped, n_top + 1)
+
+    @cached_property
+    def window_extrema(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(max, min) of g over T^1..T^n: rows are paths, columns horizons n;
+        reduced per segment between horizons, then accumulated across them."""
+        cols = np.asarray((0,) + self.horizons[:-1], dtype=np.int64) + 1
+        wmax, wmin = np.empty((2, self.paths, len(self.horizons)), dtype=np.float64)
+        for lo, hi in _chunk_ranges(self.paths, self.workers, _paths_per_chunk(self.horizons[-1])):
+            gv = self.orbits[self.start_residues[lo:hi]]
+            np.maximum.accumulate(np.maximum.reduceat(gv, cols, axis=1), axis=1, out=wmax[lo:hi])
+            np.minimum.accumulate(np.minimum.reduceat(gv, cols, axis=1), axis=1, out=wmin[lo:hi])
+        return wmax, wmin
+
     def transfer_shift(self) -> Optional[ShiftFunction]:
         if self.transfer is None:
             return None
@@ -440,33 +460,20 @@ def _shift_bits_chunk(cfg: ExperimentConfig, lo: int, hi: int, n: int) -> np.nda
     return eps
 
 
-def _gather_odometer_g(table: np.ndarray, residues: np.ndarray, n: int) -> np.ndarray:
-    """g(T^k w) for k = 0..n for each start residue (rows); the table is >= 0."""
-    m = table.shape[0]
-    idx = (residues[:, None] + np.arange(n + 1, dtype=np.int64)[None, :]) % m
-    return table[idx]
-
-
 def _running_max_at(x: np.ndarray, h_idx: np.ndarray) -> np.ndarray:
     """max_{1<=k<=n} x[:, k] for each horizon n in ``h_idx`` (one column each)."""
     return np.maximum.accumulate(x[:, 1:], axis=1)[:, h_idx - 1]
 
 
-def _windowed_max_all_residues(table: np.ndarray, w: int, minimum: bool = False) -> np.ndarray:
-    """max (min with ``minimum``) over the w positions res+1..res+w (mod M)
-    of table, for every res.
-
-    origin=-(w // 2) puts the filter window at res..res+w-1; the roll moves
-    it one step on.  O(M) per window length.
-    """
-    # kept off the import path of coblim.cli
-    from scipy.ndimage import maximum_filter1d, minimum_filter1d
-
-    m = table.shape[0]
-    if w >= m:
-        return np.full(m, float(table.min() if minimum else table.max()))
-    filter1d = minimum_filter1d if minimum else maximum_filter1d
-    return np.roll(filter1d(table, size=w, mode="wrap", origin=-(w // 2)), -1)
+def _window_hit_count(table: np.ndarray, thr: float, n: int) -> int:
+    """Number of residues r whose window r+1..r+n (mod M) meets a value >= thr:
+    the union of the arcs p-n..p-1 before the hits p, so each hit adds the
+    cyclic gap back to the previous hit, capped at n."""
+    hits = np.flatnonzero(table >= thr)
+    if hits.size == 0:
+        return 0
+    gaps = np.diff(hits, prepend=hits[-1] - table.shape[0])
+    return int(np.minimum(gaps, n).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +483,11 @@ def _windowed_max_all_residues(table: np.ndarray, w: int, minimum: bool = False)
 def condition16_report(cfg: ExperimentConfig) -> ConditionReport:
     """Estimate mu{ n^{-1/2} max_{1<=k<=n} |g.T^k| > eps } per horizon.
 
-    On the odometer there are two exact counterparts per (n, eps): the full-g
-    probability by counting all residues mod 2^{i_max} (the event depends on
-    the start only through that residue), and the single-tower lower bound
-    from exact_violation_probability.  The Monte Carlo estimate must sit
-    within 3 binomial sigma of the exact probability.
+    The estimate reads cfg.window_extrema.  The exact counterparts per (n,
+    eps): the full-g probability, counting all residues mod 2^{i_max} with
+    _window_hit_count (the event depends on the start only through them),
+    and the single-tower lower bound from exact_violation_probability.  The
+    Monte Carlo estimate must sit within 3 binomial sigma of the former.
 
     All exceedance events are closed (max >= threshold) so that the sampled
     event and its exact counterpart coincide literally; the open and closed
@@ -491,14 +498,11 @@ def condition16_report(cfg: ExperimentConfig) -> ConditionReport:
     """
     report = _new_report("condition16", cfg)
     cex, table = cfg.transfer_cex(), cfg.g_table
-    m = table.shape[0]
-    for n in cfg.horizons:
-        wm = _windowed_max_all_residues(table, n)
-        sample = wm[cfg.start_residues]
+    for gi, n in enumerate(cfg.horizons):
         for eps in cfg.epsilons:
             thr = eps * math.sqrt(n)
-            est = float(np.mean(sample >= thr))
-            exact = Fraction(int(np.count_nonzero(wm >= thr)), m)
+            est = float(np.mean(cfg.window_extrema[0][:, gi] >= thr))
+            exact = Fraction(_window_hit_count(table, thr, n), table.shape[0])
             report.add_row(
                 n=n, epsilon=eps, estimate=est,
                 se=_binomial_se(est, cfg.paths), threshold=thr, paths=cfg.paths,
@@ -588,11 +592,11 @@ def condition17_report(cfg: ExperimentConfig) -> ConditionReport:
     tail_sups = np.empty(cfg.paths, dtype=np.float64)
     exceed = {eps: np.zeros(len(blocks), dtype=np.int64) for eps in cfg.epsilons}
     dyadic_exceed = {eps: np.zeros(len(dyadic_is), dtype=np.int64) for eps in cfg.epsilons}
+    # segment boundaries [m_j, m_{j+1}) plus the closing right endpoint
+    bounds = np.concatenate([starts, ends[-1:]])
     for lo, hi in _chunk_ranges(cfg.paths, cfg.workers, _paths_per_chunk(n_top)):
-        gv = _gather_odometer_g(cfg.g_table, cfg.start_residues[lo:hi], n_top)
+        gv = cfg.orbits[cfg.start_residues[lo:hi]]
         tail_sups[lo:hi] = np.max(gv[:, n0:] / norm[None, :], axis=1)
-        # segment boundaries [m_j, m_{j+1}) plus the closing right endpoint
-        bounds = np.concatenate([starts, ends[-1:]])
         red = np.maximum.reduceat(gv, bounds, axis=1)[:, : len(blocks)]
         block_max = np.maximum(red, gv[:, ends])
         for eps in cfg.epsilons:
@@ -657,10 +661,9 @@ def slln_report(cfg: ExperimentConfig) -> ConditionReport:
     summation); mu is replaced by the Monte Carlo estimate at the block's
     right endpoint.  On the odometer f = g - g.T, so the partial sums
     telescope, S_k(f) = g - g.T^k, and max_{1<=k<=n} |S_k(f)| =
-    max(g - min_window, max_window - g) over the window of T^1..T^n.  The
-    sliding maxima and minima of g over all residues are read at the start
-    residues; rounding is monotone, so this equals the per-path maximum of
-    |fl(g - g.T^k)| bit for bit.
+    max(g - min_window, max_window - g) over the window of T^1..T^n, read
+    from ExperimentConfig.window_extrema; rounding is monotone, so this
+    equals the per-path maximum of |fl(g - g.T^k)| bit for bit.
 
     Verdict rule per eps: _increment_trend_verdict on the per-block
     increments weight * estimate.
@@ -672,13 +675,9 @@ def slln_report(cfg: ExperimentConfig) -> ConditionReport:
     report = _new_report("slln", cfg)
     report.extras["alpha"] = alpha
 
-    table, res = cfg.g_table, cfg.start_residues
-    g0 = table[res]
-    maxS_at = np.empty((cfg.paths, len(cfg.horizons)), dtype=np.float64)
-    for gi, n in enumerate(cfg.horizons):
-        wmax = _windowed_max_all_residues(table, n)[res]
-        wmin = _windowed_max_all_residues(table, n, minimum=True)[res]
-        maxS_at[:, gi] = np.maximum(g0 - wmin, wmax - g0)
+    g0 = cfg.g_table[cfg.start_residues][:, None]
+    wmax, wmin = cfg.window_extrema
+    maxS_at = np.maximum(g0 - wmin, wmax - g0)
 
     prev = 0
     weights = []

@@ -14,7 +14,7 @@ from coblim.mc_harness import (
     SHIFT_FUNCTIONS,
     THEOREM_IDS,
     ExperimentConfig,
-    _windowed_max_all_residues,
+    _window_hit_count,
     clt_lil_report,
     condition16_report,
     condition17_report,
@@ -173,27 +173,58 @@ def test_condition16_estimates_within_three_sigma_of_exact():
         assert isinstance(ex["exact_prob"], Fraction)
 
 
-def test_windowed_max_all_residues_matches_brute_force():
-    # entry res is the max (min) of table[res+1 .. res+w] mod M; w >= M
-    # covers the whole table
+def test_window_hit_count_matches_brute_force():
+    # the count of residues whose window res+1..res+n (mod M) meets a value
+    # >= thr; n >= M covers the whole table
     rng = np.random.default_rng(7)
     for m in range(1, 65):
         tables = [rng.standard_normal(m), rng.integers(0, 3, m).astype(np.float64),
-                  np.full(m, 2.5)]
+                  np.zeros(m)]
         for table in tables:
-            for w in range(1, m + 3):
-                idx = (np.arange(m)[:, None] + np.arange(1, w + 1)[None, :]) % m
-                for minimum in (False, True):
-                    expected = table[idx].min(axis=1) if minimum else table[idx].max(axis=1)
-                    got = _windowed_max_all_residues(table, w, minimum=minimum)
-                    assert got.dtype == np.float64
-                    assert np.array_equal(got, expected), (m, w, minimum, table)
+            vals = np.unique(table)
+            mids = (vals[:-1] + vals[1:]) / 2.0
+            thresholds = [vals[0] - 1.0, vals[-1] + 1.0, vals[0], vals[-1],
+                          *vals[::5], *mids[::5]]
+            for n in range(1, m + 3 + 1):
+                idx = (np.arange(m)[:, None] + np.arange(1, n + 1)[None, :]) % m
+                wmax = table[idx].max(axis=1)
+                for thr in thresholds:
+                    expected = int(np.count_nonzero(wmax >= thr))
+                    assert _window_hit_count(table, thr, n) == expected, (m, n, thr, table)
+
+
+@pytest.mark.parametrize("i_max, horizons", [(12, (64, 256)), (4, (4, 16, 40))],
+                         ids=["M-above-top-horizon", "top-horizon-above-M"])
+def test_orbits_and_window_extrema_match_modular_gather(i_max, horizons):
+    # a random table without zeros makes both window ends matter; i_max = 4
+    # (M = 16) wraps the orbit rows around the table more than once
+    cex = build_tower_counterexample("ip_lil", p=1.2, r=4.0, i_max=i_max, bits=14)
+    n_top = horizons[-1]
+    extrema = []
+    for workers in (1, 3):
+        cfg = odometer_config(transfer=cex, horizons=horizons, workers=workers)
+        m = len(cfg.g_table)
+        table = np.random.default_rng(5).standard_normal(m)
+        cfg.__dict__["g_table"] = table
+        full = table[(np.arange(m)[:, None] + np.arange(n_top + 1)[None, :]) % m]
+        assert not cfg.orbits.flags.writeable
+        assert np.array_equal(cfg.orbits, full)
+        res = cfg.start_residues
+        assert np.array_equal(cfg.orbits[res], full[res])
+        wmax, wmin = cfg.window_extrema
+        assert wmax.shape == wmin.shape == (cfg.paths, len(horizons))
+        for gi, n in enumerate(horizons):
+            assert np.array_equal(wmax[:, gi], full[res, 1: n + 1].max(axis=1))
+            assert np.array_equal(wmin[:, gi], full[res, 1: n + 1].min(axis=1))
+        extrema.append((wmax, wmin))
+    assert all(np.array_equal(a, b) for a, b in zip(*extrema))
 
 
 def test_odometer_state_derived_once_per_config(monkeypatch):
-    # the residue table of g and the per-path start residues are shared by
-    # the three odometer reports of one config
-    calls = {"g_residue_table": 0, "stream_generator": 0}
+    # the residue table of g, the per-path start residues, the orbit view and
+    # the window extrema are shared by the three odometer reports of one config
+    calls = {"g_residue_table": 0, "stream_generator": 0, "sliding_window_view": 0,
+             "window_extrema": 0}
 
     def counted(name):
         original = getattr(mc_harness, name)
@@ -203,13 +234,22 @@ def test_odometer_state_derived_once_per_config(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for name in calls:
+    for name in ("g_residue_table", "stream_generator", "sliding_window_view"):
         monkeypatch.setattr(mc_harness, name, counted(name))
+    extrema = ExperimentConfig.__dict__["window_extrema"]
+
+    def counted_extrema(self):
+        calls["window_extrema"] += 1
+        return extrema.func(self)
+    counted_property = functools.cached_property(counted_extrema)
+    counted_property.__set_name__(ExperimentConfig, "window_extrema")
+    monkeypatch.setattr(ExperimentConfig, "window_extrema", counted_property)
     cfg = odometer_config()
     condition16_report(cfg)
     condition17_report(cfg)
     slln_report(cfg)
-    assert calls == {"g_residue_table": 1, "stream_generator": cfg.paths}
+    assert calls == {"g_residue_table": 1, "stream_generator": cfg.paths,
+                     "sliding_window_view": 1, "window_extrema": 1}
 
 
 def test_condition16_tower_bound_is_a_lower_bound():
