@@ -556,12 +556,8 @@ def _run_conditions(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     # estimate must sit within 3 binomial sigma of it.
     gate = CriteriaReport(title="Monte Carlo vs exact enumeration",
                           context={"epsilons": list(cfg.epsilons)})
-    exact_by_key = {(row["n"], row["epsilon"]): row for row in r16.exact_rows}
-    for row in r16.rows:
-        key = (row["n"], row["epsilon"])
-        if key not in exact_by_key:
-            continue
-        exact = float(exact_by_key[key]["exact_prob"])
+    for row, exact_row in zip(r16.rows, r16.exact_rows):
+        exact = float(exact_row["exact_prob"])
         sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / cfg.paths)
         diff = abs(row["estimate"] - exact)
         gate.add(f"estimate within 3 sigma of exact (n={row['n']}, eps={row['epsilon']})",

@@ -102,7 +102,7 @@ class TowerLevelMap:
         j = 1..2k_i and zero elsewhere, since the triangular profile moves
         by unit steps of a_i and the tower wraps exactly on the odometer.
         """
-        return SimpleFunctionRep.from_pairs([self.amplitude], [Fraction(2 * self.k, self.n)])
+        return SimpleFunctionRep(((self.amplitude, 2 * self.k),), self.n)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Tests for weak and strong q-norms and simple-function representations."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,77 +11,85 @@ from coblim.weak_tails import SimpleFunctionRep, strong_norm, weak_norm
 
 
 def simple_reps(max_atoms=6):
-    """Strategy for valid simple-function representations."""
+    """Strategy for valid count representations.
+
+    Values mix arbitrary floats with a few powers of two, so that jump
+    candidates v^q * tail tie; some counts are zero and the cell count n is
+    often not a power of two, so count/n is rounded.
+    """
 
     @st.composite
     def build(draw):
-        n = draw(st.integers(min_value=1, max_value=max_atoms))
+        k = draw(st.integers(min_value=1, max_value=max_atoms))
         values = draw(
             st.lists(
-                st.floats(min_value=0.01, max_value=100.0, allow_nan=False),
-                min_size=n,
-                max_size=n,
+                st.one_of(
+                    st.floats(min_value=0.01, max_value=100.0, allow_nan=False),
+                    st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
+                ),
+                min_size=k,
+                max_size=k,
+                unique=True,
             )
         )
-        dens = draw(st.lists(st.integers(4, 64), min_size=n, max_size=n))
-        measures = [Fraction(1, 4 * d) for d in dens]  # total <= 6/16 < 1
-        return SimpleFunctionRep.from_pairs(values, measures)
+        n = draw(st.integers(min_value=k, max_value=10 ** 6))
+        counts = draw(st.lists(st.integers(0, n // k), min_size=k, max_size=k))
+        return SimpleFunctionRep(tuple(sorted(zip(values, counts))), n)
 
     return build()
+
+
+def fraction_weak_norm(rep, q):
+    """Reference: the descending jump scan with the tail kept as a Fraction."""
+    best = 0.0
+    tail = Fraction(0)
+    for v, c in sorted(rep.pairs, reverse=True):
+        tail += Fraction(c, rep.n)
+        best = max(best, (v ** q) * float(tail))
+    return best ** (1.0 / q)
+
+
+def fraction_strong_norm(rep, q):
+    """Reference: the moment sum with each mass kept as a Fraction."""
+    return math.fsum((v ** q) * float(Fraction(c, rep.n)) for v, c in rep.pairs) ** (1.0 / q)
 
 
 # ---------------------------------------------------------------------------
 # representation invariants
 # ---------------------------------------------------------------------------
 
-def test_from_pairs_merges_duplicate_values():
-    rep = SimpleFunctionRep.from_pairs(
-        [2.0, 1.0, 2.0], [Fraction(1, 8), Fraction(1, 8), Fraction(1, 8)]
-    )
-    assert rep.jump_values() == [1.0, 2.0]
-    assert rep.tail_geq(2.0) == Fraction(1, 4)
-    assert rep.total_mass == Fraction(3, 8)
-
-
-def test_from_pairs_drops_zero_values():
-    rep = SimpleFunctionRep.from_pairs([0.0, 3.0], [Fraction(1, 2), Fraction(1, 4)])
-    assert rep.jump_values() == [3.0]
-    assert rep.total_mass == Fraction(1, 4)
-
-
 @given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.75, 1.0, 2.5]), max_size=40))
 def test_from_uniform_equals_from_pairs_with_equal_masses(values):
+    # from_uniform merges equal |values| into one count and drops zeros
     m = 64
+    counts = {}
+    for v in values:
+        if v != 0:
+            counts[abs(v)] = counts.get(abs(v), 0) + 1
     assert SimpleFunctionRep.from_uniform(values, m) == \
-        SimpleFunctionRep.from_pairs(values, [Fraction(1, m)] * len(values))
+        SimpleFunctionRep(tuple(sorted(counts.items())), m)
 
 
 def test_from_pairs_rejects_overfull_measure():
+    with pytest.raises(ValueError, match="> n"):
+        SimpleFunctionRep(((1.0, 3), (2.0, 2)), 4)
+
+
+@pytest.mark.parametrize("pairs, n", [
+    (((1.0, -1), (2.0, 2)), 4),   # negative count
+    (((0.0, 1),), 4),             # zero value
+    (((-1.0, 1),), 4),            # negative value
+    (((1.0, 1), (1.0, 1)), 4),    # duplicate value
+    ((), 0),                      # no cells
+])
+def test_constructor_rejects_invalid_pairs(pairs, n):
     with pytest.raises(ValueError):
-        SimpleFunctionRep.from_pairs([1.0, 2.0], [Fraction(3, 4), Fraction(1, 2)])
-
-
-def test_tail_conventions():
-    rep = SimpleFunctionRep.from_pairs([1.0, 2.0], [Fraction(1, 4), Fraction(1, 4)])
-    # tail(t) = mu{|h| > t} is right-continuous; tail_geq(t) = mu{|h| >= t}
-    assert rep.tail(0.5) == Fraction(1, 2)
-    assert rep.tail(1.0) == Fraction(1, 4)
-    assert rep.tail_geq(1.0) == Fraction(1, 2)
-    assert rep.tail(2.0) == Fraction(0)
-    assert rep.tail_geq(2.0) == Fraction(1, 4)
-
-
-@given(simple_reps())
-def test_tail_monotone_and_bounded(rep):
-    ts = sorted(rep.jump_values())
-    tails = [rep.tail(t) for t in [0.0] + ts]
-    assert all(a >= b for a, b in zip(tails, tails[1:]))
-    assert tails[0] == rep.total_mass
+        SimpleFunctionRep(pairs, n)
 
 
 def test_moment_closed_form():
-    rep = SimpleFunctionRep.from_pairs([2.0], [Fraction(1, 8)])
-    assert rep.moment(3.0) == pytest.approx(8.0 / 8.0)
+    rep = SimpleFunctionRep(((2.0, 1),), 8)
+    assert strong_norm(rep, 3.0) ** 3 == pytest.approx(8.0 / 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +98,13 @@ def test_moment_closed_form():
 
 def test_weak_norm_attained_at_jump():
     # single atom: sup_t t^q mu{|h| > t} = v^q * mu as t -> v from below
-    rep = SimpleFunctionRep.from_pairs([3.0], [Fraction(1, 16)])
+    rep = SimpleFunctionRep(((3.0, 1),), 16)
     q = 1.5
     assert weak_norm(rep, q) == pytest.approx((3.0 ** q / 16.0) ** (1.0 / q))
 
 
 def test_weak_norm_two_atoms_picks_the_larger_candidate():
-    rep = SimpleFunctionRep.from_pairs([1.0, 4.0], [Fraction(1, 2), Fraction(1, 64)])
+    rep = SimpleFunctionRep(((1.0, 32), (4.0, 1)), 64)
     q = 2.0
     # candidates: 1^2*(1/2 + 1/64) and 4^2*(1/64)
     c1 = 1.0 * (1 / 2 + 1 / 64)
@@ -117,7 +126,19 @@ def test_weak_norm_below_strong_norm(rep, q):
 def test_weak_norm_matches_brute_force_sup_over_jumps(rep, q):
     # the constructor accepts pairs in any order; a single pass that assumes
     # ascending pairs would accumulate the wrong tail on the descending copy
-    descending = SimpleFunctionRep(pairs=tuple(sorted(rep.pairs, reverse=True)))
+    descending = SimpleFunctionRep(tuple(sorted(rep.pairs, reverse=True)), rep.n)
     for r in (rep, descending):
-        brute = max(v ** q * float(r.tail_geq(v)) for v, _ in r.pairs) ** (1.0 / q)
+        brute = max(v ** q * (sum(c for w, c in r.pairs if w >= v) / r.n)
+                    for v, _ in r.pairs) ** (1.0 / q)
         assert weak_norm(r, q) == brute
+
+
+@settings(max_examples=150)
+@given(simple_reps(), st.floats(min_value=0.5, max_value=4.0))
+def test_norms_equal_fraction_reference_bit_for_bit(rep, q):
+    # c / n and float(Fraction(c, n)) are both the correctly rounded quotient,
+    # so integer counts change no bit of either norm
+    descending = SimpleFunctionRep(tuple(sorted(rep.pairs, reverse=True)), rep.n)
+    for r in (rep, descending):
+        assert weak_norm(r, q) == fraction_weak_norm(r, q)
+        assert strong_norm(r, q) == fraction_strong_norm(r, q)
