@@ -575,6 +575,9 @@ def _run_clt(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     try:
         rep = clt_lil_report(cfg)
     except ValueError as exc:
+        # a top horizon below 16 or a degenerate f, each anchored at its key
+        if str(exc).startswith("horizons"):
+            raise view.fail("n", str(exc), section="horizons") from exc
         raise view.fail("function", str(exc)) from exc
     files = {
         "clt.json": canonical_json(rep),

@@ -18,7 +18,12 @@ and `ShiftTrajectory` are the per-point references they are tested against.
 
 Randomness is counter-based throughout: every stream is a pure function of
 (seed, stream id), so Monte Carlo results do not depend on how work is
-split across workers.
+split across workers.  The fair bits of a stream are the top bits of the
+bytes of its Philox4x64 output keyed by (seed, stream id), each 64-bit word
+read little-endian.  These are exactly the bits that
+`stream_generator(seed, stream).integers(0, 2, dtype=np.uint8)` returns
+(Lemire's multiply-shift on one byte keeps its top bit);
+tests/test_dynamics.py::test_fair_bits_equal_generator_integers pins that.
 """
 
 from __future__ import annotations
@@ -54,10 +59,18 @@ def stream_generator(seed: int, stream: int) -> Generator:
 
 
 def fair_bits(seed: int, stream: int, count: int) -> np.ndarray:
-    """Return `count` i.i.d. fair bits (uint8) for the given stream."""
+    """Return `count` i.i.d. fair bits (uint8) for the given stream.
+
+    Bit i is the top bit of byte i of the raw Philox4x64 output keyed by
+    (seed, stream), each 64-bit word read little-endian: the same bits as
+    `stream_generator(seed, stream).integers(0, 2, size=count, dtype=np.uint8)`,
+    without building a Generator (see the module docstring).
+    """
     if count < 0:
         raise ValueError("count must be >= 0")
-    return stream_generator(seed, stream).integers(0, 2, size=count, dtype=np.uint8)
+    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+    words = Philox(key=key).random_raw(-(-count // 8)).astype("<u8", copy=False)
+    return words.view(np.uint8)[:count] >> 7
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +185,29 @@ def _coordinates_from_bits(eps: np.ndarray, n: int, window: int) -> np.ndarray:
 
 
 def coordinate_matrix(eps: np.ndarray, n: int, window: int) -> np.ndarray:
-    """Vectorized x_0..x_n for a batch: eps has shape (paths, n + 2*window + 1)."""
-    W = window
-    paths = eps.shape[0]
-    X = np.zeros(paths, dtype=np.int64)
-    for j in range(1, W + 1):
-        X += eps[:, -j + W].astype(np.int64) << (W - j)
+    """Vectorized x_0..x_n for a batch: eps has shape (paths, n + 2*window + 1).
+
+    With b the bits of a row, X_k = sum_{t<W} b[k+t] 2^t is the W-bit window
+    at bit offset k, and x_k = X_k 2^-(W+1).  Each row is packed little-endian
+    (`np.packbits`, 8 zero bytes of padding), so X_k is the unaligned
+    little-endian 64-bit word at byte k // 8, shifted right by k % 8 and
+    masked to W bits; one strided read per bit phase k % 8 fills the columns
+    k = phase, phase + 8, ...  The shift and the window fit in the word since
+    W + 7 <= 64, and X < 2^53 makes x_k exact, equal to the scalar
+    ShiftTrajectory.coordinates.
+    """
+    if not 1 <= window <= 53:
+        raise ValueError(f"window = {window} invalid: coordinate window in [1, 53]")
+    paths, columns = eps.shape
+    if columns < n + window:
+        raise ValueError(f"{columns} bits per path, need n + window = {n + window}")
+    packed = np.pad(np.packbits(eps, axis=1, bitorder="little"), ((0, 0), (0, 8)))
+    mask = np.uint64((1 << window) - 1)
+    scale = 2.0 ** -(window + 1)
     xs = np.empty((paths, n + 1), dtype=np.float64)
-    scale = 2.0 ** -(W + 1)
-    xs[:, 0] = X * scale
-    for k in range(n):
-        X = (X >> 1) + (eps[:, k + W].astype(np.int64) << (W - 1))
-        xs[:, k + 1] = X * scale
+    for phase in range(8):
+        out = xs[:, phase::8]
+        words = np.ndarray(out.shape, dtype="<u8", buffer=packed,
+                           strides=(packed.strides[0], 1))
+        np.multiply((words >> np.uint64(phase)) & mask, scale, out=out)
     return xs

@@ -275,6 +275,8 @@ class ExperimentConfig:
             )
         if not 0 < self.block_exp < 1:
             raise ValueError("block_exp must lie in (0, 1)")
+        if not 1 <= self.window <= 53:
+            raise ValueError(f"window = {self.window} invalid: coordinate window in [1, 53]")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.martingale not in ("rademacher", "zero"):
@@ -332,14 +334,14 @@ class ExperimentConfig:
 
     @cached_property
     def window_extrema(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(max, min) of g over T^1..T^n: rows are paths, columns horizons n;
-        reduced per segment between horizons, then accumulated across them."""
-        cols = np.asarray((0,) + self.horizons[:-1], dtype=np.int64) + 1
+        """(max, min) of g over T^1..T^n: rows are paths, columns horizons n
+        (see _horizon_accumulate)."""
+        h_idx = np.asarray(self.horizons, dtype=np.int64)
         wmax, wmin = np.empty((2, self.paths, len(self.horizons)), dtype=np.float64)
         for lo, hi in _chunk_ranges(self.paths, self.workers, _paths_per_chunk(self.horizons[-1])):
             gv = self.orbits[self.start_residues[lo:hi]]
-            np.maximum.accumulate(np.maximum.reduceat(gv, cols, axis=1), axis=1, out=wmax[lo:hi])
-            np.minimum.accumulate(np.minimum.reduceat(gv, cols, axis=1), axis=1, out=wmin[lo:hi])
+            wmax[lo:hi] = _horizon_accumulate(np.maximum, gv, h_idx)
+            wmin[lo:hi] = _horizon_accumulate(np.minimum, gv, h_idx)
         return wmax, wmin
 
     def transfer_shift(self) -> Optional[ShiftFunction]:
@@ -460,9 +462,12 @@ def _shift_bits_chunk(cfg: ExperimentConfig, lo: int, hi: int, n: int) -> np.nda
     return eps
 
 
-def _running_max_at(x: np.ndarray, h_idx: np.ndarray) -> np.ndarray:
-    """max_{1<=k<=n} x[:, k] for each horizon n in ``h_idx`` (one column each)."""
-    return np.maximum.accumulate(x[:, 1:], axis=1)[:, h_idx - 1]
+def _horizon_accumulate(ufunc: np.ufunc, x: np.ndarray, h_idx: np.ndarray) -> np.ndarray:
+    """ufunc (np.maximum or np.minimum) over x[:, 1..n] for each horizon n in
+    ``h_idx``, one column each: reduced per segment between horizons, then
+    accumulated across them."""
+    cols = np.concatenate(([1], h_idx[:-1] + 1))
+    return ufunc.accumulate(ufunc.reduceat(x[:, : h_idx[-1] + 1], cols, axis=1), axis=1)
 
 
 def _window_hit_count(table: np.ndarray, thr: float, n: int) -> int:
@@ -747,6 +752,9 @@ def clt_lil_report(cfg: ExperimentConfig) -> CltReport:
     if cfg.system != "shift":
         raise ValueError("clt/lil diagnostics run on the shift system")
     n_top, w = cfg.horizons[-1], cfg.window
+    if n_top < 16:
+        raise ValueError(f"horizons {list(cfg.horizons)}: the top horizon must be >= 16 "
+                         f"(the iterated-logarithm tail window is [max(16, n/8), n])")
     g = cfg.transfer_shift()
     if g is not None and g.sup_bound == 0.0:
         g = None
@@ -761,19 +769,26 @@ def clt_lil_report(cfg: ExperimentConfig) -> CltReport:
     h_idx = np.asarray(cfg.horizons, dtype=np.int64)
     for lo, hi in _chunk_ranges(cfg.paths, cfg.workers, _paths_per_chunk(n_top)):
         # S_k(f) = S_k(m) + g(w) - g(T^k w), k = 0..n_top (S_0 = 0), built in
-        # place: each extra chunk-sized array raises the peak memory
+        # place: each extra chunk-sized array raises the peak memory, so g,
+        # whose evaluation holds the most temporaries, runs before s exists
         eps_bits = _shift_bits_chunk(cfg, lo, hi, n_top)
+        gx = None if g is None else g(coordinate_matrix(eps_bits, n_top, w))
         s = np.zeros((hi - lo, n_top + 1), dtype=np.float64)
         if cfg.martingale == "rademacher":
-            np.cumsum(2.0 * eps_bits[:, w: w + n_top] - 1.0, axis=1, out=s[:, 1:])
-        if g is not None:
-            gx = g(coordinate_matrix(eps_bits, n_top, w))
+            # +-1 partial sums in int32, exact in float64
+            steps = eps_bits[:, w: w + n_top].astype(np.int32)
+            steps *= 2
+            steps -= 1
+            s[:, 1:] = np.cumsum(steps, axis=1, out=steps)
+            del steps
+        if gx is not None:
             s += gx[:, :1] - gx
             del gx
         finals[lo:hi] = s[:, h_idx]
         np.abs(s, out=s)
-        sups[lo:hi] = _running_max_at(s, h_idx)
+        sups[lo:hi] = _horizon_accumulate(np.maximum, s, h_idx)
         tail_ratio[lo:hi] = np.max(s[:, k0:] / lil_norm[None, :], axis=1)
+        del s  # else it lives on through the next chunk's g evaluation
 
     if sigma is None:
         sigma = float(np.std(finals[:, -1]) / math.sqrt(n_top))

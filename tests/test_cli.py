@@ -206,10 +206,10 @@ def test_weierstrass_artifacts_match_recorded_digests(tmp_path):
 ])
 def test_seeded_artifacts_match_recorded_digests(tmp_path, workload, subcommand, preset):
     # run at the CLI's default seed, one of the seeds the references cover;
-    # the conditions presets also at a second recorded seed
+    # the conditions and clt presets also at a second recorded seed
     refs = read_json(REFS_DIR / f"{workload}.json")["ops"][f"{subcommand}.{preset}"]
     assert preset_digests(tmp_path, subcommand, preset) == refs[str(DEFAULT_SEED)]["digests"]
-    if subcommand == "conditions":
+    if subcommand in ("conditions", "clt"):
         digests = preset_digests(tmp_path / "second", subcommand, preset,
                                  "--seed", str(SECOND_SEED))
         assert digests == refs[str(SECOND_SEED)]["digests"]
@@ -439,6 +439,22 @@ def test_clt_preset_runs(tmp_path, capsys):
     assert "ks" in out.lower()
     rows = read_json(tmp_path / "run" / "clt.json")["rows"]
     assert [r["n"] for r in rows] == [128, 512]
+
+
+@pytest.mark.parametrize("horizons", [[8], [4, 12]])
+def test_clt_short_top_horizon_exits_two(tmp_path, capsys, horizons):
+    # a top horizon of 16 runs: tests/test_mc_harness.py::test_clt_accepts_top_horizon_16
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps({"preset": "clt-rademacher", "paths": {"count": 100},
+                                  "horizons": {"n": horizons}}, indent=1))
+    line = next(i for i, text in enumerate(config.read_text().splitlines(), start=1)
+                if '"n"' in text)
+    out = tmp_path / "run"
+    code = run_cli("clt", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert (f"short.json:{line}: horizons {horizons}: the top horizon must be >= 16"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_criteria_preset_runs(tmp_path):

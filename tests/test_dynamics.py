@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coblim.dynamics import (
     OdometerPoint,
     ShiftTrajectory,
+    _coordinates_from_bits,
     coordinate_matrix,
     fair_bits,
     level,
@@ -40,6 +41,18 @@ def test_fair_bits_values_and_balance():
     assert set(np.unique(bits)) <= {0, 1}
     # a fair coin stays within 5 sigma of n/2
     assert abs(int(bits.sum()) - 10000) < 5 * math.sqrt(20000 / 4)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20260814, (1 << 64) - 1])
+def test_fair_bits_equal_generator_integers(seed):
+    # the top bit of each raw Philox byte is what Lemire's multiply-shift
+    # keeps for range 2, so the raw read equals Generator.integers bit for bit
+    for stream in [*range(40), 1 << 32, (1 << 64) - 1]:
+        for count in (0, 1, 7, 8, 9, 4203):
+            bits = fair_bits(seed, stream, count)
+            expected = stream_generator(seed, stream).integers(0, 2, size=count, dtype=np.uint8)
+            assert bits.dtype == np.uint8 and bits.shape == (count,)
+            assert np.array_equal(bits, expected), (stream, count)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +160,34 @@ def test_coordinate_matrix_matches_per_path():
     for s in range(paths):
         single = ShiftTrajectory(seed=5, stream=s, n=n, window=window, eps=eps[s])
         assert np.array_equal(batch[s], single.coordinates())
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=1, max_value=53), st.integers(min_value=1, max_value=40),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2 ** 32))
+@example(window=1, n=1, paths=1, seed=0)
+@example(window=53, n=7, paths=2, seed=1)
+@example(window=53, n=40, paths=3, seed=2)
+@example(window=8, n=17, paths=2, seed=3)
+def test_coordinate_matrix_equals_scalar_recurrence(window, n, paths, seed):
+    # n < 8 leaves some bit phases without a column; n + 1 not a multiple of 8
+    # leaves the phases with unequal column counts
+    eps = np.random.default_rng(seed).integers(0, 2, (paths, n + 2 * window + 1), dtype=np.uint8)
+    batch = coordinate_matrix(eps, n, window)
+    assert batch.shape == (paths, n + 1)
+    for row, bits in zip(batch, eps):
+        assert np.array_equal(row, _coordinates_from_bits(bits, n, window))
+
+
+def test_coordinate_matrix_window_edges():
+    eps = np.ones((2, 4 + 2 * 53 + 1), dtype=np.uint8)
+    assert coordinate_matrix(eps, 4, 53).max() == (2.0 ** 53 - 1) * 2.0 ** -54
+    assert np.all(coordinate_matrix(eps[:, :4 + 2 + 1], 4, 1) == 0.25)
+    for window in (0, 54):
+        with pytest.raises(ValueError, match=r"coordinate window in \[1, 53\]"):
+            coordinate_matrix(eps, 4, window)
+    with pytest.raises(ValueError, match=r"need n \+ window"):
+        coordinate_matrix(eps[:, :56], 4, 53)
 
 
 def test_trajectory_bit_bounds():

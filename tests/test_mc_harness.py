@@ -14,6 +14,7 @@ from coblim.mc_harness import (
     SHIFT_FUNCTIONS,
     THEOREM_IDS,
     ExperimentConfig,
+    _horizon_accumulate,
     _window_hit_count,
     clt_lil_report,
     condition16_report,
@@ -124,6 +125,15 @@ def test_config_rejects_thin_sampling():
 def test_config_odometer_horizon_guard():
     with pytest.raises(ValueError, match="too long"):
         ExperimentConfig(system="odometer", horizons=(4096,), paths=200, seed=1, bits=12)
+
+
+def test_config_window_edges():
+    for window in (1, 53):
+        assert ExperimentConfig(system="shift", horizons=(64,), paths=200, seed=1,
+                                window=window).window == window
+    for window in (0, 54):
+        with pytest.raises(ValueError, match=r"coordinate window in \[1, 53\]"):
+            ExperimentConfig(system="shift", horizons=(64,), paths=200, seed=1, window=window)
 
 
 def test_config_resolves_named_shift_functions():
@@ -467,6 +477,31 @@ def test_clt_matches_per_path_reference(martingale):
         "mean": float(np.mean(ratio)),
         "quantiles": {str(q): float(np.quantile(ratio, q)) for q in qs},
     }
+
+
+@pytest.mark.parametrize("ufunc", [np.maximum, np.minimum])
+@pytest.mark.parametrize("horizons", [(1,), (7, 9), (17, 40, 41)])
+def test_horizon_accumulate_equals_full_accumulate(ufunc, horizons):
+    x = np.random.default_rng(len(horizons)).standard_normal((5, horizons[-1] + 1))
+    h_idx = np.asarray(horizons, dtype=np.int64)
+    expected = ufunc.accumulate(x[:, 1:], axis=1)[:, h_idx - 1]
+    assert np.array_equal(_horizon_accumulate(ufunc, x, h_idx), expected)
+
+
+@pytest.mark.parametrize("horizons", [(8,), (4, 12)])
+def test_clt_rejects_short_top_horizon_before_drawing(monkeypatch, horizons):
+    def no_draws(*args):
+        raise AssertionError("bits drawn before the horizon check")
+
+    monkeypatch.setattr(mc_harness, "fair_bits", no_draws)
+    cfg = ExperimentConfig(system="shift", horizons=horizons, paths=100, seed=1)
+    with pytest.raises(ValueError, match=r"top horizon must be >= 16"):
+        clt_lil_report(cfg)
+
+
+def test_clt_accepts_top_horizon_16():
+    report = clt_lil_report(ExperimentConfig(system="shift", horizons=(16,), paths=100, seed=1))
+    assert report.limsup["tail_window"] == [16, 16]
 
 
 def test_clt_requires_shift_system():
