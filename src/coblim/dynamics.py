@@ -18,16 +18,27 @@ and `ShiftTrajectory` are the per-point references they are tested against.
 
 Randomness is counter-based throughout: every stream is a pure function of
 (seed, stream id), so Monte Carlo results do not depend on how work is
-split across workers.  The fair bits of a stream are the top bits of the
-bytes of its Philox4x64 output keyed by (seed, stream id), each 64-bit word
-read little-endian.  These are exactly the bits that
-`stream_generator(seed, stream).integers(0, 2, dtype=np.uint8)` returns
-(Lemire's multiply-shift on one byte keeps its top bit);
-tests/test_dynamics.py::test_fair_bits_equal_generator_integers pins that.
+split across workers.  Streams are read from the raw Philox4x64 output
+keyed by (seed, stream id), through one Philox per thread that is rekeyed
+for each stream (key set, counter zero, buffer empty: the state of a fresh
+`Philox(key=...)`, without the SeedSequence and OS entropy its constructor
+draws first).  What is read equals what `stream_generator(seed, stream)`
+returns, because for a power-of-two range Lemire's multiply-shift keeps
+the top bits of its input word and never rejects:
+
+* fair bits: the top bit of each byte, each 64-bit word read
+  little-endian, as `.integers(0, 2, dtype=np.uint8)` returns
+  (tests/test_dynamics.py::test_fair_bits_equal_generator_integers);
+* odometer start points: from the first word w of each stream, the value
+  of `.integers(0, 2**bits, dtype=np.uint64)`, which is the top `bits` bits
+  of the low 32-bit half of w for bits <= 32 (the 32-bit draw is that half)
+  and the top `bits` bits of w for bits > 32
+  (tests/test_dynamics.py::test_first_draws_equal_generator_integers).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
@@ -37,6 +48,7 @@ from numpy.random import Generator, Philox
 __all__ = [
     "stream_generator",
     "fair_bits",
+    "first_draws",
     "OdometerPoint",
     "odometer_advance",
     "level",
@@ -58,6 +70,25 @@ def stream_generator(seed: int, stream: int) -> Generator:
     return Generator(Philox(key=key))
 
 
+_local = threading.local()
+
+
+def _keyed_philox(seed: int, stream: int) -> Philox:
+    """This thread's Philox, rekeyed to (seed, stream): the state of
+    `Philox(key=...)`, whatever the generator drew before."""
+    bitgen = getattr(_local, "philox", None)
+    if bitgen is None:
+        bitgen = _local.philox = Philox(0)
+    zeros = np.zeros(4, dtype=np.uint64)
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros,
+                  "key": np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)},
+        "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return bitgen
+
+
 def fair_bits(seed: int, stream: int, count: int) -> np.ndarray:
     """Return `count` i.i.d. fair bits (uint8) for the given stream.
 
@@ -68,9 +99,21 @@ def fair_bits(seed: int, stream: int, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    words = Philox(key=key).random_raw(-(-count // 8)).astype("<u8", copy=False)
+    words = _keyed_philox(seed, stream).random_raw(-(-count // 8)).astype("<u8", copy=False)
     return words.view(np.uint8)[:count] >> 7
+
+
+def first_draws(seed: int, streams: int, bits: int) -> np.ndarray:
+    """For each stream j < `streams`, the uint64 value of
+    `stream_generator(seed, j).integers(0, 2**bits, dtype=np.uint64)`, read
+    from the first raw word of the stream (see the module docstring)."""
+    if not 1 <= bits <= 64:
+        raise ValueError(f"bits = {bits} invalid: draw width in [1, 64]")
+    words = np.array([_keyed_philox(seed, j).random_raw() for j in range(streams)],
+                     dtype=np.uint64)
+    if bits <= 32:
+        return (words & np.uint64(0xFFFFFFFF)) >> np.uint64(32 - bits)
+    return words >> np.uint64(64 - bits)
 
 
 # ---------------------------------------------------------------------------

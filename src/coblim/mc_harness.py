@@ -22,9 +22,15 @@ Conventions shared by all reports:
 * paths are independent work units keyed by (seed, path-id) through
   counter-based streams, so results are bit-identical for any worker count
   or chunking of the path range;
-* g_table, start_residues, orbits and window_extrema are derived once per
-  ExperimentConfig (on first use) and shared by the condition reports run on
-  that config; each odometer event depends on the start only via its residue;
+* each odometer event depends on the start only via its residue, and these
+  are derived once per ExperimentConfig (on first use) and shared by the
+  condition reports run on that config: g_table, the residue table of g;
+  start_residues, from the first raw word of each path's stream (no
+  Generator per path); orbits, the strided view whose row r is g(T^k r),
+  k = 0..n_top; and orbit_pass, the one chunked pass over the orbit rows at
+  the start residues, which computes everything the three reports read of
+  them (window extrema per horizon for condition16 and slln; tail sups,
+  block and dyadic-window exceedance counts for condition17);
 * every Monte Carlo probability that has an exactly countable counterpart on
   the odometer is reported next to it (the exact side never samples);
 * "holds"/"fails" verdicts are finite-sample trend labels with the decision
@@ -53,7 +59,7 @@ from .counterexamples import (
     orbit_truncation_bound,
     truncation_tail_bound,
 )
-from .dynamics import coordinate_matrix, fair_bits, stream_generator
+from .dynamics import coordinate_matrix, fair_bits, first_draws
 from .reports import CriteriaReport, config_hash
 
 __all__ = [
@@ -268,6 +274,8 @@ class ExperimentConfig:
         self.epsilons = tuple(float(e) for e in self.epsilons)
         if not self.epsilons or any(e <= 0 for e in self.epsilons):
             raise ValueError("epsilons must be positive")
+        if self.system == "odometer" and not 1 <= self.bits <= 64:
+            raise ValueError(f"bits = {self.bits} invalid: odometer precision in [1, 64]")
         if self.system == "odometer" and 2 * self.horizons[-1] > (1 << self.bits):
             raise ValueError(
                 f"horizon {self.horizons[-1]} too long for B={self.bits} odometer "
@@ -319,10 +327,10 @@ class ExperimentConfig:
 
     @cached_property
     def start_residues(self) -> np.ndarray:
-        """Per-path odometer start residues mod len(g_table), one stream per path."""
-        draws = [int(stream_generator(self.seed, j).integers(0, 1 << self.bits, dtype=np.uint64))
-                 for j in range(self.paths)]
-        return np.asarray(draws, dtype=np.int64) % self.g_table.shape[0]
+        """Per-path odometer start residues mod len(g_table): path j starts at
+        stream_generator(seed, j).integers(0, 2**bits), read by first_draws."""
+        modulus = np.uint64(self.g_table.shape[0])
+        return (first_draws(self.seed, self.paths, self.bits) % modulus).astype(np.int64)
 
     @cached_property
     def orbits(self) -> np.ndarray:
@@ -333,16 +341,10 @@ class ExperimentConfig:
         return sliding_window_view(wrapped, n_top + 1)
 
     @cached_property
-    def window_extrema(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(max, min) of g over T^1..T^n: rows are paths, columns horizons n
-        (see _horizon_accumulate)."""
-        h_idx = np.asarray(self.horizons, dtype=np.int64)
-        wmax, wmin = np.empty((2, self.paths, len(self.horizons)), dtype=np.float64)
-        for lo, hi in _chunk_ranges(self.paths, self.workers, _paths_per_chunk(self.horizons[-1])):
-            gv = self.orbits[self.start_residues[lo:hi]]
-            wmax[lo:hi] = _horizon_accumulate(np.maximum, gv, h_idx)
-            wmin[lo:hi] = _horizon_accumulate(np.minimum, gv, h_idx)
-        return wmax, wmin
+    def orbit_pass(self) -> "OrbitPass":
+        """Everything the odometer reports read of the orbit rows at the start
+        residues, from one chunked pass over them (see OrbitPass)."""
+        return OrbitPass(self)
 
     def transfer_shift(self) -> Optional[ShiftFunction]:
         if self.transfer is None:
@@ -470,6 +472,100 @@ def _horizon_accumulate(ufunc: np.ufunc, x: np.ndarray, h_idx: np.ndarray) -> np
     return ufunc.accumulate(ufunc.reduceat(x[:, : h_idx[-1] + 1], cols, axis=1), axis=1)
 
 
+def _paths_per_chunk(n: int) -> int:
+    """Paths per chunk for rows of n + 1 float64 cells: about 2^20 cells (8 MiB)."""
+    return max(1, (1 << 20) // max(1, n))
+
+
+class BlockProbe:
+    """condition17's probe on [n0, n_top] and its counts over the paths.
+
+    Geometry: the complete blocks (j, m_j, l_j), m_j >= n0 and m_j + l_j <=
+    n_top, with thresholds eps sqrt(m_j loglog m_j), and the towers i whose
+    dyadic window [2^i, 2^{i+1}] lies in [n0, n_top], with thresholds eps
+    sqrt(2^{i+1} loglog 2^{i+1}).  Counts, filled by observe: per path the
+    tail sup of g.T^n / sqrt(n loglog n) over n0 <= n <= n_top; per eps the
+    paths whose block max exceeds its threshold (strictly) and those whose
+    dyadic-window max meets its threshold.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, blocks: List[Tuple[int, int, int]]) -> None:
+        n0, n_top = cfg.horizons[0], cfg.horizons[-1]
+        cex = cfg.transfer_cex()
+        self.blocks = blocks
+        self.n0 = n0
+        self.norm = np.sqrt(
+            np.arange(n0, n_top + 1, dtype=np.float64)
+            * np.log(np.log(np.arange(n0, n_top + 1, dtype=np.float64)))
+        )
+        starts = np.asarray([mj for _, mj, _ in blocks], dtype=np.int64)
+        self.ends = np.asarray([mj + ln for _, mj, ln in blocks], dtype=np.int64)
+        # segment boundaries [m_j, m_{j+1}) plus the closing right endpoint
+        self.bounds = np.concatenate([starts, self.ends[-1:]])
+        self.thresholds = {
+            eps: eps * np.sqrt(starts * np.log(np.log(starts.astype(np.float64))))
+            for eps in cfg.epsilons
+        }
+        self.dyadic = [
+            i for i in range(cex.i0, cex.i_max + 1)
+            if (1 << i) >= n0 and (1 << (i + 1)) <= n_top
+        ]
+        self.dyadic_thresholds = {
+            eps: [eps * math.sqrt((1 << (i + 1)) * math.log(math.log(1 << (i + 1))))
+                  for i in self.dyadic]
+            for eps in cfg.epsilons
+        }
+        self.tail_sup = np.empty(cfg.paths, dtype=np.float64)
+        self.block_hits = {eps: np.zeros(len(blocks), dtype=np.int64) for eps in cfg.epsilons}
+        self.dyadic_hits = {eps: np.zeros(len(self.dyadic), dtype=np.int64)
+                            for eps in cfg.epsilons}
+
+    @classmethod
+    def for_config(cls, cfg: ExperimentConfig) -> Optional["BlockProbe"]:
+        """The probe of cfg, or None when its first horizon is below 16 (log
+        log must be positive) or no complete block fits in the range."""
+        n0, n_top = cfg.horizons[0], cfg.horizons[-1]
+        if n0 < 16:
+            return None
+        blocks = [
+            (j, mj, ln) for j, mj, ln in blocks_for_range(cfg.block_exp, n_top)
+            if mj >= n0 and mj + ln <= n_top
+        ]
+        return cls(cfg, blocks) if blocks else None
+
+    def observe(self, lo: int, hi: int, gv: np.ndarray) -> None:
+        """Add the orbit rows gv of paths lo..hi-1 to the counts."""
+        self.tail_sup[lo:hi] = np.max(gv[:, self.n0:] / self.norm[None, :], axis=1)
+        red = np.maximum.reduceat(gv, self.bounds, axis=1)[:, : len(self.blocks)]
+        block_max = np.maximum(red, gv[:, self.ends])
+        for eps, thr in self.thresholds.items():
+            self.block_hits[eps] += (block_max > thr[None, :]).sum(axis=0)
+        for di, i in enumerate(self.dyadic):
+            wmax = np.max(gv[:, (1 << i): (1 << (i + 1)) + 1], axis=1)
+            for eps, thetas in self.dyadic_thresholds.items():
+                self.dyadic_hits[eps][di] += int(np.count_nonzero(wmax >= thetas[di]))
+
+
+class OrbitPass:
+    """What the odometer reports read of the orbit rows g(T^k r_j), k =
+    0..n_top, at the start residues r_j, from one pass over cfg.orbits in
+    chunks of paths: wmax and wmin, the max and min of g over T^1..T^n (rows
+    paths, columns horizons n; see _horizon_accumulate), read by condition16
+    and slln; and probe, condition17's BlockProbe, None where the config has
+    none."""
+
+    def __init__(self, cfg: ExperimentConfig) -> None:
+        h_idx = np.asarray(cfg.horizons, dtype=np.int64)
+        self.wmax, self.wmin = np.empty((2, cfg.paths, len(cfg.horizons)), dtype=np.float64)
+        self.probe = BlockProbe.for_config(cfg)
+        for lo, hi in _chunk_ranges(cfg.paths, cfg.workers, _paths_per_chunk(cfg.horizons[-1])):
+            gv = cfg.orbits[cfg.start_residues[lo:hi]]
+            self.wmax[lo:hi] = _horizon_accumulate(np.maximum, gv, h_idx)
+            self.wmin[lo:hi] = _horizon_accumulate(np.minimum, gv, h_idx)
+            if self.probe is not None:
+                self.probe.observe(lo, hi, gv)
+
+
 def _window_hit_count(table: np.ndarray, thr: float, n: int) -> int:
     """Number of residues r whose window r+1..r+n (mod M) meets a value >= thr:
     the union of the arcs p-n..p-1 before the hits p, so each hit adds the
@@ -488,11 +584,12 @@ def _window_hit_count(table: np.ndarray, thr: float, n: int) -> int:
 def condition16_report(cfg: ExperimentConfig) -> ConditionReport:
     """Estimate mu{ n^{-1/2} max_{1<=k<=n} |g.T^k| > eps } per horizon.
 
-    The estimate reads cfg.window_extrema.  The exact counterparts per (n,
-    eps): the full-g probability, counting all residues mod 2^{i_max} with
-    _window_hit_count (the event depends on the start only through them),
-    and the single-tower lower bound from exact_violation_probability.  The
-    Monte Carlo estimate must sit within 3 binomial sigma of the former.
+    The estimate reads the window maxima of cfg.orbit_pass.  The exact
+    counterparts per (n, eps): the full-g probability, counting all residues
+    mod 2^{i_max} with _window_hit_count (the event depends on the start only
+    through them), and the single-tower lower bound from
+    exact_violation_probability.  The Monte Carlo estimate must sit within 3
+    binomial sigma of the former.
 
     All exceedance events are closed (max >= threshold) so that the sampled
     event and its exact counterpart coincide literally; the open and closed
@@ -506,7 +603,7 @@ def condition16_report(cfg: ExperimentConfig) -> ConditionReport:
     for gi, n in enumerate(cfg.horizons):
         for eps in cfg.epsilons:
             thr = eps * math.sqrt(n)
-            est = float(np.mean(cfg.window_extrema[0][:, gi] >= thr))
+            est = float(np.mean(cfg.orbit_pass.wmax[:, gi] >= thr))
             exact = Fraction(_window_hit_count(table, thr, n), table.shape[0])
             report.add_row(
                 n=n, epsilon=eps, estimate=est,
@@ -525,10 +622,6 @@ def condition16_report(cfg: ExperimentConfig) -> ConditionReport:
         series = [row["estimate"] for row in report.rows if row["epsilon"] == eps]
         report.verdicts[f"{eps}"] = _level_trend_verdict(series[0], series[-1])
     return report
-
-
-def _paths_per_chunk(n: int) -> int:
-    return max(1, (1 << 22) // max(1, n))
 
 
 def _new_report(condition: str, cfg: ExperimentConfig) -> ConditionReport:
@@ -570,66 +663,29 @@ def condition17_report(cfg: ExperimentConfig) -> ConditionReport:
     if n0 < 16:
         raise ValueError("first horizon must be >= 16 (log log must be positive)")
     report = _new_report("condition17", cfg)
-
-    blocks = [
-        (j, mj, ln) for j, mj, ln in blocks_for_range(cfg.block_exp, n_top)
-        if mj >= n0 and mj + ln <= n_top
-    ]
-    if not blocks:
+    probe = cfg.orbit_pass.probe
+    if probe is None:
         raise ValueError("no complete blocks inside the horizon range; extend horizons")
-    norm = np.sqrt(
-        np.arange(n0, n_top + 1, dtype=np.float64)
-        * np.log(np.log(np.arange(n0, n_top + 1, dtype=np.float64)))
-    )
-    starts = np.asarray([mj for _, mj, _ in blocks], dtype=np.int64)
-    ends = np.asarray([mj + ln for _, mj, ln in blocks], dtype=np.int64)
-    thresholds = {
-        eps: eps * np.sqrt(starts * np.log(np.log(starts.astype(np.float64))))
-        for eps in cfg.epsilons
-    }
-
-    cex = cfg.transfer_cex()
-    dyadic_is = [
-        i for i in range(cex.i0, cex.i_max + 1)
-        if (1 << i) >= n0 and (1 << (i + 1)) <= n_top
-    ]
-
-    tail_sups = np.empty(cfg.paths, dtype=np.float64)
-    exceed = {eps: np.zeros(len(blocks), dtype=np.int64) for eps in cfg.epsilons}
-    dyadic_exceed = {eps: np.zeros(len(dyadic_is), dtype=np.int64) for eps in cfg.epsilons}
-    # segment boundaries [m_j, m_{j+1}) plus the closing right endpoint
-    bounds = np.concatenate([starts, ends[-1:]])
-    for lo, hi in _chunk_ranges(cfg.paths, cfg.workers, _paths_per_chunk(n_top)):
-        gv = cfg.orbits[cfg.start_residues[lo:hi]]
-        tail_sups[lo:hi] = np.max(gv[:, n0:] / norm[None, :], axis=1)
-        red = np.maximum.reduceat(gv, bounds, axis=1)[:, : len(blocks)]
-        block_max = np.maximum(red, gv[:, ends])
-        for eps in cfg.epsilons:
-            exceed[eps] += (block_max > thresholds[eps][None, :]).sum(axis=0)
-        for di, i in enumerate(dyadic_is):
-            wmax = np.max(gv[:, (1 << i): (1 << (i + 1)) + 1], axis=1)
-            for eps in cfg.epsilons:
-                theta = eps * math.sqrt((1 << (i + 1)) * math.log(math.log(1 << (i + 1))))
-                dyadic_exceed[eps][di] += int(np.count_nonzero(wmax >= theta))
+    cex, blocks = cfg.transfer_cex(), probe.blocks
 
     for eps in cfg.epsilons:
         partial = 0.0
         for bi, (j, mj, ln) in enumerate(blocks):
-            frac = exceed[eps][bi] / cfg.paths
+            frac = probe.block_hits[eps][bi] / cfg.paths
             partial += frac
             report.add_row(
                 j=j, m_j=mj, block_len=ln, epsilon=eps, estimate=frac,
                 se=_binomial_se(frac, cfg.paths),
-                threshold=float(thresholds[eps][bi]), bc_partial_sum=partial,
+                threshold=float(probe.thresholds[eps][bi]), bc_partial_sum=partial,
             )
-    for di, i in enumerate(dyadic_is):
+    for di, i in enumerate(probe.dyadic):
         n_hi = 1 << (i + 1)
         for eps in cfg.epsilons:
-            theta = eps * math.sqrt(n_hi * math.log(math.log(n_hi)))
+            theta = probe.dyadic_thresholds[eps][di]
             bound = exact_violation_probability(
                 cex, i, AbsoluteThreshold(theta), window=(1 << i, n_hi)
             )
-            est = dyadic_exceed[eps][di] / cfg.paths
+            est = probe.dyadic_hits[eps][di] / cfg.paths
             report.exact_rows.append({
                 "tower": i, "epsilon": eps, "threshold": theta,
                 "window": [1 << i, n_hi], "tower_bound": bound,
@@ -639,15 +695,15 @@ def condition17_report(cfg: ExperimentConfig) -> ConditionReport:
     qs = [0.5, 0.9, 0.99]
     report.extras["tail_sup"] = {
         "window": [n0, n_top],
-        "mean": float(np.mean(tail_sups)),
-        "quantiles": {str(q): float(np.quantile(tail_sups, q)) for q in qs},
-        "max": float(np.max(tail_sups)),
+        "mean": float(np.mean(probe.tail_sup)),
+        "quantiles": {str(q): float(np.quantile(probe.tail_sup, q)) for q in qs},
+        "max": float(np.max(probe.tail_sup)),
     }
     for eps in cfg.epsilons:
         spans: Dict[int, float] = {}
         for bi, (j, mj, ln) in enumerate(blocks):
             spans.setdefault(mj.bit_length(), 0.0)
-            spans[mj.bit_length()] += exceed[eps][bi] / cfg.paths
+            spans[mj.bit_length()] += probe.block_hits[eps][bi] / cfg.paths
         report.verdicts[f"{eps}"] = _increment_trend_verdict(
             [spans[k] for k in sorted(spans)]
         )
@@ -667,7 +723,7 @@ def slln_report(cfg: ExperimentConfig) -> ConditionReport:
     right endpoint.  On the odometer f = g - g.T, so the partial sums
     telescope, S_k(f) = g - g.T^k, and max_{1<=k<=n} |S_k(f)| =
     max(g - min_window, max_window - g) over the window of T^1..T^n, read
-    from ExperimentConfig.window_extrema; rounding is monotone, so this
+    from ExperimentConfig.orbit_pass; rounding is monotone, so this
     equals the per-path maximum of |fl(g - g.T^k)| bit for bit.
 
     Verdict rule per eps: _increment_trend_verdict on the per-block
@@ -681,7 +737,7 @@ def slln_report(cfg: ExperimentConfig) -> ConditionReport:
     report.extras["alpha"] = alpha
 
     g0 = cfg.g_table[cfg.start_residues][:, None]
-    wmax, wmin = cfg.window_extrema
+    wmax, wmin = cfg.orbit_pass.wmax, cfg.orbit_pass.wmin
     maxS_at = np.maximum(g0 - wmin, wmax - g0)
 
     prev = 0

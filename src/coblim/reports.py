@@ -25,14 +25,21 @@ __all__ = [
 ]
 
 
+_PLAIN_TYPES = frozenset({float, int, str, bool, type(None)})
+
+
 def jsonable(obj: Any) -> Any:
     """Recursively convert report values into JSON-stable primitives.
 
     Fractions become exact "num/den" strings; a dataclass instance becomes
     the dict of its fields, so a report's JSON shape is its field list;
     numpy scalars/arrays become Python scalars/lists; floats stay floats
-    (json uses repr, which is deterministic and round-trips).
+    (json uses repr, which is deterministic and round-trips).  Values of the
+    exact plain types are returned at once; their subclasses (np.float64)
+    take the branches below.
     """
+    if type(obj) in _PLAIN_TYPES:
+        return obj
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if is_dataclass(obj) and not isinstance(obj, type):

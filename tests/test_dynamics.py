@@ -1,9 +1,11 @@
 """Tests for the odometer / shift dynamics layer."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -11,8 +13,10 @@ from coblim.dynamics import (
     OdometerPoint,
     ShiftTrajectory,
     _coordinates_from_bits,
+    _keyed_philox,
     coordinate_matrix,
     fair_bits,
+    first_draws,
     level,
     odometer_advance,
     stream_generator,
@@ -53,6 +57,38 @@ def test_fair_bits_equal_generator_integers(seed):
             expected = stream_generator(seed, stream).integers(0, 2, size=count, dtype=np.uint8)
             assert bits.dtype == np.uint8 and bits.shape == (count,)
             assert np.array_equal(bits, expected), (stream, count)
+
+
+def test_fair_bits_do_not_depend_on_call_history():
+    # streams share one rekeyed Philox: calls for a, b, a give a's bits both
+    # times, and the rekeyed state is that of a fresh keyed Philox
+    for count in (1, 9, 4203):
+        first = fair_bits(7, 3, count)
+        fair_bits(8, 5, 1001)
+        assert np.array_equal(fair_bits(7, 3, count), first)
+    first_draws(7, 40, 24)
+    rekeyed, fresh = _keyed_philox(7, 3).state, Philox(key=np.array([7, 3], dtype=np.uint64)).state
+    assert json.dumps(rekeyed, default=np.ndarray.tolist) == \
+        json.dumps(fresh, default=np.ndarray.tolist)
+
+
+@pytest.mark.parametrize("seed", [0, 20260814, (1 << 64) - 1])
+def test_first_draws_equal_generator_integers(seed):
+    # for a power-of-two range Lemire's method keeps the top bits of one
+    # 32-bit draw (bits <= 32) or one 64-bit draw (bits > 32) and never rejects
+    for bits in (1, 2, 8, 22, 24, 31, 32, 33, 40, 52, 63, 64):
+        draws = first_draws(seed, 30, bits)
+        assert draws.dtype == np.uint64 and draws.shape == (30,)
+        expected = [int(stream_generator(seed, j).integers(0, 1 << bits, dtype=np.uint64))
+                    for j in range(30)]
+        assert draws.tolist() == expected, bits
+    assert first_draws(seed, 0, 24).shape == (0,)
+
+
+def test_first_draws_width_edges():
+    for bits in (0, 65):
+        with pytest.raises(ValueError, match=r"draw width in \[1, 64\]"):
+            first_draws(1, 10, bits)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import coblim.dynamics as dynamics
 import coblim.mc_harness as mc_harness
 from coblim.counterexamples import build_tower_counterexample, eval_g
 from coblim.dynamics import OdometerPoint, ShiftTrajectory, odometer_advance, stream_generator
@@ -221,7 +222,7 @@ def test_orbits_and_window_extrema_match_modular_gather(i_max, horizons):
         assert np.array_equal(cfg.orbits, full)
         res = cfg.start_residues
         assert np.array_equal(cfg.orbits[res], full[res])
-        wmax, wmin = cfg.window_extrema
+        wmax, wmin = cfg.orbit_pass.wmax, cfg.orbit_pass.wmin
         assert wmax.shape == wmin.shape == (cfg.paths, len(horizons))
         for gi, n in enumerate(horizons):
             assert np.array_equal(wmax[:, gi], full[res, 1: n + 1].max(axis=1))
@@ -232,34 +233,79 @@ def test_orbits_and_window_extrema_match_modular_gather(i_max, horizons):
 
 def test_odometer_state_derived_once_per_config(monkeypatch):
     # the residue table of g, the per-path start residues, the orbit view and
-    # the window extrema are shared by the three odometer reports of one config
-    calls = {"g_residue_table": 0, "stream_generator": 0, "sliding_window_view": 0,
-             "window_extrema": 0}
+    # the one pass over the orbit rows are shared by the three odometer
+    # reports of one config; the start residues build no Generator
+    calls = {"g_residue_table": 0, "first_draws": 0, "sliding_window_view": 0,
+             "OrbitPass": 0, "stream_generator": 0}
 
-    def counted(name):
-        original = getattr(mc_harness, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("g_residue_table", "stream_generator", "sliding_window_view"):
-        monkeypatch.setattr(mc_harness, name, counted(name))
-    extrema = ExperimentConfig.__dict__["window_extrema"]
-
-    def counted_extrema(self):
-        calls["window_extrema"] += 1
-        return extrema.func(self)
-    counted_property = functools.cached_property(counted_extrema)
-    counted_property.__set_name__(ExperimentConfig, "window_extrema")
-    monkeypatch.setattr(ExperimentConfig, "window_extrema", counted_property)
+    for name in ("g_residue_table", "first_draws", "sliding_window_view", "OrbitPass"):
+        counted(mc_harness, name)
+    counted(dynamics, "stream_generator")
     cfg = odometer_config()
     condition16_report(cfg)
     condition17_report(cfg)
     slln_report(cfg)
-    assert calls == {"g_residue_table": 1, "stream_generator": cfg.paths,
-                     "sliding_window_view": 1, "window_extrema": 1}
+    assert calls == {"g_residue_table": 1, "first_draws": 1, "sliding_window_view": 1,
+                     "OrbitPass": 1, "stream_generator": 0}
+
+
+@pytest.mark.parametrize("seed", [0, 20260814, (1 << 64) - 1])
+@pytest.mark.parametrize("bits", [2, 22, 24, 32, 33, 40])
+def test_start_residues_equal_generator_draws(seed, bits):
+    # 32/33 straddle the switch from the 32-bit to the 64-bit Lemire draw
+    cfg = ExperimentConfig(system="odometer", horizons=(1,), paths=100, seed=seed, bits=bits)
+    m = 1 << min(bits, 12)
+    cfg.__dict__["g_table"] = np.zeros(m)
+    expected = [int(stream_generator(seed, j).integers(0, 1 << bits, dtype=np.uint64)) % m
+                for j in range(cfg.paths)]
+    assert cfg.start_residues.dtype == np.int64
+    assert cfg.start_residues.tolist() == expected
+
+
+def test_config_odometer_bits_edges():
+    # building a config derives nothing: tables and draws come on first use
+    for bits in (1, 64):
+        cfg = ExperimentConfig(system="odometer", horizons=(1,), paths=100, seed=1, bits=bits)
+        assert cfg.bits == bits
+        assert not {"g_table", "start_residues", "orbits", "orbit_pass"} & set(cfg.__dict__)
+    for bits in (0, 65):
+        with pytest.raises(ValueError, match=rf"bits = {bits} invalid: odometer precision "
+                                             r"in \[1, 64\]"):
+            ExperimentConfig(system="odometer", horizons=(1,), paths=100, seed=1, bits=bits)
+
+
+def test_reports_do_not_depend_on_chunking(monkeypatch):
+    # every per-path result is assembled in path order, so the chunk size
+    # (1 path, 7 paths, the default) changes no byte of any report
+    default = mc_harness._paths_per_chunk
+    texts = []
+    for per_chunk in (lambda n: 1, lambda n: 7, default):
+        monkeypatch.setattr(mc_harness, "_paths_per_chunk", per_chunk)
+        cfg = odometer_config(paths=300)
+        shift = ExperimentConfig(system="shift", horizons=(16, 64, 256), paths=150, seed=12,
+                                 transfer="cosine")
+        texts.append([canonical_json(r) for r in (
+            condition16_report(cfg), condition17_report(cfg), slln_report(cfg),
+            clt_lil_report(shift))])
+    assert texts[0] == texts[1] == texts[2]
+
+
+def test_condition16_and_slln_run_where_condition17_has_no_blocks():
+    # a first horizon below 16 has no condition17 probe; the shared pass
+    # still serves the other two reports
+    cfg = odometer_config(horizons=(8, 64))
+    with pytest.raises(ValueError, match="first horizon must be >= 16"):
+        condition17_report(cfg)
+    assert cfg.orbit_pass.probe is None
+    assert len(condition16_report(cfg).rows) == len(slln_report(cfg).rows) == 4
 
 
 def test_condition16_tower_bound_is_a_lower_bound():
