@@ -282,19 +282,27 @@ def orbit_truncation_bound(cex: TowerCounterexample, n: int) -> float:
     return min(_omitted_towers_sum(cex, lambda k, n_i: min(1.0, (n + 2.0 * k) / n_i)), 1.0)
 
 
-def g_residue_table(cex: TowerCounterexample) -> np.ndarray:
-    """g as a dense table over residues mod 2^{i_max}.
+def g_residue_table(cex: TowerCounterexample, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """g as a dense table over residues mod 2^{i_max}, written into `out`
+    (a float64 array of 2^{i_max} entries) when given.
 
     g depends on the point only through value mod 2^{i_max}, and T adds 1 to
     it, so an orbit of g is a run of consecutive (cyclic) table entries.
+    Tower i adds its profile to the columns n_i - 2k_i + 1 .. n_i - 1 of the
+    table read as rows of n_i residues: one addition per cell and tower, in
+    tower order.
     """
     size = 1 << cex.i_max
-    table = np.zeros(size, dtype=np.float64)
+    if out is None:
+        out = np.zeros(size, dtype=np.float64)
+    elif out.shape != (size,) or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of {size} entries")
+    else:
+        out.fill(0.0)
     for m in cex.maps:
-        levels, vals = m.profile()
-        for lev, v in zip(levels.tolist(), vals.tolist()):
-            table[lev::m.n] += v
-    return table
+        _, vals = m.profile()
+        out.reshape(-1, m.n)[:, m.n - 2 * m.k + 1:] += vals[::-1]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,22 +18,28 @@ and `ShiftTrajectory` are the per-point references they are tested against.
 
 Randomness is counter-based throughout: every stream is a pure function of
 (seed, stream id), so Monte Carlo results do not depend on how work is
-split across workers.  Streams are read from the raw Philox4x64 output
-keyed by (seed, stream id), through one Philox per thread that is rekeyed
-for each stream (key set, counter zero, buffer empty: the state of a fresh
-`Philox(key=...)`, without the SeedSequence and OS entropy its constructor
-draws first).  What is read equals what `stream_generator(seed, stream)`
-returns, because for a power-of-two range Lemire's multiply-shift keeps
-the top bits of its input word and never rejects:
+split across workers.  Streams are read from the raw Philox4x64-10 output
+keyed by (seed, stream id).  What is read equals what
+`stream_generator(seed, stream)` returns, because for a power-of-two range
+Lemire's multiply-shift keeps the top bits of its input word and never
+rejects:
 
 * fair bits: the top bit of each byte, each 64-bit word read
   little-endian, as `.integers(0, 2, dtype=np.uint8)` returns
-  (tests/test_dynamics.py::test_fair_bits_equal_generator_integers);
+  (tests/test_dynamics.py::test_fair_bits_equal_generator_integers).  They
+  come from one Philox per thread that is rekeyed for each stream (key set,
+  counter zero, buffer empty: the state of a fresh `Philox(key=...)`,
+  without the SeedSequence and OS entropy its constructor draws first);
 * odometer start points: from the first word w of each stream, the value
   of `.integers(0, 2**bits, dtype=np.uint64)`, which is the top `bits` bits
   of the low 32-bit half of w for bits <= 32 (the 32-bit draw is that half)
   and the top `bits` bits of w for bits > 32
   (tests/test_dynamics.py::test_first_draws_equal_generator_integers).
+  w is word 0 of the Philox4x64-10 block at counter (1, 0, 0, 0) under key
+  (seed, j), the block a fresh `Philox` computes on its first
+  `random_raw()` since it increments the counter first; `first_draws`
+  computes these blocks for all streams in one vectorized pass over the
+  ten rounds.
 """
 
 from __future__ import annotations
@@ -103,17 +109,43 @@ def fair_bits(seed: int, stream: int, count: int) -> np.ndarray:
     return words.view(np.uint8)[:count] >> 7
 
 
+# Philox4x64 round multipliers and Weyl key increments (Salmon et al.,
+# "Parallel random numbers: as easy as 1, 2, 3", SC'11)
+_PHILOX_M0, _PHILOX_M1 = np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)
+_PHILOX_W0, _PHILOX_W1 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B)
+_LOW32, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products m * x, from 32-bit
+    halves (each partial product fits in 64 bits); the caller ignores
+    overflow, since the low word wraps by design."""
+    m_lo, m_hi = m & _LOW32, m >> _HALF
+    x_lo, x_hi = x & _LOW32, x >> _HALF
+    lo_lo, hi_lo, lo_hi = x_lo * m_lo, x_hi * m_lo, x_lo * m_hi
+    mid = (lo_lo >> _HALF) + (hi_lo & _LOW32) + (lo_hi & _LOW32)
+    return x_hi * m_hi + (hi_lo >> _HALF) + (lo_hi >> _HALF) + (mid >> _HALF), x * m
+
+
 def first_draws(seed: int, streams: int, bits: int) -> np.ndarray:
     """For each stream j < `streams`, the uint64 value of
     `stream_generator(seed, j).integers(0, 2**bits, dtype=np.uint64)`, read
-    from the first raw word of the stream (see the module docstring)."""
+    from the first raw word of the stream, which Philox4x64-10 computes for
+    all streams at once (see the module docstring)."""
     if not 1 <= bits <= 64:
         raise ValueError(f"bits = {bits} invalid: draw width in [1, 64]")
-    words = np.array([_keyed_philox(seed, j).random_raw() for j in range(streams)],
-                     dtype=np.uint64)
+    key0, key1 = np.uint64(seed & _MASK64), np.arange(streams, dtype=np.uint64)
+    x0, x1, x2, x3 = (np.full(streams, c, dtype=np.uint64) for c in (1, 0, 0, 0))
+    with np.errstate(over="ignore"):
+        for rnd in range(10):
+            if rnd:
+                key0, key1 = key0 + _PHILOX_W0, key1 + _PHILOX_W1
+            hi0, lo0 = _mulhilo(_PHILOX_M0, x0)
+            hi1, lo1 = _mulhilo(_PHILOX_M1, x2)
+            x0, x1, x2, x3 = hi1 ^ x1 ^ key0, lo1, hi0 ^ x3 ^ key1, lo0
     if bits <= 32:
-        return (words & np.uint64(0xFFFFFFFF)) >> np.uint64(32 - bits)
-    return words >> np.uint64(64 - bits)
+        return (x0 & _LOW32) >> np.uint64(32 - bits)
+    return x0 >> np.uint64(64 - bits)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,11 @@ Conventions shared by all reports:
   k = 0..n_top; and orbit_pass, the one chunked pass over the orbit rows at
   the start residues, which computes everything the three reports read of
   them (window extrema per horizon for condition16 and slln; tail sups,
-  block and dyadic-window exceedance counts for condition17);
+  block and dyadic-window exceedance counts for condition17).  g is held
+  once, in one float64 buffer of M + n_top entries (M = 2^{i_max}):
+  g_table is a view of its first M entries, its last n_top entries repeat
+  the first n_top of g_table cyclically, and orbits is the sliding-window
+  view over all of it;
 * every Monte Carlo probability that has an exactly countable counterpart on
   the odometer is reported next to it (the exact side never samples);
 * "holds"/"fails" verdicts are finite-sample trend labels with the decision
@@ -322,8 +326,12 @@ class ExperimentConfig:
 
     @cached_property
     def g_table(self) -> np.ndarray:
-        """g on every residue mod 2^{i_max} of the odometer (see g_residue_table)."""
-        return g_residue_table(self.transfer_cex())
+        """g on every residue mod M = 2^{i_max} of the odometer (see g_residue_table):
+        the first M entries of the config's one float64 buffer of g, whose last
+        n_top entries orbits fills."""
+        cex = self.transfer_cex()
+        m = 1 << cex.i_max
+        return g_residue_table(cex, out=np.empty(m + self.horizons[-1])[:m])
 
     @cached_property
     def start_residues(self) -> np.ndarray:
@@ -334,11 +342,14 @@ class ExperimentConfig:
 
     @cached_property
     def orbits(self) -> np.ndarray:
-        """Read-only view with rows g(T^k r), k = 0..n_top, over g_table plus its first
-        n_top entries cyclically (np.resize of the whole table would hold two copies)."""
+        """Read-only view with rows g(T^k r), k = 0..n_top: the sliding windows over
+        the buffer whose head is g_table (g_table.base), once its last n_top entries
+        hold the first n_top entries of g_table, cyclically.  Only those n_top
+        entries are copied, never the whole table."""
         n_top, table = self.horizons[-1], self.g_table
-        wrapped = np.concatenate([table, np.resize(table, n_top)])
-        return sliding_window_view(wrapped, n_top + 1)
+        m, buffer = table.shape[0], table.base
+        buffer[m:] = table[:n_top] if n_top <= m else table[np.arange(n_top) % m]
+        return sliding_window_view(buffer, n_top + 1)
 
     @cached_property
     def orbit_pass(self) -> "OrbitPass":
@@ -473,8 +484,8 @@ def _horizon_accumulate(ufunc: np.ufunc, x: np.ndarray, h_idx: np.ndarray) -> np
 
 
 def _paths_per_chunk(n: int) -> int:
-    """Paths per chunk for rows of n + 1 float64 cells: about 2^20 cells (8 MiB)."""
-    return max(1, (1 << 20) // max(1, n))
+    """Paths per chunk for rows of n + 1 float64 cells: about 2^18 cells (2 MiB)."""
+    return max(1, (1 << 18) // max(1, n))
 
 
 class BlockProbe:
@@ -566,15 +577,28 @@ class OrbitPass:
                 self.probe.observe(lo, hi, gv)
 
 
+_HIT_PIECE = 1 << 18  # table entries scanned at a time by _window_hit_count
+
+
 def _window_hit_count(table: np.ndarray, thr: float, n: int) -> int:
     """Number of residues r whose window r+1..r+n (mod M) meets a value >= thr:
     the union of the arcs p-n..p-1 before the hits p, so each hit adds the
-    cyclic gap back to the previous hit, capped at n."""
-    hits = np.flatnonzero(table >= thr)
-    if hits.size == 0:
-        return 0
-    gaps = np.diff(hits, prepend=hits[-1] - table.shape[0])
-    return int(np.minimum(gaps, n).sum())
+    cyclic gap back to the previous hit, capped at n.  The table is scanned in
+    pieces of _HIT_PIECE entries; the last hit carries to the next piece, and
+    the first hit closes the cyclic gap at the end."""
+    total, first, last = 0, -1, -1
+    for lo in range(0, table.shape[0], _HIT_PIECE):
+        hits = np.flatnonzero(table[lo: lo + _HIT_PIECE] >= thr)
+        if hits.size == 0:
+            continue
+        hits += lo
+        if last < 0:
+            first = int(hits[0])
+        else:
+            total += min(int(hits[0]) - last, n)
+        total += int(np.minimum(np.diff(hits), n).sum())
+        last = int(hits[-1])
+    return 0 if last < 0 else total + min(first + table.shape[0] - last, n)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,6 +139,26 @@ def test_g_residue_table_matches_eval():
     for v in (0, 17, 63, 255):
         pt = OdometerPoint(v, cex.bits)
         assert table[v & ((1 << cex.i_max) - 1)] == pytest.approx(eval_g(cex, pt))
+
+
+def test_g_residue_table_equals_per_level_additions():
+    # one slice addition per tower gives every cell the same additions in the
+    # same tower order as one strided addition per level, so the tables are
+    # equal bit for bit; the last tower's period n_{i_max} is the table size
+    for cex in (small_iplil(i_max=12, bits=14), small_slln(i_max=12, bits=14)):
+        assert cex.maps[-1].n == 1 << cex.i_max
+        expected = np.zeros(1 << cex.i_max)
+        for m in cex.maps:
+            levels, vals = m.profile()
+            for lev, v in zip(levels.tolist(), vals.tolist()):
+                expected[lev::m.n] += v
+        assert np.array_equal(g_residue_table(cex), expected)
+        out = np.full((1 << cex.i_max) + 5, np.nan)
+        head = g_residue_table(cex, out=out[: 1 << cex.i_max])
+        assert np.shares_memory(head, out) and np.array_equal(head, expected)
+        assert np.isnan(out[1 << cex.i_max:]).all()
+        with pytest.raises(ValueError, match="float64 array of 4096 entries"):
+            g_residue_table(cex, out=out)
 
 
 # ---------------------------------------------------------------------------

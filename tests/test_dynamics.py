@@ -85,6 +85,23 @@ def test_first_draws_equal_generator_integers(seed):
     assert first_draws(seed, 0, 24).shape == (0,)
 
 
+@pytest.mark.parametrize("seed", [0, 20260814, (1 << 64) - 1])
+def test_first_draws_equal_keyed_philox_raw_words(seed):
+    # the vectorized Philox4x64-10 pass against numpy's own block, stream by
+    # stream: the first raw word, masked and shifted as first_draws documents
+    words = np.array([_keyed_philox(seed, j).random_raw() for j in range(1000)],
+                     dtype=np.uint64)
+    for bits in (1, 24, 32, 33, 64):
+        if bits <= 32:
+            expected = (words & np.uint64(0xFFFFFFFF)) >> np.uint64(32 - bits)
+        else:
+            expected = words >> np.uint64(64 - bits)
+        draws = first_draws(seed, 1000, bits)
+        assert draws.dtype == np.uint64
+        assert np.array_equal(draws, expected), bits
+    assert first_draws(seed, 0, 64).shape == (0,)
+
+
 def test_first_draws_width_edges():
     for bits in (0, 65):
         with pytest.raises(ValueError, match=r"draw width in \[1, 64\]"):

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -204,20 +205,65 @@ def test_window_hit_count_matches_brute_force():
                     assert _window_hit_count(table, thr, n) == expected, (m, n, thr, table)
 
 
+@pytest.mark.parametrize("piece", [3, 4, 5])
+def test_window_hit_count_carries_across_pieces(monkeypatch, piece):
+    # the table is scanned in pieces: a hit's gap reaches back into earlier
+    # pieces and the cyclic gap closes at the end, so pieces of 3-5 entries
+    # over tables of several pieces must give the brute-force count
+    monkeypatch.setattr(mc_harness, "_HIT_PIECE", piece)
+    m = 23
+    cases = [[], [0, 2], [21, 22], [11], [piece - 1, piece],
+             [piece - 1, piece, 2 * piece - 1, 2 * piece], list(range(m))]
+    rng = np.random.default_rng(3)
+    cases += [np.flatnonzero(rng.random(m) < 0.2).tolist() for _ in range(5)]
+    for hits in cases:
+        table = np.zeros(m)
+        table[hits] = 1.0
+        for n in (1, 2, piece, 7, m - 1, m, m + 4):
+            idx = (np.arange(m)[:, None] + np.arange(1, n + 1)[None, :]) % m
+            expected = int(np.count_nonzero(table[idx].max(axis=1) >= 0.5))
+            assert _window_hit_count(table, 0.5, n) == expected, (hits, n)
+
+
+def test_odometer_pass_holds_one_table_and_chunk_sized_temporaries():
+    # tracemalloc sees numpy's buffers.  Building g_table and the orbit view
+    # holds the one buffer of M + n_top entries plus numpy's fixed-size ufunc
+    # iteration buffers (about 192 KiB), where a wrapped copy of the table
+    # would hold two or three tables; the pass and condition16 add
+    # temporaries of a few 2 MiB chunks of orbit rows and pieces of the table
+    cex = build_tower_counterexample("ip_lil", p=1.2, r=4.0, i_max=16, bits=18)
+    cfg = odometer_config(transfer=cex, bits=18, horizons=(256, 1024, 4096), paths=1000)
+    buffer_bytes = ((1 << 16) + 4096) * 8
+    chunk_bytes = (1 << 18) * 8
+    tracemalloc.start()
+    try:
+        assert np.shares_memory(cfg.g_table, cfg.orbits)
+        _, peak_tables = tracemalloc.get_traced_memory()
+        cfg.orbit_pass
+        condition16_report(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak_tables < buffer_bytes + (1 << 18)
+    assert peak < buffer_bytes + 3 * chunk_bytes
+
+
 @pytest.mark.parametrize("i_max, horizons", [(12, (64, 256)), (4, (4, 16, 40))],
                          ids=["M-above-top-horizon", "top-horizon-above-M"])
 def test_orbits_and_window_extrema_match_modular_gather(i_max, horizons):
-    # a random table without zeros makes both window ends matter; i_max = 4
+    # a random table without zeros, written into the config's one buffer of g
+    # before the orbit view exists, makes both window ends matter; i_max = 4
     # (M = 16) wraps the orbit rows around the table more than once
     cex = build_tower_counterexample("ip_lil", p=1.2, r=4.0, i_max=i_max, bits=14)
-    n_top = horizons[-1]
+    n_top, m = horizons[-1], 1 << i_max
     extrema = []
     for workers in (1, 3):
         cfg = odometer_config(transfer=cex, horizons=horizons, workers=workers)
-        m = len(cfg.g_table)
+        assert len(cfg.g_table) == m
         table = np.random.default_rng(5).standard_normal(m)
-        cfg.__dict__["g_table"] = table
+        cfg.g_table[:] = table
         full = table[(np.arange(m)[:, None] + np.arange(n_top + 1)[None, :]) % m]
+        assert np.shares_memory(cfg.g_table, cfg.orbits)
         assert not cfg.orbits.flags.writeable
         assert np.array_equal(cfg.orbits, full)
         res = cfg.start_residues
@@ -392,10 +438,12 @@ def test_slln_window_extrema_match_brute_force_on_table_without_zeros():
     # are 0 and a window that misses one end goes unseen.  A random table
     # without zeros and short horizons make both window ends matter.
     cfg = odometer_config(horizons=(4, 16), epsilons=(0.25, 0.4))
-    m = len(cfg.g_table)
+    m = 1 << cfg.transfer.i_max
+    assert len(cfg.g_table) == m
     table = np.random.default_rng(11).standard_normal(m)
     assert np.all(table != 0.0)
-    cfg.__dict__["g_table"] = table
+    cfg.g_table[:] = table
+    assert np.shares_memory(cfg.g_table, cfg.orbits)
     res = cfg.start_residues
     alpha = cfg.resolved_alpha()
     report = slln_report(cfg)
