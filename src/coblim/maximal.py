@@ -23,6 +23,7 @@ sum an integer multiple of 2^-scale_bits.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -249,7 +250,6 @@ def maximal_inequality_report(
     m = 1 << h.i
     scale = h.denominator
     pairs = [(int(best_num[r]), int(best_den[r])) for r in range(m)]
-    abs_nums = [abs(v) for v in h.numerators]
 
     report = MaximalReport(i=h.i, bits=bits, n_max=n_max, q=q, scale_bits=h.scale_bits)
     mstar_rep = SimpleFunctionRep.from_uniform([bn / (bd * scale) for bn, bd in pairs], m)
@@ -257,14 +257,20 @@ def maximal_inequality_report(
     report.h_weak_q = weak_norm(h.abs_rep(), q)
     cq = q / (q - 1.0)
 
+    # residues in ascending exact order of M*, so every hit set is a suffix
+    order = sorted(range(m), key=lambda r: Fraction(*pairs[r]))
+    ranked = [pairs[r] for r in order]
+    abs_nums = [abs(h.numerators[r]) for r in order]
+    abs_values = [v / scale for v in abs_nums]
     for t in thresholds:
-        # M*_r >= t  <=>  best_num * t.den >= t.num * best_den * scale (exact ints)
+        # M*_r >= t  <=>  best_num * t.den >= t.num * best_den * scale (exact
+        # ints); the test is False then True along `ranked`
         tn, td = t.numerator, t.denominator
-        hit = [r for r, (bn, bd) in enumerate(pairs) if bn * td >= tn * bd * scale]
-        mu = Fraction(len(hit), m)
-        expectation = Fraction(sum(abs_nums[r] for r in hit), m * scale)
+        first = bisect_left(ranked, True, key=lambda pair: pair[0] * td >= tn * pair[1] * scale)
+        mu = Fraction(m - first, m)
+        expectation = Fraction(sum(abs_nums[first:]), m * scale)
         slack = expectation - t * mu
-        restricted = SimpleFunctionRep.from_uniform([abs_nums[r] / scale for r in hit], m)
+        restricted = SimpleFunctionRep.from_uniform(abs_values[first:], m)
         lhs_weak = float(t) * float(mu) ** (1.0 / q)
         rhs_weak = cq * weak_norm(restricted, q)
         report.rows.append(ThresholdRow(

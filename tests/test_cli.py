@@ -322,6 +322,31 @@ def test_cli_import_leaves_scipy_ndimage_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_and_monte_carlo_reports_leave_scipy_special_unloaded():
+    # importing scipy.special takes about 0.3 s; ks_statistic ports its ndtr
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, coblim.cli\n"
+        "loaded = ['scipy.special' in sys.modules]\n"
+        "from coblim.counterexamples import build_tower_counterexample\n"
+        "from coblim.mc_harness import (ExperimentConfig, clt_lil_report, condition16_report,\n"
+        "                               condition17_report, slln_report)\n"
+        "cex = build_tower_counterexample('ip_lil', p=1.2, r=4.0, i_max=8, bits=12)\n"
+        "cfg = ExperimentConfig(system='odometer', horizons=(16, 64), paths=100, seed=1,\n"
+        "                       p=1.2, r=4.0, transfer=cex, bits=12)\n"
+        "for report in (condition16_report, condition17_report, slln_report):\n"
+        "    report(cfg)\n"
+        "clt_lil_report(ExperimentConfig(system='shift', horizons=(16, 64), paths=100, seed=1,\n"
+        "                                transfer='cosine'))\n"
+        "loaded.append('scipy.special' in sys.modules)\n"
+        "print(loaded)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[False, False]"
+
+
 def test_csv_and_plot_cell_formats():
     row = [Fraction(3, 8), 0.1, np.float64(0.25), None, 7, "a b"]
     header = ["f", "x", "np", "none", "int", "s"]

@@ -14,6 +14,7 @@ from coblim.dynamics import OdometerPoint
 from coblim.maximal import (
     MAX_ENUMERATION_BITS,
     LevelFunction,
+    ThresholdRow,
     default_threshold_grid,
     enumerate_mstar,
     maximal_inequality_report,
@@ -21,6 +22,7 @@ from coblim.maximal import (
     truncated_mstar,
 )
 from coblim.reports import canonical_json
+from coblim.weak_tails import SimpleFunctionRep, weak_norm
 
 
 def tiny_function():
@@ -104,6 +106,38 @@ def test_report_has_no_violations_across_seeds():
         assert rep.level_bound_violations == 0
         assert rep.weak_bound_violations == 0
         assert rep.min_slack_weak >= 0.0
+
+
+def _rows_by_full_scan(h, n_max, q):
+    # one pass over all residues per threshold, as the report once did
+    best_num, best_den = enumerate_mstar(h, n_max)
+    m, scale = 1 << h.i, h.denominator
+    rows = []
+    for t in default_threshold_grid(h):
+        hit = [r for r in range(m)
+               if int(best_num[r]) * t.denominator >= t.numerator * int(best_den[r]) * scale]
+        mu = Fraction(len(hit), m)
+        expectation = Fraction(sum(abs(h.numerators[r]) for r in hit), m * scale)
+        restricted = SimpleFunctionRep.from_uniform([abs(h.numerators[r]) / scale for r in hit], m)
+        lhs = float(t) * float(mu) ** (1.0 / q)
+        rhs = q / (q - 1.0) * weak_norm(restricted, q)
+        rows.append(ThresholdRow(t=t, mu=mu, expectation=expectation,
+                                 slack_level_bound=expectation - t * mu,
+                                 lhs_weak=lhs, rhs_weak=rhs, slack_weak=rhs - lhs))
+    return rows
+
+
+@pytest.mark.parametrize("h", [
+    tiny_function(),
+    LevelFunction(i=2, numerators=(0, 0, 0, 0), scale_bits=1),
+    LevelFunction(i=3, numerators=(1, -1, 1, -1, 1, -1, 1, -1), scale_bits=0),
+    random_level_function(0, 0, i=6),
+    random_level_function(5, 2, i=8),
+])
+def test_threshold_suffix_scan_matches_full_scan(h):
+    for q in (1.5, 2.0):
+        rep = maximal_inequality_report(h, bits=max(h.i, 8), n_max=96, q=q)
+        assert rep.rows == _rows_by_full_scan(h, 96, q)
 
 
 def test_report_rows_carry_exact_measures():

@@ -16,7 +16,9 @@ from coblim.mc_harness import (
     SHIFT_FUNCTIONS,
     THEOREM_IDS,
     ExperimentConfig,
+    _MAXLOG,
     _horizon_accumulate,
+    _normal_cdf,
     _window_hit_count,
     clt_lil_report,
     condition16_report,
@@ -466,6 +468,33 @@ def test_unknown_martingale_rejected():
 # ---------------------------------------------------------------------------
 # Kolmogorov-Smirnov distance and the CLT/LIL diagnostics
 # ---------------------------------------------------------------------------
+
+def _ndtr_test_points():
+    edges = []
+    # branch edges of the port: |x| = sqrt(1/2), 1 and 8 with x = a/sqrt(2),
+    # and the underflow edge x^2 = MAXLOG (|a| about 37.68)
+    for edge in (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * _MAXLOG), 37.7):
+        for a in (edge, -edge):
+            edges += [np.nextafter(a, -np.inf), a, np.nextafter(a, np.inf)]
+    edges += [0.0, -0.0, np.inf, -np.inf]
+    return np.concatenate([
+        4.0 * np.random.default_rng(2024).standard_normal(1_000_000),
+        np.linspace(-40.0, 40.0, 800_001),
+        np.array(edges),
+    ])
+
+
+def test_normal_cdf_is_bit_identical_to_scipy_ndtr():
+    # scipy.special stays installed as the oracle; the package never imports it
+    from scipy.special import ndtr
+
+    a = _ndtr_test_points()
+    got, want = _normal_cdf(a), ndtr(a)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
+        f"{np.count_nonzero(got.view(np.uint64) != want.view(np.uint64))} points differ")
+    assert _normal_cdf(np.array([-0.0, np.inf, -np.inf])).tolist() == [0.5, 1.0, 0.0]
+    assert np.isnan(_normal_cdf(np.array([np.nan]))[0])
+
 
 def test_ks_statistic_single_point():
     # one sample at 0: empirical CDF jumps 0 -> 1 there, Phi(0) = 1/2
