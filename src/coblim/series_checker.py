@@ -17,6 +17,13 @@ keeps k up to 10^6 (where theta_k ~ 2^(k(p-1)/p) overflows any float)
 exactly representable; the term exponents cancel analytically and the
 *sums* of log-terms stay O(1).
 
+Summation is exact per group: every run of indices that shares one
+2^19-index chunk and one checkpoint segment is summed with ``math.fsum``,
+and each segment's increment is the ``math.fsum`` of its groups.  That
+grouping fixes the output bits.  The family is evaluated in pieces of
+2^14 indices, which bound the working memory to the term rows of one
+chunk and leave the groups, and so the bits, as they are.
+
 ``prop23_report`` evaluates partial sums at decade checkpoints and
 attaches one verdict per quantity.  Verdicts are trend labels computed
 by stated decision rules, not proofs:
@@ -67,6 +74,7 @@ Log2Seq = Callable[[np.ndarray], np.ndarray]
 DEFAULT_CHECKPOINTS = (10**3, 10**4, 10**5)
 
 _CHUNK = 1 << 19
+_PIECE = 1 << 14
 
 # Main-series decade increment ratio: at or below _TOL_DECAY "converges", at
 # or above _TOL_FLAT "diverges" (see the module docstring).
@@ -167,12 +175,15 @@ def _validate_invariants(
     lr: np.ndarray,
     prev: Optional[tuple[float, float, float, float]],
 ) -> tuple[float, float, float, float]:
-    """Check declared monotonicity/range invariants on one chunk.
+    """Check declared monotonicity/range invariants on one piece.
 
     Raises ValueError naming the violated invariant and the first
-    offending index.  ``prev`` is the previous chunk's last
-    ``(k, lt, lc, lr)`` (None on the first chunk), so the monotonicity
-    checks span chunk boundaries; returns this chunk's last tuple.
+    offending index, where "first" is decided piece by piece: the
+    earliest piece with a violation is reported, and within it the
+    range checks come before the monotonicity checks.  ``prev`` is the
+    previous piece's last ``(k, lt, lc, lr)`` (None on the first piece),
+    so the monotonicity checks span piece boundaries; returns this
+    piece's last tuple.
     """
 
     def check(bad: np.ndarray, kv: np.ndarray, what: str) -> None:
@@ -220,11 +231,14 @@ def prop23_report(
     """Partial-sum trend report for the three summability conditions.
 
     Sums the main and quadratic series over k in [k_start, K_max]
-    with compensated per-segment accumulation, records partial sums
-    at the checkpoints (the ``DEFAULT_CHECKPOINTS`` below K_max, then
-    K_max itself), validates the family's declared invariants on the
-    evaluated range, and attaches one verdict per condition using the
-    decision rules documented in the module docstring.
+    with one exact ``math.fsum`` per (2^19-index chunk, checkpoint
+    segment) group and one per segment over its groups (this grouping
+    fixes the output bits; pieces of ``_PIECE`` indices only bound the
+    memory), records partial sums at the checkpoints (the
+    ``DEFAULT_CHECKPOINTS`` below K_max, then K_max itself), validates
+    the family's declared invariants on the evaluated range, and
+    attaches one verdict per condition using the decision rules
+    documented in the module docstring.
 
     The report context carries, per condition, the checkpoints, the
     partial sums (or values, for the tail product), the verdict, and
@@ -238,25 +252,32 @@ def prop23_report(
     cps = [c for c in DEFAULT_CHECKPOINTS if c < K_max] + [K_max]
     p = family.p
 
-    # parts[row][j] collects one compensated sum per chunk of segment j,
-    # which covers (cps[j-1], cps[j]]; the rows are main, quadratic, rho.
+    # parts[row][j] collects one math.fsum per chunk of segment j, which
+    # covers (cps[j-1], cps[j]]; the rows are main, quadratic, rho.  Each
+    # chunk's term rows are filled piece by piece into one reused buffer.
     parts = [[[] for _ in cps] for _ in range(3)]
+    terms = np.empty((3, min(_CHUNK, K_max + 1 - family.k_start)))
     prev = None
     for lo in range(family.k_start, K_max + 1, _CHUNK):
-        ks = np.arange(lo, min(lo + _CHUNK, K_max + 1), dtype=np.float64)
-        lt = np.asarray(family.log2_theta(ks), dtype=np.float64)
-        lc = np.asarray(family.log2_count(ks), dtype=np.float64)
-        lr = np.asarray(family.log2_rho(ks), dtype=np.float64)
-        prev = _validate_invariants(family, ks, lt, lc, lr, prev)
+        hi = min(lo + _CHUNK, K_max + 1)
+        for s in range(lo, hi, _PIECE):
+            e = min(s + _PIECE, hi)
+            ks = np.arange(s, e, dtype=np.float64)
+            lt = np.asarray(family.log2_theta(ks), dtype=np.float64)
+            lc = np.asarray(family.log2_count(ks), dtype=np.float64)
+            lr = np.asarray(family.log2_rho(ks), dtype=np.float64)
+            prev = _validate_invariants(family, ks, lt, lc, lr, prev)
+            cols = slice(s - lo, e - lo)
+            np.exp2(p * lt + (p / 2.0) * lc + lr, out=terms[0, cols])
+            np.exp2(2.0 * lt + 0.5 * lc + lr, out=terms[1, cols])
+            np.exp2(lr, out=terms[2, cols])
 
-        terms = (np.exp2(p * lt + (p / 2.0) * lc + lr),
-                 np.exp2(2.0 * lt + 0.5 * lc + lr),
-                 np.exp2(lr))
-        cuts = [0, *np.searchsorted(ks, cps, side="right").tolist()]
+        # terms[:, :cut] holds the indices lo..cp of this chunk
+        cuts = [0, *(min(max(cp + 1 - lo, 0), hi - lo) for cp in cps)]
         for row, t in zip(parts, terms):
             for seg, a, b in zip(row, cuts, cuts[1:]):
                 if a < b:
-                    seg.append(math.fsum(t[a:b].tolist()))
+                    seg.append(math.fsum(memoryview(t[a:b])))
 
     inc_main, inc_quad, inc_rho = ([math.fsum(seg) for seg in row] for row in parts)
     sums_main, sums_quad, sums_rho = (list(np.cumsum(inc))

@@ -1,14 +1,17 @@
 """Tests for the summability trend checker and its geometric family."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coblim import series_checker
 from coblim.series_checker import (
     _CHUNK,
+    _PIECE,
     DEFAULT_CHECKPOINTS,
     SequenceFamily,
     geometric_family,
@@ -95,6 +98,71 @@ def test_tail_product_calibration_values():
 def test_rho_partial_sum_is_half():
     rep = prop23_report(geometric_family(1.5), K_max=10**4)
     assert rep.context["rho_partial_sum"] == pytest.approx(0.5, abs=1e-3)
+
+
+def _reference_increments(family, K_max):
+    # the loop the checker's piecewise one replaced: whole 2^19-index chunks,
+    # math.fsum over a list per (chunk, segment) group, then math.fsum per
+    # segment; returns the main, quadratic and rho increments
+    cps = [c for c in DEFAULT_CHECKPOINTS if c < K_max] + [K_max]
+    p = family.p
+    parts = [[[] for _ in cps] for _ in range(3)]
+    for lo in range(family.k_start, K_max + 1, _CHUNK):
+        ks = np.arange(lo, min(lo + _CHUNK, K_max + 1), dtype=np.float64)
+        lt = family.log2_theta(ks)
+        lc = family.log2_count(ks)
+        lr = family.log2_rho(ks)
+        terms = (np.exp2(p * lt + (p / 2.0) * lc + lr),
+                 np.exp2(2.0 * lt + 0.5 * lc + lr),
+                 np.exp2(lr))
+        cuts = [0, *np.searchsorted(ks, cps, side="right").tolist()]
+        for row, t in zip(parts, terms):
+            for seg, a, b in zip(row, cuts, cuts[1:]):
+                if a < b:
+                    seg.append(math.fsum(t[a:b].tolist()))
+    return [[math.fsum(seg) for seg in row] for row in parts]
+
+
+def _numbers(report):
+    return report.context, [(c.name, c.passed, c.margin, c.detail) for c in report.checks]
+
+
+@pytest.mark.parametrize("K_max", [10**3, 2 + _CHUNK, 10**6],
+                         ids=["1e3", "one-full-chunk", "1e6"])
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+def test_sums_are_bit_identical_to_whole_chunk_lists(p, K_max):
+    rep = prop23_report(geometric_family(p), K_max=K_max)
+    inc_main, inc_quad, inc_rho = _reference_increments(geometric_family(p), K_max)
+    main, quad = rep.context["main"], rep.context["quadratic"]
+    assert main["increments"] == inc_main
+    assert quad["increments"] == inc_quad
+    assert main["partial_sums"] == list(np.cumsum(inc_main))
+    assert quad["partial_sums"] == list(np.cumsum(inc_quad))
+    assert rep.context["rho_partial_sum"] == np.cumsum(inc_rho)[-1]
+    assert quad["growth_factor"] == quad["partial_sums"][-1] / quad["partial_sums"][0]
+
+
+@pytest.mark.parametrize("piece", [1 << 10, (1 << 14) + 3, 1 << 19])
+def test_report_does_not_depend_on_piece_size(monkeypatch, piece):
+    # an odd piece size shifts every ufunc call off the default lengths and
+    # alignments; the fsum groups, and so every number, must not move
+    fam = geometric_family(1.5)
+    expected = [_numbers(prop23_report(fam, K_max=k)) for k in (2 + _CHUNK, 10**6)]
+    monkeypatch.setattr(series_checker, "_PIECE", piece)
+    assert [_numbers(prop23_report(fam, K_max=k)) for k in (2 + _CHUNK, 10**6)] == expected
+
+
+def test_report_holds_one_chunk_of_term_rows():
+    # tracemalloc sees numpy's buffers: the three term rows of one chunk plus
+    # piece-sized temporaries, where whole-chunk evaluation and list fsums
+    # held about a dozen chunk-sized arrays and a 16 MiB list
+    tracemalloc.start()
+    try:
+        prop23_report(geometric_family(1.5), K_max=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * _CHUNK * 8 + (2 << 20)
 
 
 def test_checks_and_exit_semantics():
@@ -187,9 +255,10 @@ def test_fractional_count_rejected():
         prop23_report(fam, K_max=10**4)
 
 
-# k = 2 + _CHUNK opens the second chunk, so a drop there is only seen
-# against the first chunk's last value
+# k = 2 + _CHUNK opens the second chunk and k = 2 + _PIECE the second piece,
+# so a drop there is only seen against the previous piece's last value
 _B = 2 + _CHUNK
+_P = 2 + _PIECE
 
 
 @pytest.mark.parametrize("overrides,message", [
@@ -197,6 +266,10 @@ _B = 2 + _CHUNK
      f"theta_k non-decreasing fails at k={_B}"),
     (dict(log2_count=lambda k: np.where(k >= _B, 1.0, 2.0)),
      f"count_k non-decreasing fails at k={_B}"),
+    (dict(log2_theta=lambda k: np.where(k >= _P, -1.0, 0.0)),
+     f"theta_k non-decreasing fails at k={_P}"),
+    (dict(log2_count=lambda k: np.where(k >= _P, 1.0, 2.0)),
+     f"count_k non-decreasing fails at k={_P}"),
     (dict(log2_rho=lambda k: np.where(k >= _B + 7, -20.0, -40.0)),
      f"rho_k decreasing fails at k={_B + 7}"),
     (dict(log2_count=lambda k: np.where(k == 12345, np.inf, 0.0)),
@@ -205,7 +278,8 @@ _B = 2 + _CHUNK
      "count_k must be a positive integer (>= 1) but log2 count < 0 at k=99"),
     (dict(log2_rho=lambda k: np.where(k == 3000, 0.0, -k)),
      "rho_k must lie in (0, 1) but rho >= 1 at k=3000"),
-], ids=["theta-boundary", "count-boundary", "rho-second-chunk", "count-inf",
+], ids=["theta-boundary", "count-boundary", "theta-piece-boundary",
+        "count-piece-boundary", "rho-second-chunk", "count-inf",
         "count-negative", "rho-one"])
 def test_invariant_violation_names_first_offending_k(overrides, message):
     fam = flat_family(label="bad", **overrides)
