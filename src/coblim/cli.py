@@ -67,7 +67,8 @@ from .maximal import (
 from .mc_harness import (
     SHIFT_FUNCTIONS,
     THEOREM_IDS,
-    ExperimentConfig,
+    OdometerConfig,
+    ShiftConfig,
     clt_lil_report,
     condition16_report,
     condition17_report,
@@ -436,46 +437,19 @@ def _build_cex(view: ConfigView) -> TowerCounterexample:
         raise view.fail("system", f"counterexample construction rejected: {exc}") from exc
 
 
-def _experiment_config(view: ConfigView, system: str, transfer: Any) -> ExperimentConfig:
-    _check_system(view, system)
+def _monte_carlo_config(view: ConfigView, kind: type, **fields: Any) -> Any:
+    """``kind(**fields)`` with the system, horizons, paths, seed and workers of the view."""
+    _check_system(view, kind.system)
     horizons = view.get("horizons", "n", (int, list), default=[4096])
     if isinstance(horizons, int):
         horizons = [horizons]
     if not all(isinstance(n, int) and not isinstance(n, bool) for n in horizons):
         raise view.fail("n", "horizons.n must be an int or a list of ints")
-    eps = view.get("epsilons", "values", list, default=[0.1, 0.5, 1.0])
-    if not eps or not all(isinstance(e, (int, float)) and not isinstance(e, bool) and e > 0
-                          for e in eps):
-        raise view.fail("values", "epsilons.values must be a nonempty list of positive numbers")
     count = view.get("paths", "count", int, default=10000, check=lambda v: v >= 100,
                      describe="at least 100 paths")
-    block_exp = view.get("paths", "block_exp", (int, float), default=0.5,
-                         check=lambda v: 0 < v < 1, describe="block exponent in (0, 1)")
-    kwargs: Dict[str, Any] = dict(
-        system=system,
-        horizons=tuple(sorted(set(horizons))),
-        paths=count,
-        seed=view.cfg["seed"],
-        epsilons=tuple(float(e) for e in eps),
-        p=view.get("exponents", "p", (int, float)),
-        q=view.get("exponents", "q", (int, float)),
-        r=view.get("exponents", "r", (int, float)),
-        alpha=view.get("exponents", "slln_alpha", (int, float)),
-        block_exp=float(block_exp),
-        transfer=transfer,
-        workers=view.cfg["workers"],
-    )
-    if system == "odometer":
-        kwargs["bits"] = transfer.bits
-    else:
-        kwargs["window"] = view.get("system", "window", int, default=53,
-                                    check=lambda w: 1 <= w <= 53,
-                                    describe="coordinate window in [1, 53]")
-        kwargs["martingale"] = view.get("function", "martingale", str, default="rademacher",
-                                        check=lambda m: m in ("rademacher", "zero"),
-                                        describe="'rademacher' or 'zero'")
     try:
-        return ExperimentConfig(**kwargs)
+        return kind(horizons=tuple(sorted(set(horizons))), paths=count,
+                    seed=view.cfg["seed"], workers=view.cfg["workers"], **fields)
     except ValueError as exc:
         raise view.fail("horizons", f"experiment configuration rejected: {exc}") from exc
 
@@ -532,7 +506,16 @@ def _run_counterexample(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
 
 def _run_conditions(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     cex = _build_cex(view)
-    cfg = _experiment_config(view, "odometer", cex)
+    eps = view.get("epsilons", "values", list, default=[0.1, 0.5, 1.0])
+    if not eps or not all(isinstance(e, (int, float)) and not isinstance(e, bool) and e > 0
+                          for e in eps):
+        raise view.fail("values", "epsilons.values must be a nonempty list of positive numbers")
+    block_exp = view.get("paths", "block_exp", (int, float), default=0.5,
+                         check=lambda v: 0 < v < 1, describe="block exponent in (0, 1)")
+    cfg = _monte_carlo_config(view, OdometerConfig, cex=cex,
+                              epsilons=tuple(float(e) for e in eps),
+                              alpha=view.get("exponents", "slln_alpha", (int, float)),
+                              block_exp=float(block_exp))
     reports = {
         "condition16": condition16_report(cfg),
         "condition17": condition17_report(cfg),
@@ -571,7 +554,13 @@ def _run_clt(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     transfer = view.get("function", "transfer", str, default="zero",
                         check=lambda s: s in SHIFT_FUNCTIONS,
                         describe=f"one of {sorted(SHIFT_FUNCTIONS)}")
-    cfg = _experiment_config(view, "shift", transfer)
+    window = view.get("system", "window", int, default=53, check=lambda w: 1 <= w <= 53,
+                      describe="coordinate window in [1, 53]")
+    martingale = view.get("function", "martingale", str, default="rademacher",
+                          check=lambda m: m in ("rademacher", "zero"),
+                          describe="'rademacher' or 'zero'")
+    cfg = _monte_carlo_config(view, ShiftConfig, function=transfer,
+                              martingale=martingale, window=window)
     try:
         rep = clt_lil_report(cfg)
     except ValueError as exc:
@@ -611,9 +600,15 @@ def _run_maximal(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     total_level = total_weak = 0
     min_slack = math.inf
     for stream in range(count):
-        h = random_level_function(view.cfg["seed"], stream, i=level)
-        rep = maximal_inequality_report(h, bits, n_max,
-                                        t_grid=default_threshold_grid(h, grid), q=float(q))
+        try:
+            h = random_level_function(view.cfg["seed"], stream, i=level)
+        except ValueError as exc:
+            raise view.fail("level", str(exc), section="system") from exc
+        try:
+            rep = maximal_inequality_report(h, bits, n_max,
+                                            t_grid=default_threshold_grid(h, grid), q=float(q))
+        except ValueError as exc:
+            raise view.fail("bits", str(exc), section="system") from exc
         total_level += rep.level_bound_violations
         total_weak += rep.weak_bound_violations
         min_slack = min(min_slack, rep.min_slack_weak)
@@ -840,7 +835,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sp.add_argument("--seed", metavar="U64", type=int, default=None,
                         help="seed override (config seed otherwise)")
         sp.add_argument("--workers", metavar="N", type=int, default=None,
-                        help="partition parameter; never affects numeric results")
+                        help="minimum number of path chunks (runs are serial); "
+                             "never affects numeric results")
         sp.add_argument("--preset", metavar="NAME", default=None,
                         help=f"named preset ({', '.join(sorted(PRESETS))})")
     args = parser.parse_args(argv)

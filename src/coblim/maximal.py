@@ -103,8 +103,10 @@ def random_level_function(seed: int, stream: int, i: int = 8) -> LevelFunction:
 
     Mixed signs exercise the two-sided maximal function; the zeroed levels
     produce ties and empty threshold sets, the cases where the inequality is
-    sharp.
+    sharp.  Refuses i outside [1, MAX_ENUMERATION_BITS] before it draws.
     """
+    if not 1 <= i <= MAX_ENUMERATION_BITS:
+        raise ValueError(f"level i = {i} invalid: need 1 <= i <= {MAX_ENUMERATION_BITS}")
     rng = stream_generator(seed, stream)
     n = 1 << i
     nums = rng.integers(-_RANDOM_MAX_UNITS, _RANDOM_MAX_UNITS + 1, size=n, dtype=np.int64)

@@ -1,8 +1,9 @@
 """Monte Carlo harness for the limit-theorem conditions.
 
-Four experiment families, each reading an ExperimentConfig.  The three
-condition reports run on the odometer, where f = g - g.T has no martingale
-part; the CLT/LIL diagnostics run on the shift:
+Four experiment families.  The three condition reports read an
+OdometerConfig and run on the odometer, where f = g - g.T has no martingale
+part; the CLT/LIL diagnostics read a ShiftConfig and run on the shift.  Each
+report refuses the other system's config:
 
 * condition16_report — in-probability decay of n^{-1/2} max_{k<=n} |g.T^k|,
   with an exact counterpart that counts, over all residues, the windows
@@ -27,7 +28,7 @@ Conventions shared by all reports:
   counter-based streams, so results are bit-identical for any worker count
   or chunking of the path range;
 * each odometer event depends on the start only via its residue, and these
-  are derived once per ExperimentConfig (on first use) and shared by the
+  are derived once per OdometerConfig (on first use) and shared by the
   condition reports run on that config: g_table, the residue table of g;
   start_residues, from the first raw word of each path's stream (no
   Generator per path); orbits, the strided view whose row r is g(T^k r),
@@ -51,7 +52,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -72,7 +73,8 @@ from .reports import CriteriaReport, config_hash
 __all__ = [
     "ShiftFunction",
     "SHIFT_FUNCTIONS",
-    "ExperimentConfig",
+    "OdometerConfig",
+    "ShiftConfig",
     "ConditionReport",
     "CltReport",
     "validate_hypotheses",
@@ -242,106 +244,80 @@ def validate_hypotheses(exponents: Mapping[str, Any], theorem: str) -> CriteriaR
 # configuration
 # ---------------------------------------------------------------------------
 
+def _checked_horizons(horizons: Sequence[int], paths: int, workers: int) -> Tuple[int, ...]:
+    """The horizons as a tuple, after the checks both systems share."""
+    horizons = tuple(int(n) for n in horizons)
+    if not horizons or any(n < 1 for n in horizons):
+        raise ValueError("horizons must be a nonempty tuple of positive ints")
+    if list(horizons) != sorted(set(horizons)):
+        raise ValueError("horizons must be strictly increasing")
+    if paths < 100:
+        raise ValueError("need at least 100 paths for the binomial error bars")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    return horizons
+
+
+def _require(cfg: Any, kind: type) -> None:
+    """Refuse the other system's config before any of its fields is read."""
+    if not isinstance(cfg, kind):
+        raise ValueError(f"this report runs on the {kind.system} system and needs "
+                         f"{kind.__name__}, not {type(cfg).__name__}")
+
+
 @dataclass
-class ExperimentConfig:
-    """Shared knobs for the Monte Carlo reports.
+class OdometerConfig:
+    """Knobs of the three condition reports on the odometer, where f = g - g.T.
 
-    `transfer` is the g of f = m + g - g.T: a TowerCounterexample for the
-    odometer, a ShiftFunction (or a key of SHIFT_FUNCTIONS) for the shift,
-    or None.  `martingale` names the i.i.d. part as a function of the next
-    input bit ("rademacher" has unit variance, "zero" disables it).
-    """
+    `cex` is g, and fixes the precision B = cex.bits and the exponents p, q
+    and r; `alpha` is the strong-law normalization exponent (1/p when None);
+    `block_exp` is the block-growth exponent of condition17."""
 
-    system: str
+    system: ClassVar[str] = "odometer"
+    cex: TowerCounterexample
     horizons: Tuple[int, ...]
     paths: int
     seed: int
-    epsilons: Tuple[float, ...] = (0.1, 0.5, 1.0)
-    p: Optional[float] = None
-    q: Optional[float] = None
-    r: Optional[float] = None
-    alpha: Optional[float] = None      # strong-law normalization exponent
-    block_exp: float = 0.5             # block-growth exponent of the a.s. probe
-    martingale: str = "rademacher"
-    transfer: Optional[Union[TowerCounterexample, ShiftFunction, str]] = None
-    bits: int = 24                     # odometer precision
-    window: int = 53                   # shift coordinate bits
     workers: int = 1
+    epsilons: Tuple[float, ...] = (0.1, 0.5, 1.0)
+    alpha: Optional[float] = None
+    block_exp: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.system not in ("odometer", "shift"):
-            raise ValueError(f"unknown system {self.system!r}")
-        self.horizons = tuple(int(n) for n in self.horizons)
-        if not self.horizons or any(n < 1 for n in self.horizons):
-            raise ValueError("horizons must be a nonempty tuple of positive ints")
-        if list(self.horizons) != sorted(set(self.horizons)):
-            raise ValueError("horizons must be strictly increasing")
-        if self.paths < 100:
-            raise ValueError("need at least 100 paths for the binomial error bars")
+        self.horizons = _checked_horizons(self.horizons, self.paths, self.workers)
         self.epsilons = tuple(float(e) for e in self.epsilons)
         if not self.epsilons or any(e <= 0 for e in self.epsilons):
             raise ValueError("epsilons must be positive")
-        if self.system == "odometer" and not 1 <= self.bits <= 64:
-            raise ValueError(f"bits = {self.bits} invalid: odometer precision in [1, 64]")
-        if self.system == "odometer" and 2 * self.horizons[-1] > (1 << self.bits):
-            raise ValueError(
-                f"horizon {self.horizons[-1]} too long for B={self.bits} odometer "
-                f"(need 2n <= 2^B)"
-            )
+        bits = self.cex.bits
+        if not 1 <= bits <= 64:
+            raise ValueError(f"bits = {bits} invalid: odometer precision in [1, 64]")
+        if 2 * self.horizons[-1] > (1 << bits):
+            raise ValueError(f"horizon {self.horizons[-1]} too long for B={bits} odometer "
+                             f"(need 2n <= 2^B)")
         if not 0 < self.block_exp < 1:
             raise ValueError("block_exp must lie in (0, 1)")
-        if not 1 <= self.window <= 53:
-            raise ValueError(f"window = {self.window} invalid: coordinate window in [1, 53]")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.martingale not in ("rademacher", "zero"):
-            raise ValueError(f"unknown martingale part {self.martingale!r}")
-        if isinstance(self.transfer, str):
-            if self.transfer not in SHIFT_FUNCTIONS:
-                raise ValueError(
-                    f"unknown shift function {self.transfer!r}; "
-                    f"known: {sorted(SHIFT_FUNCTIONS)}"
-                )
-            self.transfer = SHIFT_FUNCTIONS[self.transfer]
-
-    # -- resolved pieces ----------------------------------------------------
 
     def resolved_alpha(self) -> float:
-        if self.alpha is not None:
-            a = float(self.alpha)
-        else:
-            if not self.p:
-                raise ValueError("alpha defaulting to 1/p requires p")
-            a = 1.0 / float(self.p)
-        if self.p and not (1.0 / float(self.p) - 1e-12 <= a <= 1.0 + 1e-12):
-            raise ValueError(f"alpha={a} outside [1/p, 1] = [{1.0 / float(self.p):.6g}, 1]")
+        lo = 1.0 / self.cex.p
+        a = lo if self.alpha is None else float(self.alpha)
+        if not lo - 1e-12 <= a <= 1.0 + 1e-12:
+            raise ValueError(f"alpha={a} outside [1/p, 1] = [{lo:.6g}, 1]")
         return a
-
-    def transfer_cex(self) -> TowerCounterexample:
-        if self.system != "odometer" or not isinstance(self.transfer, TowerCounterexample):
-            raise ValueError("this report runs on the odometer and needs a "
-                             "TowerCounterexample transfer part")
-        if self.transfer.bits != self.bits:
-            raise ValueError(
-                f"counterexample precision B={self.transfer.bits} != config bits={self.bits}"
-            )
-        return self.transfer
 
     @cached_property
     def g_table(self) -> np.ndarray:
         """g on every residue mod M = 2^{i_max} of the odometer (see g_residue_table):
         the first M entries of the config's one float64 buffer of g, whose last
         n_top entries orbits fills."""
-        cex = self.transfer_cex()
-        m = 1 << cex.i_max
-        return g_residue_table(cex, out=np.empty(m + self.horizons[-1])[:m])
+        m = 1 << self.cex.i_max
+        return g_residue_table(self.cex, out=np.empty(m + self.horizons[-1])[:m])
 
     @cached_property
     def start_residues(self) -> np.ndarray:
         """Per-path odometer start residues mod len(g_table): path j starts at
         stream_generator(seed, j).integers(0, 2**bits), read by first_draws."""
         modulus = np.uint64(self.g_table.shape[0])
-        return (first_draws(self.seed, self.paths, self.bits) % modulus).astype(np.int64)
+        return (first_draws(self.seed, self.paths, self.cex.bits) % modulus).astype(np.int64)
 
     @cached_property
     def orbits(self) -> np.ndarray:
@@ -360,33 +336,65 @@ class ExperimentConfig:
         residues, from one chunked pass over them (see OrbitPass)."""
         return OrbitPass(self)
 
-    def transfer_shift(self) -> Optional[ShiftFunction]:
-        if self.transfer is None:
-            return None
-        if not isinstance(self.transfer, ShiftFunction):
-            raise ValueError("shift-system reports need a ShiftFunction transfer part")
-        return self.transfer
+    def echo(self) -> Dict[str, Any]:
+        """Jsonable config echo (embedded in every report)."""
+        cex = self.cex
+        return {
+            "system": self.system, "horizons": list(self.horizons),
+            "paths": self.paths, "seed": self.seed,
+            "epsilons": list(self.epsilons),
+            "exponents": {"p": cex.p, "q": cex.q, "r": cex.r, "alpha": self.alpha},
+            "block_exp": self.block_exp,
+            "transfer": cex.describe(),
+            "bits": cex.bits,
+            # perfbench/refs pins these shift fields, which the odometer never
+            # reads; the next re-record of the refs (ROADMAP item 2) drops them
+            "martingale": "rademacher", "window": 53,
+        }
+
+
+@dataclass
+class ShiftConfig:
+    """Knobs of clt_lil_report on the shift, where f = m + g - g.T.
+
+    `function` is g, a ShiftFunction or a key of SHIFT_FUNCTIONS; `martingale`
+    names m as a function of the next input bit ("rademacher" has unit
+    variance, "zero" disables it); `window` counts the coordinate bits.
+    """
+
+    system: ClassVar[str] = "shift"
+    horizons: Tuple[int, ...]
+    paths: int
+    seed: int
+    workers: int = 1
+    function: Union[ShiftFunction, str] = "zero"
+    martingale: str = "rademacher"
+    window: int = 53
+
+    def __post_init__(self) -> None:
+        self.horizons = _checked_horizons(self.horizons, self.paths, self.workers)
+        if not 1 <= self.window <= 53:
+            raise ValueError(f"window = {self.window} invalid: coordinate window in [1, 53]")
+        if self.martingale not in ("rademacher", "zero"):
+            raise ValueError(f"unknown martingale part {self.martingale!r}")
+        if isinstance(self.function, str):
+            if self.function not in SHIFT_FUNCTIONS:
+                raise ValueError(f"unknown shift function {self.function!r}; "
+                                 f"known: {sorted(SHIFT_FUNCTIONS)}")
+            self.function = SHIFT_FUNCTIONS[self.function]
 
     def echo(self) -> Dict[str, Any]:
-        """Full jsonable config echo (embedded in every report)."""
-        if isinstance(self.transfer, TowerCounterexample):
-            transfer = self.transfer.describe()
-        elif isinstance(self.transfer, ShiftFunction):
-            transfer = {"shift_function": self.transfer.label}
-        else:
-            transfer = None
+        """Jsonable config echo (embedded in the report)."""
         return {
-            "system": self.system,
-            "horizons": list(self.horizons),
-            "paths": self.paths,
-            "seed": self.seed,
-            "epsilons": list(self.epsilons),
-            "exponents": {"p": self.p, "q": self.q, "r": self.r, "alpha": self.alpha},
-            "block_exp": self.block_exp,
+            "system": self.system, "horizons": list(self.horizons),
+            "paths": self.paths, "seed": self.seed,
             "martingale": self.martingale,
-            "transfer": transfer,
-            "bits": self.bits,
+            "transfer": {"shift_function": self.function.label},
             "window": self.window,
+            # perfbench/refs pins these odometer fields, which the shift never
+            # reads; the next re-record of the refs (ROADMAP item 2) drops them
+            "bits": 24, "block_exp": 0.5, "epsilons": [0.1, 0.5, 1.0],
+            "exponents": {"p": None, "q": None, "r": None, "alpha": None},
         }
 
 
@@ -469,7 +477,7 @@ def _chunk_ranges(paths: int, workers: int, per_chunk: int) -> List[Tuple[int, i
     return [(a, min(paths, a + size)) for a in range(0, paths, size)]
 
 
-def _shift_bits_chunk(cfg: ExperimentConfig, lo: int, hi: int, n: int) -> np.ndarray:
+def _shift_bits_chunk(cfg: ShiftConfig, lo: int, hi: int, n: int) -> np.ndarray:
     """Bits eps_k, k in [-window, n + window], for paths lo..hi-1."""
     count = n + 2 * cfg.window + 1
     eps = np.empty((hi - lo, count), dtype=np.uint8)
@@ -503,9 +511,8 @@ class BlockProbe:
     dyadic-window max meets its threshold.
     """
 
-    def __init__(self, cfg: ExperimentConfig, blocks: List[Tuple[int, int, int]]) -> None:
-        n0, n_top = cfg.horizons[0], cfg.horizons[-1]
-        cex = cfg.transfer_cex()
+    def __init__(self, cfg: OdometerConfig, blocks: List[Tuple[int, int, int]]) -> None:
+        n0, n_top, cex = cfg.horizons[0], cfg.horizons[-1], cfg.cex
         self.blocks = blocks
         self.n0 = n0
         self.norm = np.sqrt(
@@ -535,7 +542,7 @@ class BlockProbe:
                             for eps in cfg.epsilons}
 
     @classmethod
-    def for_config(cls, cfg: ExperimentConfig) -> Optional["BlockProbe"]:
+    def for_config(cls, cfg: OdometerConfig) -> Optional["BlockProbe"]:
         """The probe of cfg, or None when its first horizon is below 16 (log
         log must be positive) or no complete block fits in the range."""
         n0, n_top = cfg.horizons[0], cfg.horizons[-1]
@@ -568,7 +575,7 @@ class OrbitPass:
     and slln; and probe, condition17's BlockProbe, None where the config has
     none."""
 
-    def __init__(self, cfg: ExperimentConfig) -> None:
+    def __init__(self, cfg: OdometerConfig) -> None:
         h_idx = np.asarray(cfg.horizons, dtype=np.int64)
         self.wmax, self.wmin = np.empty((2, cfg.paths, len(cfg.horizons)), dtype=np.float64)
         self.probe = BlockProbe.for_config(cfg)
@@ -608,7 +615,7 @@ def _window_hit_count(table: np.ndarray, thr: float, n: int) -> int:
 # condition16: in-probability decay of the scaled orbit maximum
 # ---------------------------------------------------------------------------
 
-def condition16_report(cfg: ExperimentConfig) -> ConditionReport:
+def condition16_report(cfg: OdometerConfig) -> ConditionReport:
     """Estimate mu{ n^{-1/2} max_{1<=k<=n} |g.T^k| > eps } per horizon.
 
     The estimate reads the window maxima of cfg.orbit_pass.  The exact
@@ -626,7 +633,7 @@ def condition16_report(cfg: ExperimentConfig) -> ConditionReport:
     _level_trend_verdict on the first/last horizon estimates.
     """
     report = _new_report("condition16", cfg)
-    cex, table = cfg.transfer_cex(), cfg.g_table
+    cex, table = cfg.cex, cfg.g_table
     for gi, n in enumerate(cfg.horizons):
         for eps in cfg.epsilons:
             thr = eps * math.sqrt(n)
@@ -651,16 +658,16 @@ def condition16_report(cfg: ExperimentConfig) -> ConditionReport:
     return report
 
 
-def _new_report(condition: str, cfg: ExperimentConfig) -> ConditionReport:
+def _new_report(condition: str, cfg: OdometerConfig) -> ConditionReport:
     """An empty odometer report with the config echo and the truncation
     bounds of g at the top horizon, which every estimate inherits."""
-    cex = cfg.transfer_cex()
+    _require(cfg, OdometerConfig)
     echo = cfg.echo()
     report = ConditionReport(condition=condition, config=echo,
                              config_sha256=config_hash(echo), version=__version__)
     report.extras["truncation"] = {
-        "tail_measure_bound": truncation_tail_bound(cex),
-        "orbit_bound_at_max_horizon": orbit_truncation_bound(cex, cfg.horizons[-1]),
+        "tail_measure_bound": truncation_tail_bound(cfg.cex),
+        "orbit_bound_at_max_horizon": orbit_truncation_bound(cfg.cex, cfg.horizons[-1]),
     }
     return report
 
@@ -669,7 +676,7 @@ def _new_report(condition: str, cfg: ExperimentConfig) -> ConditionReport:
 # condition17: almost-sure decay probed through blocks
 # ---------------------------------------------------------------------------
 
-def condition17_report(cfg: ExperimentConfig) -> ConditionReport:
+def condition17_report(cfg: OdometerConfig) -> ConditionReport:
     """Block probe of (n log log n)^{-1/2} g.T^n -> 0 a.s.
 
     Splits [n0, n_G] into blocks starting at m_j = sum_{i<j} [i^block_exp]
@@ -686,14 +693,14 @@ def condition17_report(cfg: ExperimentConfig) -> ConditionReport:
     Verdict rule per eps: Borel-Cantelli increments are aggregated per
     dyadic span of m_j and fed to _increment_trend_verdict.
     """
+    report = _new_report("condition17", cfg)
     n0, n_top = cfg.horizons[0], cfg.horizons[-1]
     if n0 < 16:
         raise ValueError("first horizon must be >= 16 (log log must be positive)")
-    report = _new_report("condition17", cfg)
     probe = cfg.orbit_pass.probe
     if probe is None:
         raise ValueError("no complete blocks inside the horizon range; extend horizons")
-    cex, blocks = cfg.transfer_cex(), probe.blocks
+    cex, blocks = cfg.cex, probe.blocks
 
     for eps in cfg.epsilons:
         partial = 0.0
@@ -741,7 +748,7 @@ def condition17_report(cfg: ExperimentConfig) -> ConditionReport:
 # strong-law weighted series
 # ---------------------------------------------------------------------------
 
-def slln_report(cfg: ExperimentConfig) -> ConditionReport:
+def slln_report(cfg: OdometerConfig) -> ConditionReport:
     """Partial sums of sum_n n^{alpha p - 2} mu{max_{k<=n} |S_k(f)| >= eps n^alpha}.
 
     The weight of each geometric horizon block (n_{G-1}, n_G] is the exact
@@ -750,17 +757,14 @@ def slln_report(cfg: ExperimentConfig) -> ConditionReport:
     right endpoint.  On the odometer f = g - g.T, so the partial sums
     telescope, S_k(f) = g - g.T^k, and max_{1<=k<=n} |S_k(f)| =
     max(g - min_window, max_window - g) over the window of T^1..T^n, read
-    from ExperimentConfig.orbit_pass; rounding is monotone, so this
+    from OdometerConfig.orbit_pass; rounding is monotone, so this
     equals the per-path maximum of |fl(g - g.T^k)| bit for bit.
 
     Verdict rule per eps: _increment_trend_verdict on the per-block
     increments weight * estimate.
     """
-    if cfg.p is None:
-        raise ValueError("slln_report requires the exponent p")
-    alpha = cfg.resolved_alpha()
-    p = float(cfg.p)
     report = _new_report("slln", cfg)
+    alpha, p = cfg.resolved_alpha(), cfg.cex.p
     report.extras["alpha"] = alpha
 
     g0 = cfg.g_table[cfg.start_residues][:, None]
@@ -892,7 +896,7 @@ class CltReport:
     report: str = field(default="clt_lil", init=False)
 
 
-def clt_lil_report(cfg: ExperimentConfig) -> CltReport:
+def clt_lil_report(cfg: ShiftConfig) -> CltReport:
     """Distributional diagnostics for S_n(f)/(sigma sqrt(n)) on the shift.
 
     Per horizon: Kolmogorov-Smirnov distance of the normalized sums to the
@@ -907,15 +911,12 @@ def clt_lil_report(cfg: ExperimentConfig) -> CltReport:
     1e-9 raises, signalling a degenerate f.  A g with sup_bound 0.0 is
     g = 0 and is never evaluated.
     """
-    if cfg.system != "shift":
-        raise ValueError("clt/lil diagnostics run on the shift system")
+    _require(cfg, ShiftConfig)
     n_top, w = cfg.horizons[-1], cfg.window
     if n_top < 16:
         raise ValueError(f"horizons {list(cfg.horizons)}: the top horizon must be >= 16 "
                          f"(the iterated-logarithm tail window is [max(16, n/8), n])")
-    g = cfg.transfer_shift()
-    if g is not None and g.sup_bound == 0.0:
-        g = None
+    g = None if cfg.function.sup_bound == 0.0 else cfg.function
     sigma = 1.0 if cfg.martingale == "rademacher" else None  # else estimated below
 
     finals = np.empty((cfg.paths, len(cfg.horizons)), dtype=np.float64)

@@ -35,7 +35,8 @@ from coblim.dynamics import coordinate_matrix
 from coblim.maximal import maximal_inequality_report, random_level_function
 from coblim.mc_harness import (
     SHIFT_FUNCTIONS,
-    ExperimentConfig,
+    OdometerConfig,
+    ShiftConfig,
     _chunk_ranges,
     _paths_per_chunk,
     _shift_bits_chunk,
@@ -159,17 +160,13 @@ def test_criterion_4_monte_carlo_matches_exact_counts():
     """condition16 estimates sit within 3 binomial sigma of exact counts."""
     t0 = time.monotonic()
     cex = _iplil_tower()
-    cfg = ExperimentConfig(
-        system="odometer",
+    cfg = OdometerConfig(
+        cex=cex,
         horizons=(256, 1024, 4096),
         paths=10_000,
         seed=SEED,
         epsilons=(0.1, 1.0, 4.0, 8.0),
-        p=1.2,
-        r=4.0,
         alpha=0.3667,
-        transfer=cex,
-        bits=24,
     )
     rep = condition16_report(cfg)
     exact = {(e["n"], e["epsilon"]): e for e in rep.exact_rows}
@@ -202,13 +199,11 @@ def test_criterion_5_clt_sanity_and_transfer_perturbation():
     """KS distance of scaled sums, and the exact transfer telescoping bound."""
     t0 = time.monotonic()
     n = 4096
-    cfg_pure = ExperimentConfig(
-        system="shift", horizons=(n,), paths=4000, seed=SEED,
-        martingale="rademacher", transfer="zero",
+    cfg_pure = ShiftConfig(
+        horizons=(n,), paths=4000, seed=SEED, martingale="rademacher", function="zero",
     )
-    cfg_g = ExperimentConfig(
-        system="shift", horizons=(n,), paths=4000, seed=SEED,
-        martingale="rademacher", transfer="cosine",
+    cfg_g = ShiftConfig(
+        horizons=(n,), paths=4000, seed=SEED, martingale="rademacher", function="cosine",
     )
     rep_pure = clt_lil_report(cfg_pure)
     rep_g = clt_lil_report(cfg_g)

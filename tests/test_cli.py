@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import coblim.maximal as maximal
 from coblim.cli import DEFAULT_SEED, PRESETS, SECTION_KEYS, SUBCOMMANDS, main
 from coblim.reports import csv_text, plot_text
 
@@ -58,6 +59,45 @@ def test_maximal_resource_guard_exits_two(tmp_path, capsys):
     assert code == 2
     assert "config error" in err
     assert "resource guard: B=21 exceeds 20" in err
+
+
+@pytest.mark.parametrize("level", [0, -1, 21])
+def test_maximal_level_guard_anchored_before_drawing(tmp_path, capsys, monkeypatch, level):
+    # the level is refused at its own line before a single numerator is drawn
+    def no_draws(*args):
+        raise AssertionError("level function drawn before the level check")
+
+    monkeypatch.setattr(maximal, "stream_generator", no_draws)
+    config = tmp_path / "level.json"
+    config.write_text(json.dumps({"preset": "maximal-smoke", "system": {"level": level}},
+                                 indent=1))
+    line = next(i for i, text in enumerate(config.read_text().splitlines(), start=1)
+                if '"level"' in text)
+    out = tmp_path / "run"
+    code = run_cli("maximal", "--config", str(config), "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"level.json:{line}: level i = {level} invalid: need 1 <= i <= 20" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bits,message", [
+    (21, "resource guard: B=21 exceeds 20"),
+    (6, "level resolution i=8 exceeds precision B=6"),
+])
+def test_maximal_bits_errors_anchored_at_bits_line(tmp_path, capsys, bits, message):
+    config = tmp_path / "bits.json"
+    config.write_text(json.dumps({"preset": "maximal-smoke",
+                                  "system": {"level": 8, "bits": bits}}, indent=1))
+    line = next(i for i, text in enumerate(config.read_text().splitlines(), start=1)
+                if '"bits"' in text)
+    assert line > 1
+    out = tmp_path / "run"
+    code = run_cli("maximal", "--config", str(config), "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"bits.json:{line}: {message}" in err
+    assert not out.exists()
 
 
 def test_series_preset_exits_zero_with_three_verdicts(tmp_path, capsys):
@@ -307,11 +347,10 @@ def test_cli_import_leaves_scipy_ndimage_unloaded():
     code = (
         "import sys, coblim.cli\n"
         "from coblim.counterexamples import build_tower_counterexample\n"
-        "from coblim.mc_harness import (ExperimentConfig, condition16_report,\n"
+        "from coblim.mc_harness import (OdometerConfig, condition16_report,\n"
         "                               condition17_report, slln_report)\n"
         "cex = build_tower_counterexample('ip_lil', p=1.2, r=4.0, i_max=8, bits=12)\n"
-        "cfg = ExperimentConfig(system='odometer', horizons=(16, 64), paths=100, seed=1,\n"
-        "                       p=1.2, r=4.0, transfer=cex, bits=12)\n"
+        "cfg = OdometerConfig(cex=cex, horizons=(16, 64), paths=100, seed=1)\n"
         "for report in (condition16_report, condition17_report, slln_report):\n"
         "    report(cfg)\n"
         "print('scipy.ndimage' in sys.modules)"
@@ -329,15 +368,13 @@ def test_cli_and_monte_carlo_reports_leave_scipy_special_unloaded():
         "import sys, coblim.cli\n"
         "loaded = ['scipy.special' in sys.modules]\n"
         "from coblim.counterexamples import build_tower_counterexample\n"
-        "from coblim.mc_harness import (ExperimentConfig, clt_lil_report, condition16_report,\n"
-        "                               condition17_report, slln_report)\n"
+        "from coblim.mc_harness import (OdometerConfig, ShiftConfig, clt_lil_report,\n"
+        "                               condition16_report, condition17_report, slln_report)\n"
         "cex = build_tower_counterexample('ip_lil', p=1.2, r=4.0, i_max=8, bits=12)\n"
-        "cfg = ExperimentConfig(system='odometer', horizons=(16, 64), paths=100, seed=1,\n"
-        "                       p=1.2, r=4.0, transfer=cex, bits=12)\n"
+        "cfg = OdometerConfig(cex=cex, horizons=(16, 64), paths=100, seed=1)\n"
         "for report in (condition16_report, condition17_report, slln_report):\n"
         "    report(cfg)\n"
-        "clt_lil_report(ExperimentConfig(system='shift', horizons=(16, 64), paths=100, seed=1,\n"
-        "                                transfer='cosine'))\n"
+        "clt_lil_report(ShiftConfig(horizons=(16, 64), paths=100, seed=1, function='cosine'))\n"
         "loaded.append('scipy.special' in sys.modules)\n"
         "print(loaded)"
     )
@@ -464,6 +501,21 @@ def test_clt_preset_runs(tmp_path, capsys):
     assert "ks" in out.lower()
     rows = read_json(tmp_path / "run" / "clt.json")["rows"]
     assert [r["n"] for r in rows] == [128, 512]
+
+
+def test_clt_ignores_keys_only_the_odometer_reads(tmp_path):
+    # the shift echo writes epsilons, block_exp and the exponents as
+    # constants, so setting them changes no byte of clt.json
+    config = tmp_path / "clt.json"
+    config.write_text(json.dumps({"preset": "clt-rademacher",
+                                  "epsilons": {"values": [0.2, 3.0]},
+                                  "paths": {"block_exp": 0.25},
+                                  "exponents": {"p": 1.5}}))
+    out = tmp_path / "run"
+    assert run_cli("clt", "--config", str(config), "--out", str(out)) == 0
+    refs = read_json(REFS_DIR / "shift-clt.json")["ops"]["clt.clt-rademacher"]
+    digest = hashlib.sha256((out / "clt.json").read_bytes()).hexdigest()
+    assert digest == refs[str(DEFAULT_SEED)]["digests"]["clt.json"]
 
 
 @pytest.mark.parametrize("horizons", [[8], [4, 12]])

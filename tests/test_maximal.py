@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coblim.maximal as maximal
 from coblim.cli import main
 from coblim.dynamics import OdometerPoint
 from coblim.maximal import (
@@ -49,6 +50,25 @@ def test_random_level_function_is_seeded():
     c = random_level_function(77, 1, i=6)
     assert a.numerators == b.numerators
     assert a.numerators != c.numerators
+
+
+def test_random_level_function_refuses_level_before_drawing(monkeypatch):
+    # i = 20 passes the guard (the stub shows the draw starts), 0, -1 and 21
+    # are refused before any stream exists, so nothing is allocated at 2^21
+    class Drawn(Exception):
+        pass
+
+    def drawn(*args):
+        raise Drawn
+
+    monkeypatch.setattr(maximal, "stream_generator", drawn)
+    with pytest.raises(Drawn):
+        random_level_function(1, 0, i=MAX_ENUMERATION_BITS)
+    for i in (0, -1, MAX_ENUMERATION_BITS + 1):
+        with pytest.raises(ValueError, match=rf"level i = {i} invalid: need 1 <= i <= 20"):
+            random_level_function(1, 0, i=i)
+    monkeypatch.undo()
+    assert len(random_level_function(1, 0, i=1).numerators) == 2
 
 
 def test_level_function_abs_rep_mass():

@@ -1,5 +1,6 @@
 """Tests for exponent-window validation and the Monte Carlo reports."""
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -15,8 +16,9 @@ from coblim.dynamics import OdometerPoint, ShiftTrajectory, odometer_advance, st
 from coblim.mc_harness import (
     SHIFT_FUNCTIONS,
     THEOREM_IDS,
-    ExperimentConfig,
     _MAXLOG,
+    OdometerConfig,
+    ShiftConfig,
     _horizon_accumulate,
     _normal_cdf,
     _window_hit_count,
@@ -111,70 +113,86 @@ def test_missing_exponent_message():
 # configuration validation
 # ---------------------------------------------------------------------------
 
-def test_config_rejects_bad_system():
-    with pytest.raises(ValueError, match="unknown system"):
-        ExperimentConfig(system="torus", horizons=(64,), paths=200, seed=1)
+def odometer_config(**kw):
+    cex = build_tower_counterexample("ip_lil", p=1.2, r=4.0, i_max=12, bits=14)
+    base = dict(cex=cex, horizons=(64, 256), paths=600, seed=3, epsilons=(0.5, 2.0))
+    base.update(kw)
+    return OdometerConfig(**base)
+
+
+def cex_with_bits(bits):
+    """A tower counterexample whose precision is set to any B, even one the
+    builder refuses: enough for configs whose g_table is never built."""
+    cex = build_tower_counterexample("ip_lil", p=1.2, r=4.0, i_max=8, bits=12)
+    return dataclasses.replace(cex, bits=bits)
 
 
 def test_config_rejects_unsorted_horizons():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        ExperimentConfig(system="shift", horizons=(64, 64), paths=200, seed=1)
+    for make in (odometer_config, ShiftConfig):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            make(horizons=(64, 64), paths=200, seed=1)
 
 
 def test_config_rejects_thin_sampling():
-    with pytest.raises(ValueError, match="at least 100 paths"):
-        ExperimentConfig(system="shift", horizons=(64,), paths=50, seed=1)
+    for make in (odometer_config, ShiftConfig):
+        with pytest.raises(ValueError, match="at least 100 paths"):
+            make(horizons=(64,), paths=50, seed=1)
 
 
 def test_config_odometer_horizon_guard():
     with pytest.raises(ValueError, match="too long"):
-        ExperimentConfig(system="odometer", horizons=(4096,), paths=200, seed=1, bits=12)
+        odometer_config(cex=cex_with_bits(12), horizons=(4096,), paths=200)
+    assert odometer_config(cex=cex_with_bits(12), horizons=(2048,)).horizons == (2048,)
 
 
 def test_config_window_edges():
     for window in (1, 53):
-        assert ExperimentConfig(system="shift", horizons=(64,), paths=200, seed=1,
-                                window=window).window == window
+        assert ShiftConfig(horizons=(64,), paths=200, seed=1, window=window).window == window
     for window in (0, 54):
         with pytest.raises(ValueError, match=r"coordinate window in \[1, 53\]"):
-            ExperimentConfig(system="shift", horizons=(64,), paths=200, seed=1, window=window)
+            ShiftConfig(horizons=(64,), paths=200, seed=1, window=window)
 
 
 def test_config_resolves_named_shift_functions():
-    cfg = ExperimentConfig(
-        system="shift", horizons=(64,), paths=200, seed=1, transfer="cosine"
-    )
-    assert cfg.transfer is SHIFT_FUNCTIONS["cosine"]
+    assert ShiftConfig(horizons=(64,), paths=200, seed=1).function is SHIFT_FUNCTIONS["zero"]
+    cfg = ShiftConfig(horizons=(64,), paths=200, seed=1, function="cosine")
+    assert cfg.function is SHIFT_FUNCTIONS["cosine"]
     with pytest.raises(ValueError, match="unknown shift function"):
-        ExperimentConfig(
-            system="shift", horizons=(64,), paths=200, seed=1, transfer="sine"
-        )
+        ShiftConfig(horizons=(64,), paths=200, seed=1, function="sine")
 
 
 def test_config_alpha_defaults_to_reciprocal_p():
-    cfg = ExperimentConfig(
-        system="shift", horizons=(64,), paths=200, seed=1, p=1.6
-    )
-    assert cfg.resolved_alpha() == pytest.approx(1 / 1.6)
-    cfg_bad = ExperimentConfig(
-        system="shift", horizons=(64,), paths=200, seed=1, p=1.6, alpha=0.5
-    )
+    # p comes from the counterexample: 1.2 here
+    assert odometer_config().resolved_alpha() == pytest.approx(1 / 1.2)
     with pytest.raises(ValueError, match="outside"):
-        cfg_bad.resolved_alpha()
+        odometer_config(alpha=0.5).resolved_alpha()
+
+
+def test_each_system_echoes_its_fields_and_the_pinned_constants():
+    # the recorded artifact digests pin the keys of the other system as
+    # constants: martingale and window on the odometer; bits, block_exp,
+    # epsilons and all-null exponents on the shift
+    odo = odometer_config(alpha=0.9).echo()
+    assert odo == {
+        "system": "odometer", "horizons": [64, 256], "paths": 600, "seed": 3,
+        "epsilons": [0.5, 2.0], "exponents": {"p": 1.2, "q": None, "r": 4.0, "alpha": 0.9},
+        "block_exp": 0.5, "transfer": odometer_config().cex.describe(), "bits": 14,
+        "martingale": "rademacher", "window": 53,
+    }
+    shift = ShiftConfig(horizons=(64,), paths=200, seed=1, function="cosine",
+                        martingale="zero", window=20).echo()
+    assert shift == {
+        "system": "shift", "horizons": [64], "paths": 200, "seed": 1,
+        "martingale": "zero", "transfer": {"shift_function": "cosine"}, "window": 20,
+        "bits": 24, "block_exp": 0.5, "epsilons": [0.1, 0.5, 1.0],
+        "exponents": {"p": None, "q": None, "r": None, "alpha": None},
+    }
+    assert OdometerConfig.system == "odometer" and ShiftConfig.system == "shift"
 
 
 # ---------------------------------------------------------------------------
 # condition16: Monte Carlo against the exact residue count
 # ---------------------------------------------------------------------------
-
-def odometer_config(**kw):
-    cex = build_tower_counterexample("ip_lil", p=1.2, r=4.0, i_max=12, bits=14)
-    base = dict(
-        system="odometer", horizons=(64, 256), paths=600, seed=3,
-        epsilons=(0.5, 2.0), p=1.2, r=4.0, transfer=cex, bits=14,
-    )
-    base.update(kw)
-    return ExperimentConfig(**base)
 
 
 def test_condition16_estimates_within_three_sigma_of_exact():
@@ -234,7 +252,7 @@ def test_odometer_pass_holds_one_table_and_chunk_sized_temporaries():
     # would hold two or three tables; the pass and condition16 add
     # temporaries of a few 2 MiB chunks of orbit rows and pieces of the table
     cex = build_tower_counterexample("ip_lil", p=1.2, r=4.0, i_max=16, bits=18)
-    cfg = odometer_config(transfer=cex, bits=18, horizons=(256, 1024, 4096), paths=1000)
+    cfg = odometer_config(cex=cex, horizons=(256, 1024, 4096), paths=1000)
     buffer_bytes = ((1 << 16) + 4096) * 8
     chunk_bytes = (1 << 18) * 8
     tracemalloc.start()
@@ -260,7 +278,7 @@ def test_orbits_and_window_extrema_match_modular_gather(i_max, horizons):
     n_top, m = horizons[-1], 1 << i_max
     extrema = []
     for workers in (1, 3):
-        cfg = odometer_config(transfer=cex, horizons=horizons, workers=workers)
+        cfg = odometer_config(cex=cex, horizons=horizons, workers=workers)
         assert len(cfg.g_table) == m
         table = np.random.default_rng(5).standard_normal(m)
         cfg.g_table[:] = table
@@ -309,7 +327,7 @@ def test_odometer_state_derived_once_per_config(monkeypatch):
 @pytest.mark.parametrize("bits", [2, 22, 24, 32, 33, 40])
 def test_start_residues_equal_generator_draws(seed, bits):
     # 32/33 straddle the switch from the 32-bit to the 64-bit Lemire draw
-    cfg = ExperimentConfig(system="odometer", horizons=(1,), paths=100, seed=seed, bits=bits)
+    cfg = OdometerConfig(cex=cex_with_bits(bits), horizons=(1,), paths=100, seed=seed)
     m = 1 << min(bits, 12)
     cfg.__dict__["g_table"] = np.zeros(m)
     expected = [int(stream_generator(seed, j).integers(0, 1 << bits, dtype=np.uint64)) % m
@@ -321,13 +339,13 @@ def test_start_residues_equal_generator_draws(seed, bits):
 def test_config_odometer_bits_edges():
     # building a config derives nothing: tables and draws come on first use
     for bits in (1, 64):
-        cfg = ExperimentConfig(system="odometer", horizons=(1,), paths=100, seed=1, bits=bits)
-        assert cfg.bits == bits
+        cfg = OdometerConfig(cex=cex_with_bits(bits), horizons=(1,), paths=100, seed=1)
+        assert cfg.cex.bits == bits
         assert not {"g_table", "start_residues", "orbits", "orbit_pass"} & set(cfg.__dict__)
     for bits in (0, 65):
         with pytest.raises(ValueError, match=rf"bits = {bits} invalid: odometer precision "
                                              r"in \[1, 64\]"):
-            ExperimentConfig(system="odometer", horizons=(1,), paths=100, seed=1, bits=bits)
+            OdometerConfig(cex=cex_with_bits(bits), horizons=(1,), paths=100, seed=1)
 
 
 def test_reports_do_not_depend_on_chunking(monkeypatch):
@@ -338,8 +356,7 @@ def test_reports_do_not_depend_on_chunking(monkeypatch):
     for per_chunk in (lambda n: 1, lambda n: 7, default):
         monkeypatch.setattr(mc_harness, "_paths_per_chunk", per_chunk)
         cfg = odometer_config(paths=300)
-        shift = ExperimentConfig(system="shift", horizons=(16, 64, 256), paths=150, seed=12,
-                                 transfer="cosine")
+        shift = ShiftConfig(horizons=(16, 64, 256), paths=150, seed=12, function="cosine")
         texts.append([canonical_json(r) for r in (
             condition16_report(cfg), condition17_report(cfg), slln_report(cfg),
             clt_lil_report(shift))])
@@ -373,12 +390,14 @@ def test_condition16_deterministic_across_workers():
 @pytest.mark.parametrize("report_fn", [condition16_report, condition17_report, slln_report],
                          ids=["condition16", "condition17", "slln"])
 def test_condition_reports_refuse_shift_config(report_fn):
-    # the condition reports run on the odometer only, whatever the transfer
-    cex = build_tower_counterexample("ip_lil", p=1.2, r=4.0, i_max=12, bits=14)
-    for transfer in ("cosine", cex):
-        cfg = ExperimentConfig(system="shift", horizons=(64, 256), paths=200, seed=1,
-                               p=1.5, transfer=transfer, bits=14)
-        with pytest.raises(ValueError, match="TowerCounterexample"):
+    # the condition reports run on the odometer only, whatever the shift
+    # config holds; the refusal is a ValueError naming the system, raised
+    # before a field the shift lacks (cex, g_table) is read.  A first horizon
+    # below 16 would otherwise be condition17's first complaint.
+    for function, horizons in (("cosine", (64, 256)), ("zero", (8, 64))):
+        cfg = ShiftConfig(horizons=horizons, paths=200, seed=1, function=function)
+        with pytest.raises(ValueError, match="runs on the odometer system and needs "
+                                             "OdometerConfig, not ShiftConfig"):
             report_fn(cfg)
 
 
@@ -389,7 +408,7 @@ def test_condition_reports_refuse_shift_config(report_fn):
 
 def odometer_reference(cfg):
     """Per path j: g(T^k w_j) for k = 0..n at n = top horizon."""
-    cex, bits, n = cfg.transfer, cfg.bits, cfg.horizons[-1]
+    cex, bits, n = cfg.cex, cfg.cex.bits, cfg.horizons[-1]
     g = functools.lru_cache(maxsize=None)(lambda v: eval_g(cex, OdometerPoint(v, bits)))
     for j in range(cfg.paths):
         start = int(stream_generator(cfg.seed, j).integers(0, 1 << bits, dtype=np.uint64))
@@ -414,14 +433,12 @@ def test_condition17_odometer_matches_per_path_reference():
 
 
 def test_condition17_and_slln_reports_run():
-    cfg = odometer_config(horizons=(64, 256), alpha=1.0, q=None)
+    cfg = odometer_config(horizons=(64, 256), alpha=1.0)
     r17 = condition17_report(cfg)
     assert r17.rows and r17.verdicts
     cex = build_tower_counterexample("slln", p=1.8, r=3.0, q=1.1, i_max=12, bits=14)
-    cfg_s = ExperimentConfig(
-        system="odometer", horizons=(64, 256), paths=300, seed=4, epsilons=(1.0, 2.0),
-        p=1.8, q=1.1, r=3.0, transfer=cex, bits=14, workers=3,
-    )
+    cfg_s = OdometerConfig(cex=cex, horizons=(64, 256), paths=300, seed=4, workers=3,
+                           epsilons=(1.0, 2.0))
     rs = slln_report(cfg_s)
     assert rs.rows and rs.verdicts
     alpha = cfg_s.resolved_alpha()
@@ -440,7 +457,7 @@ def test_slln_window_extrema_match_brute_force_on_table_without_zeros():
     # are 0 and a window that misses one end goes unseen.  A random table
     # without zeros and short horizons make both window ends matter.
     cfg = odometer_config(horizons=(4, 16), epsilons=(0.25, 0.4))
-    m = 1 << cfg.transfer.i_max
+    m = 1 << cfg.cex.i_max
     assert len(cfg.g_table) == m
     table = np.random.default_rng(11).standard_normal(m)
     assert np.all(table != 0.0)
@@ -461,8 +478,8 @@ def test_slln_window_extrema_match_brute_force_on_table_without_zeros():
 
 def test_unknown_martingale_rejected():
     with pytest.raises(ValueError, match="unknown martingale part 'gaussian'"):
-        ExperimentConfig(system="shift", horizons=(64,), paths=200, seed=1,
-                         martingale="gaussian", transfer="identity")
+        ShiftConfig(horizons=(64,), paths=200, seed=1, martingale="gaussian",
+                    function="identity")
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +529,7 @@ def test_ks_statistic_detects_wrong_scale():
 
 
 def test_clt_report_pure_martingale():
-    cfg = ExperimentConfig(
-        system="shift", horizons=(128, 512), paths=400, seed=9,
-    )
+    cfg = ShiftConfig(horizons=(128, 512), paths=400, seed=9)
     report = clt_lil_report(cfg)
     assert report.sigma == 1.0
     assert [row["n"] for row in report.rows] == [128, 512]
@@ -525,29 +540,22 @@ def test_clt_report_pure_martingale():
 
 
 def test_clt_report_zero_martingale_estimates_sigma():
-    cfg = ExperimentConfig(
-        system="shift", horizons=(256,), paths=300, seed=2,
-        martingale="zero", transfer="identity",
-    )
+    cfg = ShiftConfig(horizons=(256,), paths=300, seed=2, martingale="zero",
+                      function="identity")
     report = clt_lil_report(cfg)
     assert report.sigma > 0
 
 
 def test_clt_report_degenerate_f_raises():
-    cfg = ExperimentConfig(
-        system="shift", horizons=(128,), paths=200, seed=2,
-        martingale="zero", transfer="zero",
-    )
+    cfg = ShiftConfig(horizons=(128,), paths=200, seed=2, martingale="zero", function="zero")
     with pytest.raises(ValueError, match="degenerate"):
         clt_lil_report(cfg)
 
 
 def test_clt_bounded_transfer_moves_sums_at_most_two_sup():
     # f = m + g - g.T changes S_n by g(w) - g(T^n w): bounded by 2 sup|g|
-    base = ExperimentConfig(system="shift", horizons=(256,), paths=300, seed=14)
-    with_g = ExperimentConfig(
-        system="shift", horizons=(256,), paths=300, seed=14, transfer="cosine",
-    )
+    base = ShiftConfig(horizons=(256,), paths=300, seed=14)
+    with_g = ShiftConfig(horizons=(256,), paths=300, seed=14, function="cosine")
     r0 = clt_lil_report(base)
     r1 = clt_lil_report(with_g)
     sup_g = SHIFT_FUNCTIONS["cosine"].sup_bound
@@ -571,8 +579,8 @@ def shift_reference(cfg):
 
 @pytest.mark.parametrize("martingale", ["rademacher", "zero"])
 def test_clt_matches_per_path_reference(martingale):
-    cfg = ExperimentConfig(system="shift", horizons=(16, 64, 256), paths=150, seed=12,
-                           martingale=martingale, transfer="identity", workers=3)
+    cfg = ShiftConfig(horizons=(16, 64, 256), paths=150, seed=12, martingale=martingale,
+                      function="identity", workers=3)
     report = clt_lil_report(cfg)
     sums = [(x[0] - x) + (sm if martingale == "rademacher" else 0)
             for x, sm in shift_reference(cfg)]
@@ -617,20 +625,25 @@ def test_clt_rejects_short_top_horizon_before_drawing(monkeypatch, horizons):
         raise AssertionError("bits drawn before the horizon check")
 
     monkeypatch.setattr(mc_harness, "fair_bits", no_draws)
-    cfg = ExperimentConfig(system="shift", horizons=horizons, paths=100, seed=1)
+    cfg = ShiftConfig(horizons=horizons, paths=100, seed=1)
     with pytest.raises(ValueError, match=r"top horizon must be >= 16"):
         clt_lil_report(cfg)
 
 
 def test_clt_accepts_top_horizon_16():
-    report = clt_lil_report(ExperimentConfig(system="shift", horizons=(16,), paths=100, seed=1))
+    report = clt_lil_report(ShiftConfig(horizons=(16,), paths=100, seed=1))
     assert report.limsup["tail_window"] == [16, 16]
 
 
-def test_clt_requires_shift_system():
-    cex = build_tower_counterexample("ip_lil", p=1.2, r=4.0, i_max=10, bits=12)
-    cfg = ExperimentConfig(
-        system="odometer", horizons=(64,), paths=200, seed=1, transfer=cex, bits=12
-    )
-    with pytest.raises(ValueError, match="shift system"):
-        clt_lil_report(cfg)
+def test_clt_requires_shift_system(monkeypatch):
+    # refused before a field the odometer lacks (window, function) is read,
+    # and before any bit is drawn, even where the top horizon is below 16
+    def no_draws(*args):
+        raise AssertionError("bits drawn before the system check")
+
+    monkeypatch.setattr(mc_harness, "fair_bits", no_draws)
+    for horizons in ((64,), (8,)):
+        cfg = odometer_config(horizons=horizons, paths=200)
+        with pytest.raises(ValueError, match="runs on the shift system and needs "
+                                             "ShiftConfig, not OdometerConfig"):
+            clt_lil_report(cfg)
