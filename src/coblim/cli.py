@@ -60,6 +60,8 @@ from .counterexamples import (
     norm_decay_ratios,
 )
 from .maximal import (
+    check_enumeration,
+    check_level,
     default_threshold_grid,
     maximal_inequality_report,
     random_level_function,
@@ -592,6 +594,16 @@ def _run_maximal(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     q = view.get("exponents", "q", (int, float), default=2.0, check=lambda v: v > 1,
                  describe="weak-norm exponent q > 1")
 
+    # both guards run before the first draw, which at level 20 holds 2^20 numerators
+    try:
+        check_level(level)
+    except ValueError as exc:
+        raise view.fail("level", str(exc), section="system") from exc
+    try:
+        check_enumeration(bits, level)
+    except ValueError as exc:
+        raise view.fail("bits", str(exc), section="system") from exc
+
     files: Artifacts = {}
     summary_rows = []
     report = CriteriaReport(title="maximal inequality enumeration",
@@ -600,15 +612,9 @@ def _run_maximal(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     total_level = total_weak = 0
     min_slack = math.inf
     for stream in range(count):
-        try:
-            h = random_level_function(view.cfg["seed"], stream, i=level)
-        except ValueError as exc:
-            raise view.fail("level", str(exc), section="system") from exc
-        try:
-            rep = maximal_inequality_report(h, bits, n_max,
-                                            t_grid=default_threshold_grid(h, grid), q=float(q))
-        except ValueError as exc:
-            raise view.fail("bits", str(exc), section="system") from exc
+        h = random_level_function(view.cfg["seed"], stream, i=level)
+        rep = maximal_inequality_report(h, bits, n_max,
+                                        t_grid=default_threshold_grid(h, grid), q=float(q))
         total_level += rep.level_bound_violations
         total_weak += rep.weak_bound_violations
         min_slack = min(min_slack, rep.min_slack_weak)

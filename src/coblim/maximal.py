@@ -43,9 +43,29 @@ __all__ = [
     "default_threshold_grid",
     "maximal_inequality_report",
     "MAX_ENUMERATION_BITS",
+    "check_level",
+    "check_enumeration",
 ]
 
 MAX_ENUMERATION_BITS = 20  # refuse full enumeration beyond 2^20 points
+
+
+def check_level(i: int) -> None:
+    """Refuse a tower level i outside [1, MAX_ENUMERATION_BITS]."""
+    if not 1 <= i <= MAX_ENUMERATION_BITS:
+        raise ValueError(f"level i = {i} invalid: need 1 <= i <= {MAX_ENUMERATION_BITS}")
+
+
+def check_enumeration(bits: int, i: int) -> None:
+    """Refuse enumerating M* over 2^bits points beyond the resource guard
+    (bits <= MAX_ENUMERATION_BITS), or at a level resolution i above bits."""
+    if bits > MAX_ENUMERATION_BITS:
+        raise ValueError(
+            f"resource guard: B={bits} exceeds {MAX_ENUMERATION_BITS}; "
+            f"full enumeration over 2^{bits} points refused"
+        )
+    if i > bits:
+        raise ValueError(f"level resolution i={i} exceeds precision B={bits}")
 
 
 @dataclass(frozen=True)
@@ -105,8 +125,7 @@ def random_level_function(seed: int, stream: int, i: int = 8) -> LevelFunction:
     produce ties and empty threshold sets, the cases where the inequality is
     sharp.  Refuses i outside [1, MAX_ENUMERATION_BITS] before it draws.
     """
-    if not 1 <= i <= MAX_ENUMERATION_BITS:
-        raise ValueError(f"level i = {i} invalid: need 1 <= i <= {MAX_ENUMERATION_BITS}")
+    check_level(i)
     rng = stream_generator(seed, stream)
     n = 1 << i
     nums = rng.integers(-_RANDOM_MAX_UNITS, _RANDOM_MAX_UNITS + 1, size=n, dtype=np.int64)
@@ -233,13 +252,7 @@ def maximal_inequality_report(
     Raises ValueError when bits exceeds the enumeration guard (B <= 20), or
     when the level resolution i exceeds bits.
     """
-    if bits > MAX_ENUMERATION_BITS:
-        raise ValueError(
-            f"resource guard: B={bits} exceeds {MAX_ENUMERATION_BITS}; "
-            f"full enumeration over 2^{bits} points refused"
-        )
-    if h.i > bits:
-        raise ValueError(f"level resolution i={h.i} exceeds precision B={bits}")
+    check_enumeration(bits, h.i)
     if q <= 1:
         raise ValueError("q must exceed 1")
     if t_grid is None:

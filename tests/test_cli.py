@@ -100,6 +100,35 @@ def test_maximal_bits_errors_anchored_at_bits_line(tmp_path, capsys, bits, messa
     assert not out.exists()
 
 
+class _Drawn(Exception):
+    """Raised by the stubbed level function: the run got past every guard."""
+
+
+@pytest.mark.parametrize("bits", [20, 21])
+def test_maximal_bits_guard_edges_checked_before_drawing(tmp_path, capsys, monkeypatch, bits):
+    # at level 20 one draw holds 2^20 numerators, so bits 21 must be refused
+    # before the first draw; the stub fails the test if it is reached there,
+    # and at bits 20 it stops the accepted run before it allocates anything
+    def drawn(*args, **kwargs):
+        raise _Drawn
+
+    monkeypatch.setattr("coblim.cli.random_level_function", drawn)
+    config = tmp_path / "bits.json"
+    config.write_text(json.dumps({"preset": "maximal-smoke",
+                                  "system": {"level": 20, "bits": bits}}, indent=1))
+    out = tmp_path / "run"
+    if bits == 20:
+        with pytest.raises(_Drawn):
+            run_cli("maximal", "--config", str(config), "--out", str(out))
+        return
+    line = next(i for i, text in enumerate(config.read_text().splitlines(), start=1)
+                if '"bits"' in text)
+    code = run_cli("maximal", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert f"bits.json:{line}: resource guard: B=21 exceeds 20" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_series_preset_exits_zero_with_three_verdicts(tmp_path, capsys):
     code = run_cli("series", "--preset", "series-327", "--out", str(tmp_path))
     out = capsys.readouterr().out

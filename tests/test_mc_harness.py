@@ -11,6 +11,8 @@ import pytest
 
 import coblim.dynamics as dynamics
 import coblim.mc_harness as mc_harness
+from coblim import __version__
+from coblim.cli import DEFAULT_SEED, PRESETS
 from coblim.counterexamples import build_tower_counterexample, eval_g
 from coblim.dynamics import OdometerPoint, ShiftTrajectory, odometer_advance, stream_generator
 from coblim.mc_harness import (
@@ -29,7 +31,7 @@ from coblim.mc_harness import (
     slln_report,
     validate_hypotheses,
 )
-from coblim.reports import canonical_json
+from coblim.reports import canonical_json, config_hash
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +610,156 @@ def test_clt_matches_per_path_reference(martingale):
         "mean": float(np.mean(ratio)),
         "quantiles": {str(q): float(np.quantile(ratio, q)) for q in qs},
     }
+
+
+# The whole-matrix loop: g on every cell of every path.  clt_lil_report
+# evaluates g only where the coboundary sandwich leaves a maximum open, and
+# must give the same report bit for bit.
+
+def whole_matrix_sums(cfg):
+    """(S_k(f), S_k(m)) for k = 0..n_top on every path, g on all cells."""
+    n_top, w = cfg.horizons[-1], cfg.window
+    eps_bits = mc_harness._shift_bits_chunk(cfg, 0, cfg.paths, n_top)
+    sm = np.zeros((cfg.paths, n_top + 1), dtype=np.float64)
+    if cfg.martingale == "rademacher":
+        sm[:, 1:] = np.cumsum(2 * eps_bits[:, w: w + n_top].astype(np.int32) - 1, axis=1)
+    s = sm.copy()
+    if cfg.function.sup_bound != 0.0:
+        gx = cfg.function(dynamics.coordinate_matrix(eps_bits, n_top, w))
+        s += gx[:, :1] - gx
+    return s, sm
+
+
+def clt_whole_matrix_reference(cfg):
+    n_top = cfg.horizons[-1]
+    k0 = max(16, n_top // 8)
+    ks = np.arange(k0, n_top + 1, dtype=np.float64)
+    lil_norm = np.sqrt(2.0 * ks * np.log(np.log(ks)))
+    h_idx = np.asarray(cfg.horizons, dtype=np.int64)
+    s, _ = whole_matrix_sums(cfg)
+    finals = s[:, h_idx]
+    s = np.abs(s)
+    sups = np.maximum.accumulate(s[:, 1:], axis=1)[:, h_idx - 1]
+    tail_ratio = np.max(s[:, k0:] / lil_norm[None, :], axis=1)
+    sigma = 1.0 if cfg.martingale == "rademacher" else None
+    if sigma is None:
+        sigma = float(np.std(finals[:, -1]) / math.sqrt(n_top))
+        if sigma < 1e-9:
+            raise ValueError("degenerate f: sigma estimate below 1e-9")
+    report = mc_harness.CltReport(config=cfg.echo(), config_sha256=config_hash(cfg.echo()),
+                                  version=__version__, sigma=sigma)
+    qs = [0.5, 0.9, 0.99]
+    for gi, n in enumerate(cfg.horizons):
+        z = finals[:, gi] / (sigma * math.sqrt(n))
+        sup_scaled = sups[:, gi] / (sigma * math.sqrt(n))
+        row = {"n": n, "ks_distance": ks_statistic(z), "mean": float(np.mean(z)),
+               "sup_mean": float(np.mean(sup_scaled))}
+        for q in qs:
+            row[f"sup_q{int(q * 100)}"] = float(np.quantile(sup_scaled, q))
+        report.rows.append(row)
+    report.limsup = {
+        "tail_window": [k0, n_top],
+        "normalization": "sqrt(2 sigma^2 k loglog k)",
+        "mean": float(np.mean(tail_ratio / sigma)),
+        "quantiles": {str(q): float(np.quantile(tail_ratio / sigma, q)) for q in qs},
+    }
+    return report
+
+
+# (100, 700, 1000) puts k0 = 125 and the segment edges mid-block, and
+# n_top + 1 = 1001 is a multiple of no block width tried
+@pytest.mark.parametrize("horizons", [(16,), (16, 64, 256), (100, 700, 1000)])
+@pytest.mark.parametrize("martingale", ["rademacher", "zero"])
+@pytest.mark.parametrize("function", ["zero", "identity", "cosine", "inverse_cuberoot"])
+def test_clt_equals_whole_matrix_reference(monkeypatch, function, martingale, horizons):
+    base = ShiftConfig(horizons=horizons, paths=100, seed=31, function=function,
+                       martingale=martingale)
+    try:
+        expected = clt_whole_matrix_reference(base)
+    except ValueError as exc:  # g = 0 and m = 0: f = 0
+        assert function == martingale == "zero"
+        with pytest.raises(ValueError, match=str(exc)):
+            clt_lil_report(base)
+        return
+    for block in (8, mc_harness._G_BLOCK, 64):
+        monkeypatch.setattr(mc_harness, "_G_BLOCK", block)
+        for workers in (1, 3):
+            assert clt_lil_report(dataclasses.replace(base, workers=workers)) == expected
+
+
+@pytest.mark.parametrize("block", [8, 32])
+def test_open_blocks_keep_every_maximum_under_extreme_transfers(monkeypatch, block):
+    # g at its extremes +-1 on random sign-changing sums: the cells outside the
+    # open blocks, holding S_k(m), must leave every maximum the report reads
+    # where S_k(f) on all cells puts it
+    monkeypatch.setattr(mc_harness, "_G_BLOCK", block)
+    rng = np.random.default_rng(7)
+    n, k0, h_idx = 300, 37, np.array([40, 130, 300])
+    ks = np.arange(k0, n + 1, dtype=np.float64)
+    lil_norm = np.sqrt(2.0 * ks * np.log(np.log(ks)))
+    sm = np.zeros((4000, n + 1))
+    sm[:, 1:] = np.cumsum(rng.integers(-2, 3, (4000, n)), axis=1)
+    gx = rng.choice([-1.0, 1.0], size=sm.shape)
+    s = sm + (gx[:, :1] - gx)
+    blocks = mc_harness._open_blocks(np.abs(sm[:, 1:]).astype(np.int32), h_idx, k0,
+                                     lil_norm, 2.0)
+    mixed = np.where(np.repeat(blocks, block, axis=1)[:, : n + 1], s, sm)
+    assert 0 < blocks.mean() < 1
+    for x in (s, mixed):
+        x[:] = np.abs(x)
+    assert np.array_equal(mixed[:, h_idx], s[:, h_idx])
+    assert np.array_equal(_horizon_accumulate(np.maximum, mixed, h_idx),
+                          _horizon_accumulate(np.maximum, s, h_idx))
+    assert np.array_equal(np.max(mixed[:, k0:] / lil_norm, axis=1),
+                          np.max(s[:, k0:] / lil_norm, axis=1))
+
+
+@pytest.mark.parametrize("function", ["cosine", "identity"])
+def test_coboundary_sandwich_holds_at_every_step(function):
+    # |S_k(f) - S_k(m)| = |g(x_0) - g(x_k)| <= 2 ||g||_oo in float64, at every
+    # k <= n on every path: the bound that lets clt_lil_report skip g
+    cfg = ShiftConfig(horizons=(64, 1000), paths=200, seed=8, function=function)
+    s, sm = whole_matrix_sums(cfg)
+    assert np.all(np.abs(s - sm) <= 2.0 * cfg.function.sup_bound)
+
+
+def test_clt_bounded_transfer_evaluates_g_on_few_cells_in_bounded_memory():
+    # the clt-bounded-transfer preset: g on at most a quarter of the cells (a
+    # deterministic count), and a peak of at most three 2 MiB chunks, where
+    # the whole-matrix loop evaluated g on every cell and peaked at 6.5 MiB
+    preset = PRESETS["clt-bounded-transfer"]
+    cosine = SHIFT_FUNCTIONS[preset["function"]["transfer"]]
+    cells = []
+
+    def counting(x):
+        cells.append(x.size)
+        return cosine(x)
+
+    cfg = ShiftConfig(horizons=tuple(preset["horizons"]["n"]), paths=preset["paths"]["count"],
+                      seed=DEFAULT_SEED, martingale=preset["function"]["martingale"],
+                      function=mc_harness.ShiftFunction("cosine", counting, cosine.sup_bound))
+    tracemalloc.start()
+    try:
+        clt_lil_report(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(cells) <= 0.25 * cfg.paths * (cfg.horizons[-1] + 1)
+    assert peak <= 3 * (1 << 18) * 8
+
+
+@pytest.mark.parametrize("bound", [-1.0, -1e-300, math.nan])
+def test_shift_function_refuses_negative_or_nan_bound(bound):
+    with pytest.raises(ValueError, match="sup_bound"):
+        mc_harness.ShiftFunction("bad", np.sin, sup_bound=bound)
+    assert mc_harness.ShiftFunction("unbounded", np.sin).sup_bound is None
+
+
+def test_shift_functions_stay_within_their_bounds():
+    x = np.concatenate((np.linspace(0.0, 0.5, 1 << 16, endpoint=False), [0.5 - 2.0 ** -54]))
+    for name, g in SHIFT_FUNCTIONS.items():
+        if g.sup_bound is not None:
+            assert np.all(np.abs(g(x)) <= g.sup_bound), name
 
 
 @pytest.mark.parametrize("ufunc", [np.maximum, np.minimum])
