@@ -11,18 +11,19 @@ functions of the form f = m + g - g.T on
 
 Monte Carlo estimates are always backed by an exact counterpart when one
 exists; the exact side never samples.
+
+Both systems are computed in batches: residue tables of g and orbit views on
+the odometer (`counterexamples`, `mc_harness`), and `dynamics.coordinate_matrix`
+for the shift coordinates of many paths at once.  The package namespace
+exports only the weak and strong norms of `weak_tails`; the reports are run
+through `coblim.cli` or imported from their modules.
 """
 
 __version__ = "0.1.0"
 
-from .dynamics import OdometerPoint, ShiftTrajectory, level, odometer_advance
 from .weak_tails import SimpleFunctionRep, strong_norm, weak_norm
 
 __all__ = [
-    "OdometerPoint",
-    "ShiftTrajectory",
-    "odometer_advance",
-    "level",
     "SimpleFunctionRep",
     "weak_norm",
     "strong_norm",

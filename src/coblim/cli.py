@@ -40,7 +40,7 @@ import platform
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy
@@ -106,15 +106,6 @@ SECTION_KEYS: Dict[str, Tuple[str, ...]] = {
     "epsilons": ("values", "floor", "tail_start", "grid", "dr_threshold"),
     "function": ("martingale", "transfer", "family", "params"),
 }
-SUBCOMMANDS = (
-    "counterexample",
-    "conditions",
-    "clt",
-    "maximal",
-    "criteria",
-    "series",
-    "validate",
-)
 
 
 class ConfigError(Exception):
@@ -218,17 +209,6 @@ PRESETS: Dict[str, Dict[str, Any]] = {
         "exponents": {"q": 1.1, "p": 1.8, "r": 3.0},
     },
 }
-
-DEFAULT_PRESET = {
-    "counterexample": "tower-iplil",
-    "conditions": "tower-iplil",
-    "clt": "clt-rademacher",
-    "maximal": "maximal-smoke",
-    "criteria": "criteria-affine",
-    "series": "series-327",
-    "validate": "windows-iplil",
-}
-
 
 # ---------------------------------------------------------------------------
 # config loading and validation
@@ -350,7 +330,7 @@ def resolve_config(
                              f"unsupported schema_version {version!r} "
                              f"(supported: {SCHEMA_VERSION})")
 
-    preset_name = preset_flag or file_cfg.get("preset") or DEFAULT_PRESET[subcommand]
+    preset_name = preset_flag or file_cfg.get("preset") or SUBCOMMANDS[subcommand][1]
     if not isinstance(preset_name, str) or preset_name not in PRESETS:
         raise file_view.fail("preset", f"unknown preset {preset_name!r}; "
                                        f"available: {', '.join(sorted(PRESETS))}")
@@ -453,7 +433,7 @@ def _monte_carlo_config(view: ConfigView, kind: type, **fields: Any) -> Any:
         return kind(horizons=tuple(sorted(set(horizons))), paths=count,
                     seed=view.cfg["seed"], workers=view.cfg["workers"], **fields)
     except ValueError as exc:
-        raise view.fail("horizons", f"experiment configuration rejected: {exc}") from exc
+        raise view.fail("n", str(exc), section="horizons") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -565,10 +545,7 @@ def _run_clt(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
                               martingale=martingale, window=window)
     try:
         rep = clt_lil_report(cfg)
-    except ValueError as exc:
-        # a top horizon below 16 or a degenerate f, each anchored at its key
-        if str(exc).startswith("horizons"):
-            raise view.fail("n", str(exc), section="horizons") from exc
+    except ValueError as exc:  # a degenerate f
         raise view.fail("function", str(exc)) from exc
     files = {
         "clt.json": canonical_json(rep),
@@ -753,14 +730,16 @@ def _run_validate(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     return files, _verdict(combined)
 
 
-_HANDLERS = {
-    "counterexample": _run_counterexample,
-    "conditions": _run_conditions,
-    "clt": _run_clt,
-    "maximal": _run_maximal,
-    "criteria": _run_criteria,
-    "series": _run_series,
-    "validate": _run_validate,
+#: Each subcommand's handler, and the preset it runs when neither ``--preset``
+#: nor the config names one.
+SUBCOMMANDS: Dict[str, Tuple[Callable[[ConfigView, str], Tuple[Artifacts, int]], str]] = {
+    "counterexample": (_run_counterexample, "tower-iplil"),
+    "conditions": (_run_conditions, "tower-iplil"),
+    "clt": (_run_clt, "clt-rademacher"),
+    "maximal": (_run_maximal, "maximal-smoke"),
+    "criteria": (_run_criteria, "criteria-affine"),
+    "series": (_run_series, "series-327"),
+    "validate": (_run_validate, "windows-iplil"),
 }
 
 
@@ -786,7 +765,7 @@ def run(
 
     started = time.time()
     try:
-        files, code = _HANDLERS[subcommand](view, sha)
+        files, code = SUBCOMMANDS[subcommand][0](view, sha)
     except ConfigError:
         raise
     except ValueError as exc:

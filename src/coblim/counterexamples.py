@@ -27,14 +27,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dynamics import OdometerPoint, level
 from .weak_tails import SimpleFunctionRep, strong_norm
 
 __all__ = [
     "TowerLevelMap",
     "TowerCounterexample",
     "build_tower_counterexample",
-    "eval_g",
     "truncation_tail_bound",
     "orbit_truncation_bound",
     "exact_norms",
@@ -73,12 +71,6 @@ class TowerLevelMap:
             raise ValueError(f"need 0 < 2k < n at i={self.i} (k={self.k}, n={self.n})")
         if not self.amplitude > 0:
             raise ValueError("amplitude must be positive")
-
-    def value_at_level(self, lev: int) -> float:
-        j = self.n - lev
-        if 1 <= j <= 2 * self.k - 1:
-            return self.amplitude * min(j, 2 * self.k - j)
-        return 0.0
 
     def profile(self) -> Tuple[np.ndarray, np.ndarray]:
         """(levels, values) of the nonzero part, j ascending."""
@@ -144,10 +136,16 @@ class TowerCounterexample:
         return out
 
 
-def _window_bounds(kind: str, p: float, r: float, q: Optional[float]) -> Tuple[float, float]:
+Exponent = Union[float, Fraction]
+
+
+def _window_bounds(kind: str, p: Exponent, r: Exponent,
+                   q: Optional[Exponent]) -> Tuple[Exponent, Exponent]:
+    """The open window of the kind's exponent (alpha for ip_lil, beta for
+    slln), in floats or, from `validate_hypotheses`, exactly in Fractions."""
     if kind == "ip_lil":
         return (r - 2) / (2 * (r - 1)), 1 - p / 2
-    return (r - p) / (p * (r - 1)), 1 - float(q) / p  # type: ignore[arg-type]
+    return (r - p) / (p * (r - 1)), 1 - q / p  # type: ignore[operator]
 
 
 def _amplitude(kind: str, p: float, n: int, k: int) -> float:
@@ -244,13 +242,6 @@ def build_tower_counterexample(
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-
-def eval_g(cex: TowerCounterexample, point: OdometerPoint) -> float:
-    """g(point) = sum_{i=i0..i_max} g_i(point), reading each tower level."""
-    if point.nbits != cex.bits:
-        raise ValueError(f"point precision {point.nbits} != counterexample B={cex.bits}")
-    return math.fsum(m.value_at_level(level(point, m.i)) for m in cex.maps)
-
 
 def _omitted_towers_sum(cex: TowerCounterexample, term: Callable[[int, int], float]) -> float:
     """sum_{i > i_max} term(k_i, n_i) over the towers the truncation leaves out.
@@ -469,24 +460,6 @@ def exact_violation_probability(
     if len(js) == 0:
         return Fraction(0)
     return Fraction(min(m.n, len(js) + l_hi - l_lo), m.n)
-
-
-def violation_probability_bruteforce(
-    cex: TowerCounterexample, i: int, rule: ThresholdRule, window: Tuple[int, int]
-) -> Fraction:
-    """Reference implementation scanning all residues (small i only)."""
-    m = cex.map_for(i)
-    if m.n > 1 << 16:
-        raise ValueError("brute force capped at i <= 16")
-    js = rule.qualifying_j(m)
-    qual_levels = np.zeros(m.n, dtype=bool)
-    for j in js:
-        qual_levels[m.n - j] = True
-    l_lo, l_hi = window
-    hit = np.zeros(m.n, dtype=bool)
-    for l in range(l_lo, l_hi + 1):
-        hit |= qual_levels[(np.arange(m.n) + l) % m.n]
-    return Fraction(int(hit.sum()), m.n)
 
 
 # ---------------------------------------------------------------------------

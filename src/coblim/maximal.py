@@ -26,17 +26,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dynamics import OdometerPoint, level, odometer_advance, stream_generator
+from .dynamics import stream_generator
 from .weak_tails import SimpleFunctionRep, strong_norm, weak_norm
 
 __all__ = [
     "LevelFunction",
     "random_level_function",
-    "truncated_mstar",
     "enumerate_mstar",
     "ThresholdRow",
     "MaximalReport",
@@ -96,12 +95,6 @@ class LevelFunction:
     def denominator(self) -> int:
         return 1 << self.scale_bits
 
-    def value_at_level(self, lev: int) -> float:
-        return self.numerators[lev] / self.denominator
-
-    def __call__(self, point: OdometerPoint) -> float:
-        return self.value_at_level(level(point, self.i))
-
     def abs_rep(self) -> SimpleFunctionRep:
         """Exact distribution of |h| (uniform mass 2^-i per level)."""
         return SimpleFunctionRep.from_uniform(
@@ -132,23 +125,6 @@ def random_level_function(seed: int, stream: int, i: int = 8) -> LevelFunction:
     nums[rng.random(n) < _RANDOM_ZERO_FRACTION] = 0
     return LevelFunction(i=i, numerators=tuple(int(v) for v in nums),
                          scale_bits=_RANDOM_SCALE_BITS)
-
-
-def truncated_mstar(h: Callable[[OdometerPoint], float], point: OdometerPoint, n_max: int) -> float:
-    """max_{1 <= n <= n_max} |S_n(h)(point)| / n (float arithmetic).
-
-    Monotone non-decreasing in n_max and always a lower bound for the full
-    supremum.  The odometer is a cyclic rotation of its 2^B points, so long
-    horizons wrap without error.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    s = 0.0
-    best = 0.0
-    for n in range(1, n_max + 1):
-        s += h(odometer_advance(point, n - 1))
-        best = max(best, abs(s) / n)
-    return best
 
 
 def enumerate_mstar(h: LevelFunction, n_max: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -61,6 +61,7 @@ from . import __version__
 from .counterexamples import (
     AbsoluteThreshold,
     TowerCounterexample,
+    _window_bounds,
     blocks_for_range,
     exact_violation_probability,
     g_residue_table,
@@ -226,7 +227,7 @@ def validate_hypotheses(exponents: Mapping[str, Any], theorem: str) -> CriteriaR
         ctx["feasibility_gap"] = gap
         report.add("p < r/(r-1)", p < r / (r - 1), float(r / (r - 1) - p),
                    detail=f"r/(r-1) = {r / (r - 1)}")
-        lo, hi = (r - 2) / (2 * (r - 1)), 1 - p / 2
+        lo, hi = _window_bounds("ip_lil", p, r, None)
         ctx["window"] = (lo, hi)
         report.add("window nonempty", lo < hi, float(hi - lo),
                    detail=f"({float(lo):.6g}, {float(hi):.6g}), width = feasibility gap")
@@ -240,7 +241,7 @@ def validate_hypotheses(exponents: Mapping[str, Any], theorem: str) -> CriteriaR
         ctx["(p-1)r/(r-1)"] = bound
         report.add("q < (p-1)r/(r-1)", q < bound, float(bound - q),
                    detail=f"(p-1)r/(r-1) = {bound}")
-        lo, hi = (r - p) / (p * (r - 1)), 1 - q / p
+        lo, hi = _window_bounds("slln", p, r, q)
         ctx["window"] = (lo, hi)
         report.add("window nonempty", lo < hi, float(hi - lo),
                    detail=f"({float(lo):.6g}, {float(hi):.6g})")
@@ -366,7 +367,9 @@ class ShiftConfig:
 
     `function` is g, a ShiftFunction or a key of SHIFT_FUNCTIONS; `martingale`
     names m as a function of the next input bit ("rademacher" has unit
-    variance, "zero" disables it); `window` counts the coordinate bits.
+    variance, "zero" disables it); `window` counts the coordinate bits.  The
+    top horizon must be >= 16, so the iterated-logarithm tail window is
+    nonempty.
     """
 
     system: ClassVar[str] = "shift"
@@ -380,6 +383,9 @@ class ShiftConfig:
 
     def __post_init__(self) -> None:
         self.horizons = _checked_horizons(self.horizons, self.paths, self.workers)
+        if self.horizons[-1] < 16:
+            raise ValueError(f"horizons {list(self.horizons)}: the top horizon must be >= 16 "
+                             f"(the iterated-logarithm tail window is [max(16, n/8), n])")
         if not 1 <= self.window <= 53:
             raise ValueError(f"window = {self.window} invalid: coordinate window in [1, 53]")
         if self.martingale not in ("rademacher", "zero"):
@@ -972,9 +978,6 @@ def clt_lil_report(cfg: ShiftConfig) -> CltReport:
     """
     _require(cfg, ShiftConfig)
     n_top, w = cfg.horizons[-1], cfg.window
-    if n_top < 16:
-        raise ValueError(f"horizons {list(cfg.horizons)}: the top horizon must be >= 16 "
-                         f"(the iterated-logarithm tail window is [max(16, n/8), n])")
     g = None if cfg.function.sup_bound == 0.0 else cfg.function
     sigma = 1.0 if cfg.martingale == "rademacher" else None  # else estimated below
 

@@ -14,16 +14,14 @@ from coblim.counterexamples import (
     TowerLevelMap,
     build_tower_counterexample,
     dyadic_window,
-    eval_g,
     exact_norms,
     exact_violation_probability,
     g_residue_table,
     norm_decay_ratios,
     orbit_truncation_bound,
     truncation_tail_bound,
-    violation_probability_bruteforce,
 )
-from coblim.dynamics import OdometerPoint, level
+from oracles import eval_g, tower_value, violation_probability_bruteforce
 
 
 def small_iplil(i_max=10, bits=12):
@@ -92,9 +90,11 @@ def test_level_map_profile_is_triangular():
     assert vals.max() == m.peak == 10.0
     # symmetric rise and fall: value at j equals value at 2k - j
     for j in range(1, 2 * m.k):
-        assert m.value_at_level(m.n - j) == m.value_at_level(m.n - (2 * m.k - j))
-    assert m.value_at_level(0) == 0.0
-    assert m.value_at_level(m.n - 2 * m.k) == 0.0
+        assert tower_value(m, m.n - j) == tower_value(m, m.n - (2 * m.k - j))
+    assert tower_value(m, 0) == 0.0
+    assert tower_value(m, m.n - 2 * m.k) == 0.0
+    # the oracle's closed form is the profile the residue table adds
+    assert [tower_value(m, lev) for lev in levels] == vals.tolist()
 
 
 def test_level_map_rep_total_mass():
@@ -109,7 +109,7 @@ def test_diff_rep_matches_direct_one_step_difference():
     m = TowerLevelMap(i=5, n=32, k=3, amplitude=1.5)
     diffs = {}
     for lev in range(m.n):
-        d = abs(m.value_at_level((lev + 1) % m.n) - m.value_at_level(lev))
+        d = abs(tower_value(m, (lev + 1) % m.n) - tower_value(m, lev))
         if d > 0:
             diffs[d] = diffs.get(d, 0) + 1
     rep = m.diff_rep()
@@ -118,18 +118,14 @@ def test_diff_rep_matches_direct_one_step_difference():
 
 
 def test_eval_g_sums_tower_levels():
+    # the point 517 of the 10-bit odometer sits at level 517 mod 2^i of tower
+    # i; the oracle sums the library's profiles read at those levels
     cex = small_iplil(i_max=8, bits=10)
-    pt = OdometerPoint(517, 10)
-    expected = sum(
-        m.value_at_level(level(pt, m.i)) for m in cex.maps
-    )
-    assert eval_g(cex, pt) == pytest.approx(expected)
-
-
-def test_eval_g_requires_matching_precision():
-    cex = small_iplil(i_max=8, bits=10)
-    with pytest.raises(ValueError, match="precision"):
-        eval_g(cex, OdometerPoint(0, 12))
+    expected = 0.0
+    for m in cex.maps:
+        levels, vals = m.profile()
+        expected += vals[levels == 517 % m.n].sum()
+    assert eval_g(cex, 517) == pytest.approx(expected)
 
 
 def test_g_residue_table_matches_eval():
@@ -137,8 +133,7 @@ def test_g_residue_table_matches_eval():
     table = g_residue_table(cex)
     assert table.shape == (1 << cex.i_max,)
     for v in (0, 17, 63, 255):
-        pt = OdometerPoint(v, cex.bits)
-        assert table[v & ((1 << cex.i_max) - 1)] == pytest.approx(eval_g(cex, pt))
+        assert table[v & ((1 << cex.i_max) - 1)] == pytest.approx(eval_g(cex, v))
 
 
 def test_g_residue_table_equals_per_level_additions():
@@ -183,7 +178,7 @@ def test_exact_norms_against_independent_moment():
     # recompute E|g_7|^p by direct summation over the tower levels
     p = cex.g_exponent
     direct = math.fsum(
-        (m.value_at_level(lev) ** p) / m.n for lev in range(m.n)
+        (tower_value(m, lev) ** p) / m.n for lev in range(m.n)
     )
     assert row.norm_p_exact == pytest.approx(direct ** (1.0 / p))
 

@@ -10,17 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coblim.dynamics import (
-    OdometerPoint,
-    ShiftTrajectory,
-    _coordinates_from_bits,
     _keyed_philox,
     coordinate_matrix,
     fair_bits,
     first_draws,
-    level,
-    odometer_advance,
     stream_generator,
 )
+from oracles import coordinates, orbit
 
 
 # ---------------------------------------------------------------------------
@@ -109,16 +105,8 @@ def test_first_draws_width_edges():
 
 
 # ---------------------------------------------------------------------------
-# odometer arithmetic
+# odometer arithmetic (the maths the residue tables rely on)
 # ---------------------------------------------------------------------------
-
-@given(st.integers(min_value=1, max_value=16), st.data())
-def test_from_bits_roundtrip(nbits, data):
-    bits = data.draw(st.lists(st.integers(0, 1), min_size=nbits, max_size=nbits))
-    pt = OdometerPoint.from_bits(bits)
-    assert pt.bits == tuple(bits)
-    assert pt.nbits == nbits
-
 
 @given(
     st.integers(min_value=1, max_value=20),
@@ -128,11 +116,9 @@ def test_from_bits_roundtrip(nbits, data):
 )
 def test_advance_composes_and_wraps(nbits, s1, s2, data):
     value = data.draw(st.integers(min_value=0, max_value=(1 << nbits) - 1))
-    pt = OdometerPoint(value, nbits)
-    two_steps = odometer_advance(odometer_advance(pt, s1), s2)
-    one_step = odometer_advance(pt, s1 + s2)
-    assert two_steps == one_step
-    assert odometer_advance(pt, 1 << nbits) == pt
+    (after_s1,) = orbit(value, nbits, [s1])
+    assert orbit(after_s1, nbits, [s2]) == orbit(value, nbits, [s1 + s2])
+    assert orbit(value, nbits, [1 << nbits]) == [value]
 
 
 @settings(deadline=None, max_examples=25)
@@ -142,7 +128,7 @@ def test_advance_is_a_bijection(nbits, data):
     # permutes the 2^B points
     s = data.draw(st.integers(min_value=0, max_value=(1 << nbits)))
     n = 1 << nbits
-    image = {odometer_advance(OdometerPoint(v, nbits), s).value for v in range(n)}
+    image = {orbit(v, nbits, [s])[0] for v in range(n)}
     assert image == set(range(n))
 
 
@@ -152,56 +138,47 @@ def test_advance_is_a_bijection(nbits, data):
     st.data(),
 )
 def test_level_advances_modulo_tower_height(nbits, steps, data):
+    # the level of w in the height-2^i tower is w mod 2^i; T^s moves it by s
     value = data.draw(st.integers(min_value=0, max_value=(1 << nbits) - 1))
     i = data.draw(st.integers(min_value=1, max_value=nbits))
-    pt = OdometerPoint(value, nbits)
-    before = level(pt, i)
-    after = level(odometer_advance(pt, steps), i)
-    assert after == (before + steps) % (1 << i)
-    assert 0 <= before < (1 << i)
+    (after,) = orbit(value, nbits, [steps])
+    assert after % (1 << i) == (value % (1 << i) + steps) % (1 << i)
 
 
 def test_level_counts_cylinder_measure():
-    # exactly 2^{B-i} points sit on each tower level: mu(level = l) = 2^-i
+    # one full orbit visits all 2^B points, exactly 2^{B-i} of them on each
+    # tower level: mu(level = l) = 2^-i
     nbits, i = 10, 4
-    counts = np.zeros(1 << i, dtype=int)
-    for v in range(1 << nbits):
-        counts[level(OdometerPoint(v, nbits), i)] += 1
+    points = orbit(0, nbits, range(1 << nbits))
+    assert sorted(points) == list(range(1 << nbits))
+    counts = np.bincount(np.array(points) % (1 << i), minlength=1 << i)
     assert np.all(counts == 1 << (nbits - i))
 
 
-def test_point_validation():
-    with pytest.raises(ValueError):
-        OdometerPoint(4, 2)
-    with pytest.raises(ValueError):
-        OdometerPoint(0, 0)
-    with pytest.raises(ValueError):
-        level(OdometerPoint(0, 4), 5)
-    with pytest.raises(ValueError):
-        odometer_advance(OdometerPoint(0, 4), -1)
-
-
 # ---------------------------------------------------------------------------
-# shift trajectories
+# shift coordinates
 # ---------------------------------------------------------------------------
 
 def test_trajectory_coordinates_match_bit_expansion():
-    traj = ShiftTrajectory.generate(42, 0, n=32, window=16)
-    xs = traj.coordinates()
-    for k in (0, 1, 17, 32):
-        expected = sum(traj.bit(k - j) * 2.0 ** (-j - 1) for j in range(1, 17))
-        assert xs[k] == expected  # exact float equality by construction
+    n, window = 32, 16
+    eps = fair_bits(42, 0, n + 2 * window + 1)
+    for xs in (coordinate_matrix(eps[None], n, window)[0], coordinates(eps, n, window)):
+        for k in (0, 1, 17, 32):
+            # eps_{k-j} at index k - j + window
+            expected = sum(int(eps[k - j + window]) * 2.0 ** (-j - 1) for j in range(1, 17))
+            assert xs[k] == expected  # exact float equality by construction
 
 
 def test_trajectory_coordinates_range_and_shift_relation():
-    traj = ShiftTrajectory.generate(7, 1, n=200, window=53)
-    xs = traj.coordinates()
+    n, window = 200, 53
+    eps = fair_bits(7, 1, n + 2 * window + 1)
+    xs = coordinate_matrix(eps[None], n, window)[0]
     assert xs.shape == (201,)
     assert xs.min() >= 0.0 and xs.max() < 0.5
     # x_{k+1} = x_k / 2 + eps_k / 4 (one new bit enters, window slides)
-    for k in range(200):
+    for k in range(n):
         lhs = xs[k + 1]
-        rhs = xs[k] / 2.0 + traj.bit(k) * 0.25
+        rhs = xs[k] / 2.0 + int(eps[k + window]) * 0.25
         # the oldest bit leaves the window, perturbing by at most 2^-(W+1)
         assert abs(lhs - rhs) <= 2.0 ** -54
 
@@ -211,8 +188,7 @@ def test_coordinate_matrix_matches_per_path():
     eps = np.stack([fair_bits(5, s, n + 2 * window + 1) for s in range(paths)])
     batch = coordinate_matrix(eps, n, window)
     for s in range(paths):
-        single = ShiftTrajectory(seed=5, stream=s, n=n, window=window, eps=eps[s])
-        assert np.array_equal(batch[s], single.coordinates())
+        assert np.array_equal(batch[s], coordinates(eps[s], n, window))
 
 
 @settings(deadline=None, max_examples=60)
@@ -229,7 +205,7 @@ def test_coordinate_matrix_equals_scalar_recurrence(window, n, paths, seed):
     batch = coordinate_matrix(eps, n, window)
     assert batch.shape == (paths, n + 1)
     for row, bits in zip(batch, eps):
-        assert np.array_equal(row, _coordinates_from_bits(bits, n, window))
+        assert np.array_equal(row, coordinates(bits, n, window))
 
 
 def test_coordinate_matrix_window_edges():
@@ -241,11 +217,3 @@ def test_coordinate_matrix_window_edges():
             coordinate_matrix(eps, 4, window)
     with pytest.raises(ValueError, match=r"need n \+ window"):
         coordinate_matrix(eps[:, :56], 4, 53)
-
-
-def test_trajectory_bit_bounds():
-    traj = ShiftTrajectory.generate(1, 0, n=10, window=8)
-    with pytest.raises(IndexError):
-        traj.bit(-9)
-    with pytest.raises(IndexError):
-        traj.bit(19)

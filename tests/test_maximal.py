@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import coblim.maximal as maximal
 from coblim.cli import main
-from coblim.dynamics import OdometerPoint
 from coblim.maximal import (
     MAX_ENUMERATION_BITS,
     LevelFunction,
@@ -20,10 +19,10 @@ from coblim.maximal import (
     enumerate_mstar,
     maximal_inequality_report,
     random_level_function,
-    truncated_mstar,
 )
 from coblim.reports import canonical_json
 from coblim.weak_tails import SimpleFunctionRep, weak_norm
+from oracles import mstar_scan, weak_bound_violations
 
 
 def tiny_function():
@@ -37,11 +36,11 @@ def tiny_function():
 def test_level_function_values_and_max():
     h = tiny_function()
     assert h.denominator == 4
-    assert h.value_at_level(0) == 0.75
-    assert h.value_at_level(4) == -1.25
     assert h.max_abs() == Fraction(5, 4)
-    pt = OdometerPoint(12, 6)  # level = 12 mod 8 = 4
-    assert h(pt) == -1.25
+    # M*_1 = |h|: the point 12 of the 6-bit odometer sits at level 12 mod 8 = 4
+    num, den = enumerate_mstar(h, 1)
+    assert (num[12 % 8], den[12 % 8]) == (5, 1)
+    assert mstar_scan(h, 12 % 8, 1) == 1.25
 
 
 def test_random_level_function_is_seeded():
@@ -89,9 +88,8 @@ def test_enumerate_matches_truncated_scan(seed, n_max):
     h = replace(random_level_function(seed, 0, i=4), scale_bits=4)
     best_num, best_den = enumerate_mstar(h, n_max)
     for residue in range(1 << h.i):
-        pt = OdometerPoint(residue, h.i)
         exact = best_num[residue] / (best_den[residue] * h.denominator)
-        scan = truncated_mstar(h, pt, n_max)
+        scan = mstar_scan(h, residue, n_max)
         assert scan == pytest.approx(exact, abs=1e-12)
 
 
@@ -126,6 +124,19 @@ def test_report_has_no_violations_across_seeds():
         assert rep.level_bound_violations == 0
         assert rep.weak_bound_violations == 0
         assert rep.min_slack_weak >= 0.0
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@settings(deadline=None, max_examples=25)
+@given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=48))
+def test_weak_bound_violations_equal_exact_count(q, seed, i, n_max):
+    # for integer q both sides of the weak bound are rationals, so the float
+    # comparison with its 1e-12 slack must decide every row as Fractions do
+    h = random_level_function(seed, 0, i=i)
+    rep = maximal_inequality_report(h, bits=i, n_max=n_max, q=float(q))
+    assert rep.weak_bound_violations == \
+        weak_bound_violations(h, n_max, [row.t for row in rep.rows], q)
 
 
 def _rows_by_full_scan(h, n_max, q):

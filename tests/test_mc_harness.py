@@ -13,8 +13,8 @@ import coblim.dynamics as dynamics
 import coblim.mc_harness as mc_harness
 from coblim import __version__
 from coblim.cli import DEFAULT_SEED, PRESETS
-from coblim.counterexamples import build_tower_counterexample, eval_g
-from coblim.dynamics import OdometerPoint, ShiftTrajectory, odometer_advance, stream_generator
+from coblim.counterexamples import build_tower_counterexample
+from coblim.dynamics import stream_generator
 from coblim.mc_harness import (
     SHIFT_FUNCTIONS,
     THEOREM_IDS,
@@ -32,6 +32,7 @@ from coblim.mc_harness import (
     validate_hypotheses,
 )
 from coblim.reports import canonical_json, config_hash
+from oracles import coordinates, eval_g, orbit
 
 
 # ---------------------------------------------------------------------------
@@ -405,17 +406,16 @@ def test_condition_reports_refuse_shift_config(report_fn):
 
 # On the odometer, condition17 gathers g.T^k from the residue table of g, and
 # condition16 and slln read window extrema of that table at the start
-# residues; the reference walks each path point by point with odometer_advance
-# and eval_g.
+# residues; the reference walks each path point by point with the oracles
+# orbit and eval_g.
 
 def odometer_reference(cfg):
     """Per path j: g(T^k w_j) for k = 0..n at n = top horizon."""
     cex, bits, n = cfg.cex, cfg.cex.bits, cfg.horizons[-1]
-    g = functools.lru_cache(maxsize=None)(lambda v: eval_g(cex, OdometerPoint(v, bits)))
+    g = functools.lru_cache(maxsize=None)(lambda v: eval_g(cex, v))
     for j in range(cfg.paths):
         start = int(stream_generator(cfg.seed, j).integers(0, 1 << bits, dtype=np.uint64))
-        w = OdometerPoint(start, bits)
-        yield np.array([g(odometer_advance(w, k).value) for k in range(n + 1)])
+        yield np.array([g(v) for v in orbit(start, bits, range(n + 1))])
 
 
 def test_condition17_odometer_matches_per_path_reference():
@@ -568,15 +568,15 @@ def test_clt_bounded_transfer_moves_sums_at_most_two_sup():
 
 # With g the identity, S_k(f) is exact dyadic arithmetic, so the chunked
 # shift sums must equal a per-path reference built from the scalar coordinate
-# recurrence of ShiftTrajectory.
+# recurrence of the oracle coordinates.
 
 def shift_reference(cfg):
     """Per path j: (x_0..x_n, Rademacher partial sums S_0..S_n(m)) at n = top horizon."""
-    n = cfg.horizons[-1]
+    n, w = cfg.horizons[-1], cfg.window
     for j in range(cfg.paths):
-        traj = ShiftTrajectory.generate(cfg.seed, j, n, cfg.window)
-        steps = 2 * traj.eps[cfg.window: cfg.window + n].astype(np.int64) - 1
-        yield traj.coordinates(), np.concatenate([[0], np.cumsum(steps)])
+        eps = dynamics.fair_bits(cfg.seed, j, n + 2 * w + 1)
+        steps = 2 * eps[w: w + n].astype(np.int64) - 1
+        yield coordinates(eps, n, w), np.concatenate([[0], np.cumsum(steps)])
 
 
 @pytest.mark.parametrize("martingale", ["rademacher", "zero"])
@@ -777,9 +777,8 @@ def test_clt_rejects_short_top_horizon_before_drawing(monkeypatch, horizons):
         raise AssertionError("bits drawn before the horizon check")
 
     monkeypatch.setattr(mc_harness, "fair_bits", no_draws)
-    cfg = ShiftConfig(horizons=horizons, paths=100, seed=1)
     with pytest.raises(ValueError, match=r"top horizon must be >= 16"):
-        clt_lil_report(cfg)
+        clt_lil_report(ShiftConfig(horizons=horizons, paths=100, seed=1))
 
 
 def test_clt_accepts_top_horizon_16():
