@@ -114,6 +114,16 @@ class QuadratureResult:
 _GL_NODES, _GL_WEIGHTS = leggauss(15)
 
 
+def _rule_sums(ys: np.ndarray) -> np.ndarray:
+    """_GL_WEIGHTS . row for every 15-value row of `ys`, in one call.
+
+    Each row is its own BLAS dot product, so each sum keeps the bits of
+    `_GL_WEIGHTS.dot(row)`; a matrix-vector product or `einsum` sums in
+    another order and moves the low bits.
+    """
+    return np.matmul(ys.reshape(-1, 1, 15), _GL_WEIGHTS)[:, 0]
+
+
 def _lockstep_integrals(
     func: Callable[[np.ndarray, np.ndarray], np.ndarray],
     problems: Sequence[Tuple[float, float, Sequence[float]]],
@@ -129,52 +139,71 @@ def _lockstep_integrals(
     problem takes one step of `adaptive_integral`'s refinement on its own
     heap, so its panels, and its result, do not depend on the other
     problems of the batch.
+
+    Bisection cannot refine a panel once one of its halves has no float
+    strictly inside: that half's nodes all round onto one float, so its rule
+    sees a single value and the defect can vanish on a jump.  Such a panel's
+    error is at least its width times the spread of its 45 node values, it
+    is never split, and a problem stops once it is its worst panel.
     """
     results = [QuadratureResult(0.0, 0.0, 0, 0) for _ in problems]
     heaps: List[List[Tuple[float, float, float, float]]] = [[] for _ in problems]
     evals = [0] * len(problems)
     subdivisions = [0] * len(problems)
-    pending: Dict[int, List[Tuple[float, float]]] = {}  # problem -> panels to evaluate
+    active: List[int] = []  # unfinished problems, in order
+    owner: List[int] = []  # the panels to evaluate this round: problem, lo, hi
+    los: List[float] = []
+    his: List[float] = []
     for j, (a, b, breakpoints) in enumerate(problems):
         if b > a:
-            cuts = sorted({a, b, *(c for c in breakpoints if a < c < b)})
+            cuts = sorted({a, b, *(c for c in breakpoints if a < c < b)}) if breakpoints else [a, b]
+            active.append(j)
+            owner += [j] * (len(cuts) - 1)
+            los += cuts[:-1]
+            his += cuts[1:]
             subdivisions[j] = len(cuts) - 1
-            pending[j] = list(zip(cuts[:-1], cuts[1:]))
-    while pending:
-        panels = [(j, lo, hi) for j, todo in pending.items() for lo, hi in todo]
-        owner = np.array([j for j, _, _ in panels])
-        lo, hi = np.array([(plo, phi) for _, plo, phi in panels], dtype=np.float64).T
+            evals[j] = 45 * (len(cuts) - 1)
+    while active:
+        lo = np.array(los, dtype=np.float64)
+        hi = np.array(his, dtype=np.float64)
         mid = 0.5 * (lo + hi)
         a = np.stack([lo, lo, mid], axis=1)
         b = np.stack([hi, mid, hi], axis=1)
         half = 0.5 * (b - a)
-        xs = (0.5 * (a + b))[:, :, None] + half[:, :, None] * _GL_NODES
+        center = 0.5 * (a + b)
+        xs = center[:, :, None] + half[:, :, None] * _GL_NODES
         ys = func(xs.ravel(), np.repeat(owner, 45))
-        # one dot per 15-point rule: a batched product sums in another order
-        dots = np.fromiter(map(_GL_WEIGHTS.dot, ys.reshape(-1, 15)), np.float64)
-        rules = half * dots.reshape(-1, 3)
+        rules = half * _rule_sums(ys).reshape(-1, 3)
         halves = rules[:, 1] + rules[:, 2]
-        neg_errs = -np.abs(rules[:, 0] - halves)
-        for (j, plo, phi), neg_err, value in zip(panels, neg_errs.tolist(), halves.tolist()):
-            evals[j] += 45
+        errs = np.abs(rules[:, 0] - halves)
+        # panels that bisection cannot refine: a half has no float strictly inside
+        stuck = ~((lo < center[:, 1]) & (center[:, 1] < mid)
+                  & (mid < center[:, 2]) & (center[:, 2] < hi))
+        if stuck.any():
+            spread = (hi - lo) * np.ptp(ys.reshape(-1, 45), axis=1)
+            errs = np.where(stuck, np.maximum(errs, spread), errs)
+        for j, neg_err, plo, phi, value in zip(owner, (-errs).tolist(), los, his,
+                                               halves.tolist()):
             heappush(heaps[j], (neg_err, plo, phi, value))
-        for j in list(pending):
+        unfinished, owner, los, his = [], [], [], []
+        for j in active:
             heap = heaps[j]
-            while True:
-                total_err = -math.fsum(item[0] for item in heap)
-                if total_err <= tol or evals[j] + 90 > max_evals:
-                    value = math.fsum(item[3] for item in heap)
-                    results[j] = QuadratureResult(value, total_err, subdivisions[j], evals[j])
-                    del pending[j]
-                    break
-                neg_err, plo, phi, _ = heappop(heap)
-                pmid = 0.5 * (plo + phi)
-                if pmid <= plo or pmid >= phi:  # panel at float resolution: accept as-is
-                    heappush(heap, (-0.0, plo, phi, -neg_err * 0.0))
-                    continue
-                pending[j] = [(plo, pmid), (pmid, phi)]
-                subdivisions[j] += 1
-                break
+            total_err = -math.fsum([item[0] for item in heap])
+            _, plo, phi, _ = heap[0]
+            pmid = 0.5 * (plo + phi)
+            if (total_err <= tol or evals[j] + 90 > max_evals
+                    or not plo < 0.5 * (plo + pmid) < pmid < 0.5 * (pmid + phi) < phi):
+                value = math.fsum([item[3] for item in heap])
+                results[j] = QuadratureResult(value, total_err, subdivisions[j], evals[j])
+                continue
+            heappop(heap)
+            unfinished.append(j)
+            owner += (j, j)
+            los += (plo, pmid)
+            his += (pmid, phi)
+            subdivisions[j] += 1
+            evals[j] += 90
+        active = unfinished
     return results
 
 
@@ -463,26 +492,23 @@ def _translate_integrals(
         width = min(modulus, u * (2.0 * f.sup_bound) ** 2)
         return QuadratureResult(modulus - 0.5 * width, 0.5 * width, 0, 1)
 
-    def inner_problem(u: float) -> Tuple[float, float, List[float]]:
-        top = 1.0 - u
-        pts = {b for b in f.breakpoints if 0.0 < b < top}
-        pts |= {b - u for b in f.breakpoints if 0.0 < b - u < top}
-        return 0.0, top, sorted(pts)
-
     def J(us: np.ndarray) -> np.ndarray:
         out = np.zeros_like(us)
-        nodes = [(i, u) for i, u in enumerate(us.tolist()) if 1.0 - u > 0.0]
+        live = np.flatnonzero(1.0 - us > 0.0)
+        shifts = us[live]
         if circle:
-            results = [circle_result(u) for _, u in nodes]
+            results = [circle_result(u) for u in shifts.tolist()]
         else:
-            shifts = np.array([u for _, u in nodes], dtype=np.float64)
+            # inner problem at u: int_0^{1-u}, cut at every breakpoint b and b - u
+            moved = (np.asarray(f.breakpoints, dtype=np.float64) - shifts[:, None]).tolist()
+            problems = [(0.0, top, (*f.breakpoints, *pts))
+                        for top, pts in zip((1.0 - shifts).tolist(), moved)]
             results = _lockstep_integrals(
                 lambda xs, owner: np.abs(f(xs + shifts[owner]) - f(xs)) ** q,
-                [inner_problem(u) for _, u in nodes], tol, max_evals)
-        for (i, _), res in zip(nodes, results):
-            record["error"] = max(record["error"], res.error)
-            record["evals"] += res.evals
-            out[i] = res.value
+                problems, tol, max_evals)
+        out[live] = [res.value for res in results]
+        record["error"] = max([record["error"], *(res.error for res in results)])
+        record["evals"] += sum(res.evals for res in results)
         return out
 
     return J, record
@@ -829,6 +855,7 @@ def corollary_check(
     r: Optional[float] = None,
     N: int = 8,
     delta: float = 0.1,
+    tables: Optional[Dict[Tuple[float, float], CriteriaReport]] = None,
 ) -> CriteriaReport:
     """Projective conditions of the three corollaries, via the series tables.
 
@@ -836,14 +863,22 @@ def corollary_check(
     summability of ||E_n f|| in the matching norm (E[S_n|past] telescopes
     into sum_{j<=n} E_j f since f is measurable with respect to the past);
     the weak-norm variants are dominated by the strong norms computed here.
+    Corollaries 2.2 and 2.5 ask for the same exponent pair: calls for one f,
+    N and delta that share a `tables` dict build each pair's table once.
     """
     if which not in _COROLLARY_EXPONENTS:
         raise ValueError(f"unknown corollary {which!r}; known: {sorted(_COROLLARY_EXPONENTS)}")
     if which == "2.8" and r is None:
         raise ValueError("corollary 2.8 needs r")
-    q_proj, q_one = _COROLLARY_EXPONENTS[which](p, r if r is not None else 2.0)
-    rep = projective_series_report(f, q_proj, N, delta=delta, q_one_step=q_one)
-    rep.title = f"corollary {which} projective conditions (p={p}" + \
-        (f", r={r})" if r is not None else ")")
-    rep.context["corollary"] = which
+    exponents = _COROLLARY_EXPONENTS[which](p, r if r is not None else 2.0)
+    if tables is None:
+        tables = {}
+    if exponents not in tables:
+        tables[exponents] = projective_series_report(f, exponents[0], N, delta=delta,
+                                                     q_one_step=exponents[1])
+    table = tables[exponents]
+    rep = CriteriaReport(
+        title=f"corollary {which} projective conditions (p={p}"
+        + (f", r={r})" if r is not None else ")"),
+        checks=list(table.checks), context={**table.context, "corollary": which})
     return _with_verdict(rep)

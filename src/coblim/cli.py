@@ -644,11 +644,12 @@ def _run_criteria(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
                 f, float(p), float(r), delta=float(delta))
         except ValueError as exc:
             raise view.fail("r", str(exc)) from exc
+    tables: Dict[Tuple[float, float], CriteriaReport] = {}
     for which in ("2.2", "2.5") + (("2.8",) if r is not None else ()):
         tag = f"corollary_{which.replace('.', '_')}"
         sub_reports[tag] = corollary_check(f, which, float(p),
                                            r=None if r is None else float(r), N=depth,
-                                           delta=float(delta))
+                                           delta=float(delta), tables=tables)
     for tag, rep in sub_reports.items():
         combined.absorb(tag, rep)
 

@@ -1,6 +1,7 @@
 """Tests for the dyadic-projection criteria on the unit interval."""
 
 import math
+from fractions import Fraction
 from heapq import heappop, heappush
 
 import numpy as np
@@ -15,6 +16,7 @@ from coblim.bernoulli_criteria import (
     _GL_NODES,
     _GL_WEIGHTS,
     _lockstep_integrals,
+    _rule_sums,
     _translate_integrals,
     adaptive_integral,
     conditional_expectation,
@@ -64,7 +66,12 @@ def reference_adaptive_integral(func, a, b, tol, max_evals, breakpoints=()):
     def gl15(lo, hi):
         half = 0.5 * (hi - lo)
         mid = 0.5 * (lo + hi)
-        return half * float(np.dot(_GL_WEIGHTS, func(mid + half * _GL_NODES)))
+        ys = func(mid + half * _GL_NODES)
+        return half * float(np.dot(_GL_WEIGHTS, ys)), ys
+
+    def refinable(lo, hi):  # both halves of [lo, hi] have a float strictly inside
+        mid = 0.5 * (lo + hi)
+        return lo < 0.5 * (lo + mid) < mid < 0.5 * (mid + hi) < hi
 
     if not b > a:
         return QuadratureResult(0.0, 0.0, 0, 0)
@@ -73,25 +80,27 @@ def reference_adaptive_integral(func, a, b, tol, max_evals, breakpoints=()):
 
     def push(lo, hi):
         nonlocal evals
-        whole = gl15(lo, hi)
         mid = 0.5 * (lo + hi)
-        halves = gl15(lo, mid) + gl15(mid, hi)
+        (whole, y0), (left, y1), (right, y2) = gl15(lo, hi), gl15(lo, mid), gl15(mid, hi)
+        halves = left + right
+        err = abs(whole - halves)
+        if not refinable(lo, hi):
+            ys = np.concatenate([y0, y1, y2])
+            err = max(err, (hi - lo) * float(ys.max() - ys.min()))
         evals += 45
-        heappush(heap, (-abs(whole - halves), lo, hi, halves))
+        heappush(heap, (-err, lo, hi, halves))
 
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         push(lo, hi)
     subdivisions = len(cuts) - 1
     while True:
         total_err = -math.fsum(item[0] for item in heap)
-        if total_err <= tol or evals + 90 > max_evals:
+        _, lo, hi, _ = heap[0]
+        if total_err <= tol or evals + 90 > max_evals or not refinable(lo, hi):
             return QuadratureResult(math.fsum(item[3] for item in heap), total_err,
                                     subdivisions, evals)
-        neg_err, lo, hi, _ = heappop(heap)
+        heappop(heap)
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            heappush(heap, (-0.0, lo, hi, -neg_err * 0.0))
-            continue
         push(lo, mid)
         push(mid, hi)
         subdivisions += 1
@@ -109,9 +118,14 @@ def test_lockstep_batch_matches_one_problem_calls():
         (np.abs, -1.0, 1.0, (0.0,)),                                # kink at a breakpoint
         (lambda x: np.sqrt(np.abs(x - third)), 0.0, 1.0, ()),       # stops on max_evals
         (np.cos, 1.0, 0.5, ()),                                     # b <= a
-        # a jump inside an 8-ulp interval: bisection reaches 1-ulp panels,
-        # which the float-resolution branch accepts as they are
+        # a jump inside an 8-ulp interval: bisection reaches a 2-ulp panel
+        # whose halves' nodes each round onto one float, so it cannot be
+        # refined; its error is bounded by the spread of its node values
         (lambda x: 1e6 * (x > third + 3 * ulp), third, third + 8 * ulp, ()),
+        # many panels tie on their error: the heap order (-err, lo, hi, value)
+        # decides which one splits (15 of the reference's pops are ties)
+        (lambda x: (np.mod(4.0 * x, 1.0) < 1.0 / 3.0) * 1.0, 0.0, 1.0, ()),
+        (lambda x: x, 0.0, 1.0, ()),                                # integrated exactly
     ]
 
     def batch_integrand(xs, owner):
@@ -130,7 +144,27 @@ def test_lockstep_batch_matches_one_problem_calls():
                        for fn, a, b, bps in cases]
     assert singles[2].error > tol and singles[2].evals + 90 > max_evals
     assert singles[3] == QuadratureResult(0.0, 0.0, 0, 0)
-    assert singles[4].error <= tol and singles[4].subdivisions > 3
+    jump = Fraction(1e6) * (Fraction(third + 8 * ulp) - Fraction(third + 3 * ulp))
+    assert abs(Fraction(singles[4].value) - jump) <= Fraction(singles[4].error)
+    # == treats 0.0 and -0.0 alike, but report.json prints the sign
+    assert [math.copysign(1.0, r.error) for r in (batch[6], singles[6])] == [-1.0, -1.0]
+
+
+_ROW_ENTRY = st.one_of(
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-300, 300)),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-2.0 ** -1022, 2.0 ** -1022, allow_subnormal=True),
+)
+
+
+@given(st.lists(st.lists(_ROW_ENTRY, min_size=15, max_size=15), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_rule_sums_match_one_dot_per_row(rows):
+    ys = np.array(rows, dtype=np.float64)
+    got = _rule_sums(ys.ravel()).view(np.int64)
+    want = np.array([_GL_WEIGHTS.dot(row) for row in ys]).view(np.int64)
+    assert got.tolist() == want.tolist(), \
+        "batched 15-point rule sums must equal one ddot per row bit for bit"
 
 
 @pytest.mark.parametrize("family,params", [
