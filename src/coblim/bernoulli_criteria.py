@@ -143,8 +143,10 @@ def _lockstep_integrals(
     Bisection cannot refine a panel once one of its halves has no float
     strictly inside: that half's nodes all round onto one float, so its rule
     sees a single value and the defect can vanish on a jump.  Such a panel's
-    error is at least its width times the spread of its 45 node values, it
-    is never split, and a problem stops once it is its worst panel.
+    error is at least its width times the spread of its 45 node values and
+    of f at its two ends, which its round's call evaluates too (2 more
+    evals); all its nodes can round onto one end.  It is never split, and a
+    problem stops once it is its worst panel.
     """
     results = [QuadratureResult(0.0, 0.0, 0, 0) for _ in problems]
     heaps: List[List[Tuple[float, float, float, float]]] = [[] for _ in problems]
@@ -172,16 +174,27 @@ def _lockstep_integrals(
         half = 0.5 * (b - a)
         center = 0.5 * (a + b)
         xs = center[:, :, None] + half[:, :, None] * _GL_NODES
-        ys = func(xs.ravel(), np.repeat(owner, 45))
-        rules = half * _rule_sums(ys).reshape(-1, 3)
-        halves = rules[:, 1] + rules[:, 2]
-        errs = np.abs(rules[:, 0] - halves)
-        # panels that bisection cannot refine: a half has no float strictly inside
+        # panels that bisection cannot refine: a half has no float strictly
+        # inside.  That depends on lo and hi only, so f at both ends of each
+        # such panel joins this round's call
         stuck = ~((lo < center[:, 1]) & (center[:, 1] < mid)
                   & (mid < center[:, 2]) & (center[:, 2] < hi))
         if stuck.any():
-            spread = (hi - lo) * np.ptp(ys.reshape(-1, 45), axis=1)
-            errs = np.where(stuck, np.maximum(errs, spread), errs)
+            stuck_owner = np.asarray(owner)[stuck]
+            ys = func(np.concatenate([xs.ravel(), lo[stuck], hi[stuck]]),
+                      np.concatenate([np.repeat(owner, 45), stuck_owner, stuck_owner]))
+            ys, ends = ys[: xs.size], ys[xs.size:].reshape(2, -1)
+            for j in stuck_owner.tolist():
+                evals[j] += 2
+        else:
+            ys = func(xs.ravel(), np.repeat(owner, 45))
+        rules = half * _rule_sums(ys).reshape(-1, 3)
+        halves = rules[:, 1] + rules[:, 2]
+        errs = np.abs(rules[:, 0] - halves)
+        if stuck.any():
+            vals = np.concatenate([ys.reshape(-1, 45)[stuck], ends.T], axis=1)
+            spread = (hi - lo)[stuck] * np.ptp(vals, axis=1)
+            errs[stuck] = np.maximum(errs[stuck], spread)
         for j, neg_err, plo, phi, value in zip(owner, (-errs).tolist(), los, his,
                                                halves.tolist()):
             heappush(heaps[j], (neg_err, plo, phi, value))

@@ -31,15 +31,17 @@ Conventions shared by all reports:
   are derived once per OdometerConfig (on first use) and shared by the
   condition reports run on that config: g_table, the residue table of g;
   start_residues, from the first raw word of each path's stream (no
-  Generator per path); orbits, the strided view whose row r is g(T^k r),
-  k = 0..n_top; and orbit_pass, the one chunked pass over the orbit rows at
+  Generator per path); and orbit_pass, the one pass over the orbit rows at
   the start residues, which computes everything the three reports read of
   them (window extrema per horizon for condition16 and slln; tail sups,
   block and dyadic-window exceedance counts for condition17).  g is held
   once, in one float64 buffer of M + n_top entries (M = 2^{i_max}):
-  g_table is a view of its first M entries, its last n_top entries repeat
-  the first n_top of g_table cyclically, and orbits is the sliding-window
-  view over all of it;
+  g_table is a view of its first M entries and its last n_top entries
+  repeat the first n_top of g_table cyclically, so the orbit row g(T^k r),
+  k = 0..n_top, is the slice of the buffer at r.  The pass never gathers
+  the rows: it answers each window by range-extremum lookups into doubling
+  levels of the buffer regions that the rows of sorted start residues
+  cover (OrbitPass);
 * every Monte Carlo probability that has an exactly countable counterpart on
   the odometer is reported next to it (the exact side never samples);
 * "holds"/"fails" verdicts are finite-sample trend labels with the decision
@@ -315,10 +317,15 @@ class OdometerConfig:
     @cached_property
     def g_table(self) -> np.ndarray:
         """g on every residue mod M = 2^{i_max} of the odometer (see g_residue_table):
-        the first M entries of the config's one float64 buffer of g, whose last
-        n_top entries orbits fills."""
-        m = 1 << self.cex.i_max
-        return g_residue_table(self.cex, out=np.empty(m + self.horizons[-1])[:m])
+        the first M entries of the config's one float64 buffer of g (g_table.base),
+        whose last n_top entries repeat the first n_top of g_table cyclically, so
+        the orbit row g(T^k r), k = 0..n_top, is buffer[r : r + n_top + 1].  Only
+        those n_top entries are copied, never the whole table."""
+        m, n_top = 1 << self.cex.i_max, self.horizons[-1]
+        buffer = np.empty(m + n_top)
+        table = g_residue_table(self.cex, out=buffer[:m])
+        buffer[m:] = table[:n_top] if n_top <= m else table[np.arange(n_top) % m]
+        return table
 
     @cached_property
     def start_residues(self) -> np.ndarray:
@@ -326,17 +333,6 @@ class OdometerConfig:
         stream_generator(seed, j).integers(0, 2**bits), read by first_draws."""
         modulus = np.uint64(self.g_table.shape[0])
         return (first_draws(self.seed, self.paths, self.cex.bits) % modulus).astype(np.int64)
-
-    @cached_property
-    def orbits(self) -> np.ndarray:
-        """Read-only view with rows g(T^k r), k = 0..n_top: the sliding windows over
-        the buffer whose head is g_table (g_table.base), once its last n_top entries
-        hold the first n_top entries of g_table, cyclically.  Only those n_top
-        entries are copied, never the whole table."""
-        n_top, table = self.horizons[-1], self.g_table
-        m, buffer = table.shape[0], table.base
-        buffer[m:] = table[:n_top] if n_top <= m else table[np.arange(n_top) % m]
-        return sliding_window_view(buffer, n_top + 1)
 
     @cached_property
     def orbit_pass(self) -> "OrbitPass":
@@ -512,16 +508,102 @@ def _paths_per_chunk(n: int) -> int:
     return max(1, (1 << 18) // max(1, n))
 
 
+# The orbit pass cuts the paths, sorted by start residue, into chunks of at
+# most _REGION_PATHS paths whose orbit rows lie in one region of the g buffer
+# of at most _REGION_CELLS cells (or one row).  Regions of 2^15-2^16 cells
+# ran fastest; 2^18 and 2^20 were slower (see ROADMAP)
+_REGION_CELLS = 1 << 15
+_REGION_PATHS = 128
+# the least top level of the max lookups and the top level of the min ones:
+# windows of 32 cells or more are read in grid pieces of at least 16 cells
+_PIECE_LEVEL = 4
+
+
+def _region_chunks(starts: np.ndarray, n_top: int, workers: int) -> List[Tuple[int, int]]:
+    """Index ranges [i, j) of the sorted start residues `starts`, each of at
+    most _REGION_PATHS paths whose orbit rows lie in the region
+    buffer[starts[i] : starts[j - 1] + n_top + 1] of at most _REGION_CELLS
+    cells (or one row), and at least `workers` of them (for paths >= workers).
+    As with _chunk_ranges, the cut changes no result."""
+    cap = max(1, min(_REGION_PATHS, math.ceil(starts.size / workers)))
+    ends = np.searchsorted(starts, starts + max(0, _REGION_CELLS - n_top - 1), side="right")
+    chunks, i = [], 0
+    while i < starts.size:
+        j = min(int(ends[i]), i + cap)
+        chunks.append((i, j))
+        i = j
+    return chunks
+
+
+class _RangeLookups:
+    """ufunc (np.maximum or np.minimum) over fixed closed column windows [a, b]
+    of orbit rows region[o : o + n_top + 1], for one region at a time.
+
+    Level k holds at entry p the ufunc over region[p : p + 2^k], built by
+    doubling, and a window is the ufunc of lookups into the levels: two
+    pieces of 2^k cells, k = min(floor(log2 of its length), top), one starting
+    at a and one ending at b, plus, on windows of 2^{top+1} cells or more,
+    the pieces of the grid of 2^top cells from column 1 that lie inside it.
+    Pieces may overlap, which max and min do not mind.  Only the levels that
+    lookups read are kept.  The buffers are allocated once, for regions of
+    up to `stride` cells and up to `rows` rows, and reused by every region.
+    """
+
+    def __init__(self, ufunc: np.ufunc, windows: Sequence[Tuple[int, int]], top: int,
+                 stride: int, rows: int) -> None:
+        self.ufunc = ufunc
+        size = 1 << top
+        levels = [min((b - a + 1).bit_length() - 1, top) for a, b in windows]
+        # (window, first, last + 1) of the grid pieces [1 + t size, (t + 1) size]
+        self.sliced = [(w, (a + size - 2) // size, b // size)
+                       for w, (a, b) in enumerate(windows) if b - a + 1 >= 2 * size]
+        self.grid = max((hi for _, _, hi in self.sliced), default=0)
+        read = sorted(set(levels) | ({top} if self.grid else set()))
+        slot = {k: s for s, k in enumerate(read)}
+        # the levels 1..max(read), each in its slot or, unread, in a scratch row
+        self.level_rows = [slot.get(k, len(read) + k % 2) for k in range(1, read[-1] + 1)]
+        scratch = 2 if len(self.level_rows) > len(read) - (0 in slot) else 0
+        self.keep_region = 0 in slot
+        self.levels = np.empty((len(read) + scratch, stride))
+        self.cols = np.concatenate([
+            slot.get(top, 0) * stride + 1 + size * np.arange(self.grid),
+            [slot[k] * stride + a for k, (a, _) in zip(levels, windows)],
+            [slot[k] * stride + b + 1 - (1 << k) for k, (_, b) in zip(levels, windows)],
+        ]).astype(np.intp)
+        self.idx = np.empty((rows, self.cols.size), dtype=np.intp)
+        self.vals = np.empty((rows, self.cols.size))
+        self.out = np.empty((rows, len(windows)))
+
+    def __call__(self, region: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """The window values of the rows region[o:], o in `offsets`, one row
+        each; a view into a buffer that the next call overwrites."""
+        ufunc, levels, cells = self.ufunc, self.levels, region.shape[0]
+        if self.keep_region:
+            levels[0, :cells] = region
+        prev = region
+        for k, row in enumerate(self.level_rows, 1):
+            n, half = cells - (1 << k) + 1, 1 << (k - 1)
+            prev = ufunc(prev[:n], prev[half: half + n], out=levels[row, :n])
+        rows, g, w = offsets.shape[0], self.grid, self.out.shape[1]
+        idx = np.add(offsets[:, None], self.cols, out=self.idx[:rows])
+        vals = np.take(levels.reshape(-1), idx, out=self.vals[:rows], mode="clip")
+        out = ufunc(vals[:, g: g + w], vals[:, g + w:], out=self.out[:rows])
+        for col, lo, hi in self.sliced:
+            ufunc(out[:, col], ufunc.reduce(vals[:, lo:hi], axis=1), out=out[:, col])
+        return out
+
+
 class BlockProbe:
     """condition17's probe on [n0, n_top] and its counts over the paths.
 
     Geometry: the complete blocks (j, m_j, l_j), m_j >= n0 and m_j + l_j <=
     n_top, with thresholds eps sqrt(m_j loglog m_j), and the towers i whose
     dyadic window [2^i, 2^{i+1}] lies in [n0, n_top], with thresholds eps
-    sqrt(2^{i+1} loglog 2^{i+1}).  Counts, filled by observe: per path the
-    tail sup of g.T^n / sqrt(n loglog n) over n0 <= n <= n_top; per eps the
-    paths whose block max exceeds its threshold (strictly) and those whose
-    dyadic-window max meets its threshold.
+    sqrt(2^{i+1} loglog 2^{i+1}); `windows` lists the closed column windows
+    of both, blocks first, whose maxima OrbitPass reads.  Counts, filled by
+    observe: per path the tail sup of g.T^n / sqrt(n loglog n) over n0 <= n
+    <= n_top; per eps the paths whose block max exceeds its threshold
+    (strictly) and those whose dyadic-window max meets its threshold.
     """
 
     def __init__(self, cfg: OdometerConfig, blocks: List[Tuple[int, int, int]]) -> None:
@@ -533,9 +615,16 @@ class BlockProbe:
             * np.log(np.log(np.arange(n0, n_top + 1, dtype=np.float64)))
         )
         starts = np.asarray([mj for _, mj, _ in blocks], dtype=np.int64)
-        self.ends = np.asarray([mj + ln for _, mj, ln in blocks], dtype=np.int64)
-        # segment boundaries [m_j, m_{j+1}) plus the closing right endpoint
-        self.bounds = np.concatenate([starts, self.ends[-1:]])
+        self.lengths = np.asarray([ln + 1 for _, _, ln in blocks], dtype=np.int64)
+        # blocks are contiguous (m_{j+1} = m_j + l_j): the closed windows cover
+        # [m_1, m_last + l_last], and the tail sup divides the rest exactly
+        first, last = int(starts[0]), int(starts[-1] + self.lengths[-1] - 1)
+        self.outside = np.r_[n0:first, last + 1: n_top + 1]
+        self.starts = starts
+        # norm over each closed window: the segment [m_j, m_{j+1}), then its end
+        covered, ends = self.norm[: last + 1 - n0], self.norm[starts + self.lengths - 1 - n0]
+        self.norm_min = np.minimum(np.minimum.reduceat(covered, starts - n0), ends)
+        self.norm_max = np.maximum(np.maximum.reduceat(covered, starts - n0), ends)
         self.thresholds = {
             eps: eps * np.sqrt(starts * np.log(np.log(starts.astype(np.float64))))
             for eps in cfg.epsilons
@@ -549,6 +638,8 @@ class BlockProbe:
                   for i in self.dyadic]
             for eps in cfg.epsilons
         }
+        self.windows = ([(mj, mj + ln) for _, mj, ln in blocks]
+                        + [(1 << i, 1 << (i + 1)) for i in self.dyadic])
         self.tail_sup = np.empty(cfg.paths, dtype=np.float64)
         self.block_hits = {eps: np.zeros(len(blocks), dtype=np.int64) for eps in cfg.epsilons}
         self.dyadic_hits = {eps: np.zeros(len(self.dyadic), dtype=np.int64)
@@ -567,37 +658,88 @@ class BlockProbe:
         ]
         return cls(cfg, blocks) if blocks else None
 
-    def observe(self, lo: int, hi: int, gv: np.ndarray) -> None:
-        """Add the orbit rows gv of paths lo..hi-1 to the counts."""
-        self.tail_sup[lo:hi] = np.max(gv[:, self.n0:] / self.norm[None, :], axis=1)
-        red = np.maximum.reduceat(gv, self.bounds, axis=1)[:, : len(self.blocks)]
-        block_max = np.maximum(red, gv[:, self.ends])
+    def observe(self, paths: np.ndarray, rows: np.ndarray, maxima: np.ndarray,
+                buffer: np.ndarray) -> None:
+        """Add the paths `paths`, whose orbit rows are buffer[r : r + n_top + 1]
+        for r in `rows`, to the counts; `maxima` holds their maxima over
+        `windows`."""
+        block_max, dyadic_max = maxima[:, : len(self.blocks)], maxima[:, len(self.blocks):]
         for eps, thr in self.thresholds.items():
             self.block_hits[eps] += (block_max > thr[None, :]).sum(axis=0)
-        for di, i in enumerate(self.dyadic):
-            wmax = np.max(gv[:, (1 << i): (1 << (i + 1)) + 1], axis=1)
+        for di in range(len(self.dyadic)):
             for eps, thetas in self.dyadic_thresholds.items():
-                self.dyadic_hits[eps][di] += int(np.count_nonzero(wmax >= thetas[di]))
+                self.dyadic_hits[eps][di] += int(np.count_nonzero(dyadic_max[:, di] >= thetas[di]))
+        self.tail_sup[paths] = self._tail_sup(rows, block_max, buffer)
+
+    def _tail_sup(self, rows: np.ndarray, block_max: np.ndarray,
+                  buffer: np.ndarray) -> np.ndarray:
+        """max over n0 <= n <= n_top of fl(g.T^n / norm_n) per row, dividing
+        only the cells outside the blocks and those of the blocks that may
+        hold it.  Rounding is monotone, so with B the block max and N its
+        min and max of norm, every ratio of a block is at most the larger of
+        fl(B / N_min) and fl(B / N_max) (the first for B >= 0, the second for
+        B < 0), and the ratio at the cell of B is at least the smaller: a
+        block whose upper bound is below the largest lower bound, or below an
+        outside ratio, holds no maximum."""
+        n0, norm = self.n0, self.norm
+        if self.outside.size:
+            best = np.max(buffer[rows[:, None] + self.outside] / norm[self.outside - n0],
+                          axis=1)
+        else:
+            best = np.full(rows.shape[0], -np.inf)
+        by_min, by_max = block_max / self.norm_min, block_max / self.norm_max
+        upper = np.maximum(by_min, by_max)
+        lower = np.max(np.minimum(by_min, by_max, out=by_min), axis=1)
+        path, block = np.nonzero(upper >= np.maximum(best, lower)[:, None])
+        lengths = self.lengths[block]
+        first = np.cumsum(lengths) - lengths
+        cols = np.repeat(self.starts[block] - first, lengths) + np.arange(int(lengths.sum()))
+        ratios = buffer[np.repeat(rows[path], lengths) + cols] / norm[cols - n0]
+        np.maximum.at(best, path, np.maximum.reduceat(ratios, first))
+        return best
 
 
 class OrbitPass:
     """What the odometer reports read of the orbit rows g(T^k r_j), k =
-    0..n_top, at the start residues r_j, from one pass over cfg.orbits in
-    chunks of paths: wmax and wmin, the max and min of g over T^1..T^n (rows
-    paths, columns horizons n; see _horizon_accumulate), read by condition16
-    and slln; and probe, condition17's BlockProbe, None where the config has
-    none."""
+    0..n_top, at the start residues r_j: wmax and wmin, the max and min of g
+    over T^1..T^n (rows paths, columns horizons n), read by condition16 and
+    slln; and probe, condition17's BlockProbe, None where the config has none.
+
+    Every value is a max or min over a window of a row, and the row of r is
+    buffer[r : r + n_top + 1] of the config's one g buffer (g_table.base).
+    The paths, sorted by start residue, are cut into chunks (_region_chunks)
+    whose rows lie in one region of the buffer, and the windows of a chunk
+    are lookups into doubling levels of its region (_RangeLookups): the
+    horizon segments (h_{j-1}, h_j] for both extrema, and the blocks and
+    dyadic windows for the max, whose levels reach the longest block.  The
+    results land at each path's own index, so they do not depend on the cut.
+    """
 
     def __init__(self, cfg: OdometerConfig) -> None:
-        h_idx = np.asarray(cfg.horizons, dtype=np.int64)
-        self.wmax, self.wmin = np.empty((2, cfg.paths, len(cfg.horizons)), dtype=np.float64)
+        horizons, n_top = cfg.horizons, cfg.horizons[-1]
+        buffer = cfg.g_table.base
+        order = np.argsort(cfg.start_residues, kind="stable")
+        starts = cfg.start_residues[order]
+        chunks = _region_chunks(starts, n_top, cfg.workers)
+        stride = max(int(starts[j - 1] - starts[i]) for i, j in chunks) + n_top + 1
+        rows = max(j - i for i, j in chunks)
+        segments = list(zip((1,) + tuple(n + 1 for n in horizons[:-1]), horizons))
         self.probe = BlockProbe.for_config(cfg)
-        for lo, hi in _chunk_ranges(cfg.paths, cfg.workers, _paths_per_chunk(cfg.horizons[-1])):
-            gv = cfg.orbits[cfg.start_residues[lo:hi]]
-            self.wmax[lo:hi] = _horizon_accumulate(np.maximum, gv, h_idx)
-            self.wmin[lo:hi] = _horizon_accumulate(np.minimum, gv, h_idx)
+        windows, top = segments, _PIECE_LEVEL
+        if self.probe is not None:
+            windows = segments + self.probe.windows
+            top = max(top, int(self.probe.lengths.max()).bit_length() - 1)
+        highs = _RangeLookups(np.maximum, windows, top, stride, rows)
+        lows = _RangeLookups(np.minimum, segments, _PIECE_LEVEL, stride, rows)
+        self.wmax, self.wmin = np.empty((2, cfg.paths, len(horizons)), dtype=np.float64)
+        for i, j in chunks:
+            region = buffer[starts[i]: starts[j - 1] + n_top + 1]
+            offsets = starts[i:j] - starts[i]
+            maxima = highs(region, offsets)
+            self.wmax[order[i:j]] = np.maximum.accumulate(maxima[:, : len(horizons)], axis=1)
+            self.wmin[order[i:j]] = np.minimum.accumulate(lows(region, offsets), axis=1)
             if self.probe is not None:
-                self.probe.observe(lo, hi, gv)
+                self.probe.observe(order[i:j], starts[i:j], maxima[:, len(horizons):], buffer)
 
 
 _HIT_PIECE = 1 << 18  # table entries scanned at a time by _window_hit_count

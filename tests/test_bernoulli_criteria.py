@@ -85,8 +85,9 @@ def reference_adaptive_integral(func, a, b, tol, max_evals, breakpoints=()):
         halves = left + right
         err = abs(whole - halves)
         if not refinable(lo, hi):
-            ys = np.concatenate([y0, y1, y2])
+            ys = np.concatenate([y0, y1, y2, func(np.array([lo, hi]))])
             err = max(err, (hi - lo) * float(ys.max() - ys.min()))
+            evals += 2
         evals += 45
         heappush(heap, (-err, lo, hi, halves))
 
@@ -120,7 +121,8 @@ def test_lockstep_batch_matches_one_problem_calls():
         (np.cos, 1.0, 0.5, ()),                                     # b <= a
         # a jump inside an 8-ulp interval: bisection reaches a 2-ulp panel
         # whose halves' nodes each round onto one float, so it cannot be
-        # refined; its error is bounded by the spread of its node values
+        # refined; its error is bounded by the spread of its node values and
+        # of f at its ends
         (lambda x: 1e6 * (x > third + 3 * ulp), third, third + 8 * ulp, ()),
         # many panels tie on their error: the heap order (-err, lo, hi, value)
         # decides which one splits (15 of the reference's pops are ties)
@@ -148,6 +150,19 @@ def test_lockstep_batch_matches_one_problem_calls():
     assert abs(Fraction(singles[4].value) - jump) <= Fraction(singles[4].error)
     # == treats 0.0 and -0.0 alike, but report.json prints the sign
     assert [math.copysign(1.0, r.error) for r in (batch[6], singles[6])] == [-1.0, -1.0]
+
+
+def test_one_ulp_problem_is_not_certified_from_its_nodes():
+    # all 45 nodes of a one-ulp panel round onto one float, where the jump
+    # does not show; f at both ends of the stuck panel puts the jump's height
+    # into its error, so the reported error covers the exact integral
+    third = 1.0 / 3.0
+    b = float(np.nextafter(third, 1.0))
+    res = adaptive_integral(lambda x: 1e6 * (x < b), third, b, tol=1e-13)
+    exact = Fraction(10 ** 6) * (Fraction(b) - Fraction(third))
+    assert exact > 0
+    assert abs(Fraction(res.value) - exact) <= Fraction(res.error)
+    assert res.evals == 45 + 2
 
 
 _ROW_ENTRY = st.one_of(

@@ -2,18 +2,20 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import coblim.dynamics as dynamics
 import coblim.mc_harness as mc_harness
 from coblim import __version__
 from coblim.cli import DEFAULT_SEED, PRESETS
-from coblim.counterexamples import build_tower_counterexample
+from coblim.counterexamples import blocks_for_range, build_tower_counterexample
 from coblim.dynamics import stream_generator
 from coblim.mc_harness import (
     SHIFT_FUNCTIONS,
@@ -121,6 +123,13 @@ def odometer_config(**kw):
     base = dict(cex=cex, horizons=(64, 256), paths=600, seed=3, epsilons=(0.5, 2.0))
     base.update(kw)
     return OdometerConfig(**base)
+
+
+def write_g(cfg, table):
+    """Write `table` into the config's one buffer of g: g_table and the cyclic
+    tail that the orbit rows of the last residues read."""
+    buffer = cfg.g_table.base
+    buffer[:] = table[np.arange(buffer.shape[0]) % table.shape[0]]
 
 
 def cex_with_bits(bits):
@@ -249,18 +258,18 @@ def test_window_hit_count_carries_across_pieces(monkeypatch, piece):
 
 
 def test_odometer_pass_holds_one_table_and_chunk_sized_temporaries():
-    # tracemalloc sees numpy's buffers.  Building g_table and the orbit view
-    # holds the one buffer of M + n_top entries plus numpy's fixed-size ufunc
-    # iteration buffers (about 192 KiB), where a wrapped copy of the table
-    # would hold two or three tables; the pass and condition16 add
-    # temporaries of a few 2 MiB chunks of orbit rows and pieces of the table
+    # tracemalloc sees numpy's buffers.  Building g_table holds the one buffer
+    # of M + n_top entries plus numpy's fixed-size ufunc iteration buffers
+    # (about 192 KiB), where a wrapped copy of the table would hold two or
+    # three tables; the pass and condition16 add the levels and lookups of
+    # one region of the table and pieces of the table
     cex = build_tower_counterexample("ip_lil", p=1.2, r=4.0, i_max=16, bits=18)
     cfg = odometer_config(cex=cex, horizons=(256, 1024, 4096), paths=1000)
     buffer_bytes = ((1 << 16) + 4096) * 8
     chunk_bytes = (1 << 18) * 8
     tracemalloc.start()
     try:
-        assert np.shares_memory(cfg.g_table, cfg.orbits)
+        assert cfg.g_table.base.shape == ((1 << 16) + 4096,)
         _, peak_tables = tracemalloc.get_traced_memory()
         cfg.orbit_pass
         condition16_report(cfg)
@@ -274,23 +283,26 @@ def test_odometer_pass_holds_one_table_and_chunk_sized_temporaries():
 @pytest.mark.parametrize("i_max, horizons", [(12, (64, 256)), (4, (4, 16, 40))],
                          ids=["M-above-top-horizon", "top-horizon-above-M"])
 def test_orbits_and_window_extrema_match_modular_gather(i_max, horizons):
-    # a random table without zeros, written into the config's one buffer of g
-    # before the orbit view exists, makes both window ends matter; i_max = 4
-    # (M = 16) wraps the orbit rows around the table more than once
+    # the buffer of g holds the orbit row of every residue r at r; a random
+    # table without zeros, written into that buffer before the pass, makes
+    # both window ends matter; i_max = 4 (M = 16) wraps the orbit rows around
+    # the table more than once
     cex = build_tower_counterexample("ip_lil", p=1.2, r=4.0, i_max=i_max, bits=14)
     n_top, m = horizons[-1], 1 << i_max
     extrema = []
     for workers in (1, 3):
         cfg = odometer_config(cex=cex, horizons=horizons, workers=workers)
         assert len(cfg.g_table) == m
+        buffer = cfg.g_table.base
+        assert buffer.shape == (m + n_top,)
+        cyclic = (np.arange(m)[:, None] + np.arange(n_top + 1)[None, :]) % m
+        rows = sliding_window_view(buffer, n_top + 1)[:m]
+        assert np.array_equal(rows, cfg.g_table[cyclic])
         table = np.random.default_rng(5).standard_normal(m)
-        cfg.g_table[:] = table
-        full = table[(np.arange(m)[:, None] + np.arange(n_top + 1)[None, :]) % m]
-        assert np.shares_memory(cfg.g_table, cfg.orbits)
-        assert not cfg.orbits.flags.writeable
-        assert np.array_equal(cfg.orbits, full)
+        write_g(cfg, table)
+        full = table[cyclic]
+        assert np.array_equal(rows, full)
         res = cfg.start_residues
-        assert np.array_equal(cfg.orbits[res], full[res])
         wmax, wmin = cfg.orbit_pass.wmax, cfg.orbit_pass.wmin
         assert wmax.shape == wmin.shape == (cfg.paths, len(horizons))
         for gi, n in enumerate(horizons):
@@ -301,11 +313,10 @@ def test_orbits_and_window_extrema_match_modular_gather(i_max, horizons):
 
 
 def test_odometer_state_derived_once_per_config(monkeypatch):
-    # the residue table of g, the per-path start residues, the orbit view and
-    # the one pass over the orbit rows are shared by the three odometer
-    # reports of one config; the start residues build no Generator
-    calls = {"g_residue_table": 0, "first_draws": 0, "sliding_window_view": 0,
-             "OrbitPass": 0, "stream_generator": 0}
+    # the residue table of g, the per-path start residues and the one pass
+    # over the orbit rows are shared by the three odometer reports of one
+    # config; the start residues build no Generator
+    calls = {"g_residue_table": 0, "first_draws": 0, "OrbitPass": 0, "stream_generator": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -315,15 +326,15 @@ def test_odometer_state_derived_once_per_config(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("g_residue_table", "first_draws", "sliding_window_view", "OrbitPass"):
+    for name in ("g_residue_table", "first_draws", "OrbitPass"):
         counted(mc_harness, name)
     counted(dynamics, "stream_generator")
     cfg = odometer_config()
     condition16_report(cfg)
     condition17_report(cfg)
     slln_report(cfg)
-    assert calls == {"g_residue_table": 1, "first_draws": 1, "sliding_window_view": 1,
-                     "OrbitPass": 1, "stream_generator": 0}
+    assert calls == {"g_residue_table": 1, "first_draws": 1, "OrbitPass": 1,
+                     "stream_generator": 0}
 
 
 @pytest.mark.parametrize("seed", [0, 20260814, (1 << 64) - 1])
@@ -344,7 +355,7 @@ def test_config_odometer_bits_edges():
     for bits in (1, 64):
         cfg = OdometerConfig(cex=cex_with_bits(bits), horizons=(1,), paths=100, seed=1)
         assert cfg.cex.bits == bits
-        assert not {"g_table", "start_residues", "orbits", "orbit_pass"} & set(cfg.__dict__)
+        assert not {"g_table", "start_residues", "orbit_pass"} & set(cfg.__dict__)
     for bits in (0, 65):
         with pytest.raises(ValueError, match=rf"bits = {bits} invalid: odometer precision "
                                              r"in \[1, 64\]"):
@@ -352,18 +363,26 @@ def test_config_odometer_bits_edges():
 
 
 def test_reports_do_not_depend_on_chunking(monkeypatch):
-    # every per-path result is assembled in path order, so the chunk size
-    # (1 path, 7 paths, the default) changes no byte of any report
-    default = mc_harness._paths_per_chunk
+    # every per-path result is written at its path's index, so neither the
+    # shift chunk size (1 path, 7 paths, the default), nor the odometer
+    # regions (1 cell and 1 path, the smallest caps, which put one path in
+    # each chunk, or the defaults), nor the worker count changes a byte of
+    # any report
+    defaults = (mc_harness._paths_per_chunk, mc_harness._REGION_CELLS,
+                mc_harness._REGION_PATHS)
     texts = []
-    for per_chunk in (lambda n: 1, lambda n: 7, default):
+    for (per_chunk, cells, paths), workers in (
+            ((lambda n: 1, 1, 1), 1), ((lambda n: 7, 1, 1), 3), (defaults, 1), (defaults, 3)):
         monkeypatch.setattr(mc_harness, "_paths_per_chunk", per_chunk)
-        cfg = odometer_config(paths=300)
-        shift = ShiftConfig(horizons=(16, 64, 256), paths=150, seed=12, function="cosine")
+        monkeypatch.setattr(mc_harness, "_REGION_CELLS", cells)
+        monkeypatch.setattr(mc_harness, "_REGION_PATHS", paths)
+        cfg = odometer_config(paths=300, workers=workers)
+        shift = ShiftConfig(horizons=(16, 64, 256), paths=150, seed=12, function="cosine",
+                            workers=workers)
         texts.append([canonical_json(r) for r in (
             condition16_report(cfg), condition17_report(cfg), slln_report(cfg),
             clt_lil_report(shift))])
-    assert texts[0] == texts[1] == texts[2]
+    assert all(text == texts[0] for text in texts[1:])
 
 
 def test_condition16_and_slln_run_where_condition17_has_no_blocks():
@@ -463,8 +482,7 @@ def test_slln_window_extrema_match_brute_force_on_table_without_zeros():
     assert len(cfg.g_table) == m
     table = np.random.default_rng(11).standard_normal(m)
     assert np.all(table != 0.0)
-    cfg.g_table[:] = table
-    assert np.shares_memory(cfg.g_table, cfg.orbits)
+    write_g(cfg, table)
     res = cfg.start_residues
     alpha = cfg.resolved_alpha()
     report = slln_report(cfg)
@@ -476,6 +494,64 @@ def test_slln_window_extrema_match_brute_force_on_table_without_zeros():
         expected = float(np.mean(sup >= row["epsilon"] * n ** alpha))
         assert 0.0 < expected < 1.0
         assert row["estimate"] == expected
+
+
+@pytest.mark.parametrize("i_max, horizons, block_exp", [
+    (10, (16, 40, 100), 0.3), (10, (16, 40, 100), 0.5), (10, (16, 40, 100), 0.9),
+    (12, (64, 1024), 0.9), (10, (8, 64), 0.5), (10, (1, 2, 40), 0.5), (4, (16, 40), 0.5),
+], ids=["b0.3", "b0.5", "b0.9", "long-blocks", "no-probe", "one-cell-segments",
+        "top-horizon-above-M"])
+def test_orbit_pass_matches_brute_force_over_full_rows(monkeypatch, i_max, horizons,
+                                                       block_exp):
+    # every output of the pass against maxima, minima and ratios over whole
+    # orbit rows, on a table of both signs and on one of negative values and
+    # a few zeros, where the tail sup is often 0 inside a block and its
+    # bracket is a single value; horizons off the 16-cell grid, blocks longer
+    # than 32 cells (long-blocks), no condition17 probe (no-probe), windows
+    # of one cell (one-cell-segments) and orbit rows that wrap around M = 16.
+    # The caps of 1 cell and 2 paths split runs of equal residues across
+    # chunks
+    cex = build_tower_counterexample("ip_lil", p=1.2, r=4.0, i_max=i_max, bits=14)
+    n0, n_top, m = horizons[0], horizons[-1], 1 << i_max
+    signed = np.random.default_rng(i_max + n_top).standard_normal(m)
+    assert np.any(signed < 0) and np.any(signed > 0)
+    nonpositive = -np.abs(signed)
+    nonpositive[::13] = 0.0
+    for table, (cells, paths) in itertools.product(
+            (signed, nonpositive),
+            ((1, 2), (n_top + 9, 3), (mc_harness._REGION_CELLS, mc_harness._REGION_PATHS))):
+        monkeypatch.setattr(mc_harness, "_REGION_CELLS", cells)
+        monkeypatch.setattr(mc_harness, "_REGION_PATHS", paths)
+        cfg = odometer_config(cex=cex, horizons=horizons, block_exp=block_exp,
+                              epsilons=(0.1, 0.3))
+        write_g(cfg, table)
+        full = table[(cfg.start_residues[:, None] + np.arange(n_top + 1)) % m]
+        run = cfg.orbit_pass
+        for gi, n in enumerate(horizons):
+            assert run.wmax[:, gi].tobytes() == full[:, 1: n + 1].max(axis=1).tobytes()
+            assert run.wmin[:, gi].tobytes() == full[:, 1: n + 1].min(axis=1).tobytes()
+        probe = run.probe
+        if n0 < 16:
+            assert probe is None
+            continue
+        ns = np.arange(n0, n_top + 1, dtype=np.float64)
+        ratios = full[:, n0:] / np.sqrt(ns * np.log(np.log(ns)))
+        assert probe.tail_sup.tobytes() == ratios.max(axis=1).tobytes()
+        assert probe.blocks == [b for b in blocks_for_range(block_exp, n_top)
+                                if b[1] >= n0 and b[1] + b[2] <= n_top]
+        assert probe.blocks
+        for eps in cfg.epsilons:
+            hits = [np.count_nonzero(full[:, mj: mj + ln + 1].max(axis=1) > thr)
+                    for (_, mj, ln), thr in zip(probe.blocks, probe.thresholds[eps])]
+            assert probe.block_hits[eps].tolist() == hits
+            assert table is nonpositive or 0 < sum(hits) < cfg.paths * len(hits)
+        dyadic = [i for i in range(cex.i0, i_max + 1)
+                  if (1 << i) >= n0 and (1 << (i + 1)) <= n_top]
+        assert probe.dyadic == dyadic
+        for eps in cfg.epsilons:
+            hits = [np.count_nonzero(full[:, 1 << i: (1 << (i + 1)) + 1].max(axis=1) >= thr)
+                    for i, thr in zip(dyadic, probe.dyadic_thresholds[eps])]
+            assert probe.dyadic_hits[eps].tolist() == hits
 
 
 def test_unknown_martingale_rejected():
