@@ -26,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -181,6 +182,9 @@ class MaximalReport:
     rows: List[ThresholdRow] = field(default_factory=list)
     mstar_strong_q: float = 0.0  # ||M*||_q from the enumerated distribution
     h_weak_q: float = 0.0        # ||h||_{q,oo} (unrestricted), for context
+    # per row, whether the weak bound fails: decided in integers for an
+    # integer q, by slack_weak < -1e-12 otherwise
+    weak_failed: List[bool] = field(default_factory=list)
 
     @property
     def level_bound_violations(self) -> int:
@@ -188,7 +192,7 @@ class MaximalReport:
 
     @property
     def weak_bound_violations(self) -> int:
-        return sum(1 for r in self.rows if r.slack_weak < -1e-12)
+        return sum(self.weak_failed)
 
     @property
     def min_slack_weak(self) -> float:
@@ -221,9 +225,11 @@ def maximal_inequality_report(
     Full enumeration of the 2^bits odometer points, carried out at residue
     resolution: points sharing a tower-i level have identical orbit values,
     so the 2^i residue classes (each of exact measure 2^-i) are exhaustive.
-    Measures, expectations and the level-bound slack are Fractions; only the
-    q-th roots of the weak-norm comparison are floats (that inequality has a
-    strict q/(q-1) factor of headroom, so rounding cannot flip its sign).
+    Measures, expectations and the level-bound slack are Fractions.  The
+    weak-norm columns are floats; for an integer q the weak bound's verdict
+    is exact, t^q mu against (q/(q-1))^q max_v v^q tail_v / m cross-multiplied
+    in integers (tail_v counts the hit residues with |h| >= v), and for any
+    other q it is the float slack below -1e-12.
 
     Raises ValueError when bits exceeds the enumeration guard (B <= 20), or
     when the level resolution i exceeds bits.
@@ -253,6 +259,8 @@ def maximal_inequality_report(
     ranked = [pairs[r] for r in order]
     abs_nums = [abs(h.numerators[r]) for r in order]
     abs_values = [v / scale for v in abs_nums]
+    qi = int(q) if float(q).is_integer() else 0
+    powers = [v ** qi for v in abs_nums] if qi else []
     for t in thresholds:
         # M*_r >= t  <=>  best_num * t.den >= t.num * best_den * scale (exact
         # ints); the test is False then True along `ranked`
@@ -268,4 +276,11 @@ def maximal_inequality_report(
             t=t, mu=mu, expectation=expectation, slack_level_bound=slack,
             lhs_weak=lhs_weak, rhs_weak=rhs_weak, slack_weak=rhs_weak - lhs_weak,
         ))
+        if qi:  # v^q tail_v in units of scale^-q: the j-th largest v^q times j
+            hit = sorted(powers[first:], reverse=True)
+            weak = max(map(mul, hit, range(1, len(hit) + 1)), default=0)
+            report.weak_failed.append(
+                tn ** qi * (m - first) * ((qi - 1) * scale) ** qi > (qi * td) ** qi * weak)
+        else:
+            report.weak_failed.append(rhs_weak - lhs_weak < -1e-12)
     return report

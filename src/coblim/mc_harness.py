@@ -123,10 +123,15 @@ def _inverse_cuberoot(x: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(x, 2.0 ** -54) ** (-1.0 / 3.0), 2.0 ** 18)
 
 
+def _cosine(x: np.ndarray) -> np.ndarray:
+    y = 2.0 * np.pi * x
+    return np.cos(y, out=y)  # in place: one temporary, not two
+
+
 SHIFT_FUNCTIONS: Dict[str, ShiftFunction] = {
     "zero": ShiftFunction("zero", lambda x: np.zeros_like(x), sup_bound=0.0),
     "identity": ShiftFunction("identity", lambda x: x.copy(), sup_bound=0.5),
-    "cosine": ShiftFunction("cosine", lambda x: np.cos(2.0 * np.pi * x), sup_bound=1.0),
+    "cosine": ShiftFunction("cosine", _cosine, sup_bound=1.0),
     "inverse_cuberoot": ShiftFunction("inverse_cuberoot", _inverse_cuberoot, sup_bound=None),
 }
 
@@ -495,16 +500,9 @@ def _shift_bits_chunk(cfg: ShiftConfig, lo: int, hi: int, n: int) -> np.ndarray:
     return eps
 
 
-def _horizon_accumulate(ufunc: np.ufunc, x: np.ndarray, h_idx: np.ndarray) -> np.ndarray:
-    """ufunc (np.maximum or np.minimum) over x[:, 1..n] for each horizon n in
-    ``h_idx``, one column each: reduced per segment between horizons, then
-    accumulated across them."""
-    cols = np.concatenate(([1], h_idx[:-1] + 1))
-    return ufunc.accumulate(ufunc.reduceat(x[:, : h_idx[-1] + 1], cols, axis=1), axis=1)
-
-
 def _paths_per_chunk(n: int) -> int:
-    """Paths per chunk for rows of n + 1 float64 cells: about 2^18 cells (2 MiB)."""
+    """Paths per chunk for rows of n steps: about 2^18 steps, whose bits and
+    walk bytes (as indices) take 256 KiB and 256 KiB."""
     return max(1, (1 << 18) // max(1, n))
 
 
@@ -1051,46 +1049,129 @@ class CltReport:
     report: str = field(default="clt_lil", init=False)
 
 
-# clt_lil_report evaluates g on whole blocks of this many orbit steps.  On
-# clt-bounded-transfer, widths 16, 24 and 32 ran equally fast within noise and
-# 64 about 25% slower (it opens 21% of the cells, 32 opens 14%); of the three,
-# 32 gathers the fewest window bits
+# clt_lil_report forms S_k(f) on whole blocks of this many steps, whole bytes
+# of the walk.  Of 16, 24, 32, 40 and 64, 32 ran fastest on both clt presets
+# (on clt-bounded-transfer it opens 13% of the steps; 24 ran as fast)
 _G_BLOCK = 32
 
+# The +-1 walk of the 8 steps 2 bit_i - 1 that byte b packs little-endian:
+# _WALK_PREFIX[b, i] is its value after i steps, _WALK_TOTAL[b] after all 8,
+# and _WALK_MAX[b] and _WALK_MIN[b] are the max and min of _WALK_PREFIX[b]
+_BYTE_STEPS = 2 * ((np.arange(256)[:, None] >> np.arange(8)) & 1) - 1
+_WALK_PREFIX = (np.cumsum(_BYTE_STEPS, axis=1) - _BYTE_STEPS).astype(np.int8)
+_WALK_TOTAL = _BYTE_STEPS.sum(axis=1).astype(np.int8)
+_WALK_MAX, _WALK_MIN = _WALK_PREFIX.max(axis=1), _WALK_PREFIX.min(axis=1)
 
-def _open_blocks(abs_sm: np.ndarray, h_idx: np.ndarray, k0: int, lil_norm: np.ndarray,
-                 bound: float) -> np.ndarray:
-    """Which blocks of _G_BLOCK columns k = 0..n of S_k(f) clt_lil_report
-    must evaluate g on, as (paths, blocks) booleans.
 
-    abs_sm[:, k - 1] = |S_k(m)| for k = 1..n (n = h_idx[-1]); ``bound`` is
-    2 ||g||_oo, inf for an unbounded g.  The columns are cut into pieces at
-    the block edges, the horizon segments (h_{j-1}, h_j] and the tail start
-    k0; P is the largest |S_k(m)| of a piece.  A piece is open when
-    fl(P + bound) >= fl(M - bound), M the largest |S_k(m)| of its segment,
-    or, in the tail, when fl(P + bound) / min L_k >= lb, where L_k is the
-    iterated-logarithm norm and lb the largest fl(max(P - bound, 0)) / max L_k
-    over the tail pieces.  Column 0 (which carries g(x_0)) and the horizon
-    columns are always open.
+def _open_blocks(top: np.ndarray, h_idx: np.ndarray, k0: int,
+                 norm_range: Tuple[np.ndarray, np.ndarray], bound: float) -> np.ndarray:
+    """Which blocks of _G_BLOCK steps k = 0, 1, ... clt_lil_report must form
+    S_k(f) on, as (paths, blocks) booleans, for the steps k <= n = h_idx[-1].
+
+    top[:, b] bounds |S_k(m)| on block b; ``bound`` is 2 ||g||_oo, 0 for
+    g = 0 and inf for an unbounded g; ``norm_range`` holds the min and max,
+    per block, of the iterated-logarithm norm L_k on its steps in the tail
+    [k0, n], taken as inf off it.  With P = top[:, b], a block is open when
+    fl(P + bound) >= fl(M - bound), M the largest top over the blocks before
+    the one of h_s, the horizon that ends the block's segment (h_{s-1}, h_s],
+    so that some |S_k(m)| with k <= h_s reaches M; or, if it meets the tail,
+    when fl(P + bound) / min L_k >= lb, lb the largest
+    fl(max(P - bound, 0)) / max L_k over the blocks.  Block 0 (which carries
+    g(x_0)) and the blocks of the horizon columns are always open.
     """
-    n = int(h_idx[-1])
-    # a set, not np.unique, which would import numpy.ma while the chunk is held
-    edges = np.array(sorted({1, k0, *(h_idx[:-1] + 1).tolist(),
-                             *range(_G_BLOCK, n + 1, _G_BLOCK)}))
-    top = np.maximum.reduceat(abs_sm, edges - 1, axis=1).astype(np.float64)
-    seg = np.searchsorted(h_idx, edges)
-    seg_top = np.maximum.reduceat(top, np.searchsorted(seg, np.arange(h_idx.size)), axis=1)
-    is_open = top + bound >= seg_top[:, seg] - bound
-    t = int(np.searchsorted(edges, k0))
-    tail, tail_edges = top[:, t:], edges[t:] - k0
-    lb = np.max(np.maximum(tail - bound, 0.0) / np.maximum.reduceat(lil_norm, tail_edges),
-                axis=1)
-    is_open[:, t:] |= (tail + bound) / np.minimum.reduceat(lil_norm, tail_edges) >= lb[:, None]
-    blocks = np.logical_or.reduceat(
-        is_open, np.searchsorted(edges, np.arange(0, n + 1, _G_BLOCK)), axis=1)
-    blocks[:, 0] = True
-    blocks[:, h_idx // _G_BLOCK] = True
-    return blocks
+    t, (norm_min, norm_max) = k0 // _G_BLOCK, norm_range
+    p = top.astype(np.float64)
+    reach = np.stack([np.max(p[:, :b], axis=1, initial=0.0) for b in h_idx // _G_BLOCK], axis=1)
+    seg = np.searchsorted(h_idx, _G_BLOCK * np.arange(p.shape[1]))
+    is_open = p + bound >= (reach - bound)[:, seg]
+    tail = p[:, t:]
+    lb = np.max(np.maximum(tail - bound, 0.0) / norm_max[t:], axis=1)
+    is_open[:, t:] |= (tail + bound) / norm_min[t:] >= lb[:, None]
+    is_open[:, 0] = True
+    is_open[:, h_idx // _G_BLOCK] = True
+    return is_open
+
+
+class _ShiftWalk:
+    """What clt_lil_report reads of S_k(f), k = 0..n_top, a chunk of paths at
+    a time: S_h(f) at the horizons h, max_{1<=k<=h} |S_k(f)| and the tail
+    ratio max_{k0<=k<=n_top} fl(|S_k(f)| / L_k), L_k = sqrt(2 k loglog k).
+
+    The martingale steps are read by bytes (packed little-endian, byte j
+    covers k = 8j..8j+7): the walk tables give S_{8j}(m) from one integer
+    cumsum over n/8 bytes and bound |S_k(m)| on each block of _G_BLOCK
+    steps.  S_k(f) = S_k(m) + g(x_0) - g(x_k) lies within D = 2 sup_bound of
+    S_k(m) (the coboundary sandwich; D = 0 for g = 0), so it is formed, in
+    float64, only on the blocks where D cannot rule out a maximum
+    (_open_blocks); every other step is strictly below a maximum it would
+    enter, and every output bit equals that of S_k(f) on all steps.  Rounding
+    is monotone, so a block's ratios lie in [fl(B / max L_k), fl(B / min L_k)],
+    B its max of |S_k(f)|: only the blocks reaching the largest lower end
+    are divided.  An unbounded g or a zero martingale part opens every block.
+    """
+
+    def __init__(self, cfg: ShiftConfig) -> None:
+        assert _G_BLOCK % 8 == 0, "blocks must be whole bytes of the walk"
+        n_top = cfg.horizons[-1]
+        self.w, self.h_idx = cfg.window, np.asarray(cfg.horizons, dtype=np.int64)
+        self.g = None if cfg.function.sup_bound == 0.0 else cfg.function
+        self.bound = math.inf if cfg.function.sup_bound is None else 2.0 * cfg.function.sup_bound
+        unit = int(cfg.martingale == "rademacher")  # m = 0: a walk that stays at 0
+        self.tables = _WALK_TOTAL * unit, _WALK_MAX * unit, _WALK_MIN * unit
+        self.prefix = (_WALK_PREFIX * unit).astype(np.float64)
+        # L_k on the steps of each block, inf off the tail [k0, n_top]
+        self.k0 = max(16, n_top // 8)
+        ks = np.arange(self.k0, n_top + 1, dtype=np.float64)
+        norm = np.full((n_top // _G_BLOCK + 1) * _G_BLOCK, np.inf)
+        norm[self.k0: n_top + 1] = np.sqrt(2.0 * ks * np.log(np.log(ks)))
+        self.norm = norm.reshape(-1, _G_BLOCK)
+        self.norm_range = self.norm.min(axis=1), self.norm.max(axis=1)
+
+    def __call__(self, eps_bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(finals, sups, tail ratios) of the paths whose bits eps_k, k in
+        [-window, n_top + window], are the rows of eps_bits."""
+        w, h_idx, (total, high, low), norm = self.w, self.h_idx, self.tables, self.norm
+        paths, (n_blocks, size) = eps_bits.shape[0], norm.shape
+        per = size // 8
+        # the bytes of the steps k = 1..n_top, padded to whole blocks, as
+        # indices into the tables; edge[:, j] = S_{8j}(m)
+        walk = np.zeros((paths, n_blocks * per), dtype=np.intp)
+        packed = np.packbits(eps_bits[:, w: w + h_idx[-1]], axis=1, bitorder="little")
+        walk[:, : packed.shape[1]] = packed
+        edge = np.zeros(walk.shape, dtype=np.int32)
+        np.cumsum(total.take(walk[:, :-1]), axis=1, dtype=np.int32, out=edge[:, 1:])
+        top = np.maximum(edge + high.take(walk), -(edge + low.take(walk)))
+        is_open = _open_blocks(np.maximum.reduce([top[:, i::per] for i in range(per)]),
+                               h_idx, self.k0, self.norm_range, self.bound)
+        rows, blocks = np.nonzero(is_open)
+        s = self.prefix[walk.reshape(paths, n_blocks, per)[rows, blocks]]
+        s += edge.reshape(paths, n_blocks, per)[rows, blocks][:, :, None]
+        s = s.reshape(rows.size, size)
+        if self.g is not None:
+            pad = n_blocks * size + w - 1 - eps_bits.shape[1]
+            if pad > 0:  # a window shorter than the block: the last block reads past the bits
+                eps_bits = np.pad(eps_bits, ((0, 0), (0, pad)))
+            windows = sliding_window_view(eps_bits, size + w - 1, axis=1)
+            gx = self.g(coordinate_matrix(windows[rows, blocks * size], size - 1, w))
+            g0 = gx[blocks == 0, 0]  # block 0 is open on every row, rows in order
+            s += np.subtract(g0[rows, None], gx, out=gx)
+        # the open blocks in (row, block) order, and the horizons' among them
+        keys = rows * n_blocks + blocks
+        at = np.searchsorted(keys, np.arange(paths)[:, None] * n_blocks + h_idx // size)
+        finals = s[at, h_idx % size]
+        np.abs(s, out=s)
+        # max |S_k(f)| over the open blocks before each horizon's, and within it
+        block_max = np.zeros((paths, n_blocks))
+        block_max[rows, blocks] = np.max(s, axis=1)
+        sups = np.stack([np.maximum(np.max(block_max[:, :b], axis=1, initial=0.0),
+                                    np.max(s[at[:, i], : c + 1], axis=1))
+                         for i, (b, c) in enumerate(zip(h_idx // size, h_idx % size))], axis=1)
+        norm_min, norm_max = self.norm_range
+        tail = np.max(block_max / norm_max, axis=1)
+        rows, blocks = np.nonzero(is_open & (block_max / norm_min >= tail[:, None]))
+        ratios = s[np.searchsorted(keys, rows * n_blocks + blocks)] / norm[blocks]
+        np.maximum.at(tail, rows, np.max(ratios, axis=1))
+        return finals, sups, tail
 
 
 def clt_lil_report(cfg: ShiftConfig) -> CltReport:
@@ -1109,67 +1190,20 @@ def clt_lil_report(cfg: ShiftConfig) -> CltReport:
     g = 0 and is never evaluated.
 
     The report reads only the horizon columns of S_k(f), the maxima of
-    |S_k(f)| between horizons and the tail maximum of the ratio.  Since
-    S_k(f) = S_k(m) + g(x_0) - g(x_k) lies within 2 sup_bound of the exact
-    integer S_k(m) (the coboundary sandwich), g is evaluated only on the
-    blocks of _G_BLOCK orbit steps where that bound cannot rule out a
-    maximum (_open_blocks), and every other cell keeps S_k(m).  Each of
-    those cells is strictly below the maximum it enters, so every output
-    bit equals that of evaluating g on all cells; an unbounded g (sup_bound
-    None) or a zero martingale part leaves every block open.
+    |S_k(f)| up to each horizon and the tail maximum of the ratio, which
+    _ShiftWalk computes from byte tables of the martingale's walk, in
+    float64 only where the coboundary sandwich leaves a maximum open.
     """
     _require(cfg, ShiftConfig)
-    n_top, w = cfg.horizons[-1], cfg.window
-    g = None if cfg.function.sup_bound == 0.0 else cfg.function
+    n_top = cfg.horizons[-1]
     sigma = 1.0 if cfg.martingale == "rademacher" else None  # else estimated below
 
     finals = np.empty((cfg.paths, len(cfg.horizons)), dtype=np.float64)
     sups = np.empty((cfg.paths, len(cfg.horizons)), dtype=np.float64)
     tail_ratio = np.empty(cfg.paths, dtype=np.float64)
-    k0 = max(16, n_top // 8)
-    ks_grid = np.arange(k0, n_top + 1, dtype=np.float64)
-    lil_norm = np.sqrt(2.0 * ks_grid * np.log(np.log(ks_grid)))
-    h_idx = np.asarray(cfg.horizons, dtype=np.int64)
-    n_blocks = n_top // _G_BLOCK + 1
-    bound = math.inf if cfg.function.sup_bound is None else 2.0 * cfg.function.sup_bound
+    walk = _ShiftWalk(cfg)
     for lo, hi in _chunk_ranges(cfg.paths, cfg.workers, _paths_per_chunk(n_top)):
-        # S_k(f) = S_k(m) + g(w) - g(T^k w), k = 0..n_top (S_0 = 0), in blocks
-        # of _G_BLOCK columns; columns past n_top only pad the last block
-        eps_bits = _shift_bits_chunk(cfg, lo, hi, n_top)
-        s = np.zeros((hi - lo, n_blocks * _G_BLOCK), dtype=np.float64)
-        if cfg.martingale == "rademacher":
-            # +-1 partial sums in int32, exact in float64
-            sm = eps_bits[:, w: w + n_top].astype(np.int32)
-            sm *= 2
-            sm -= 1
-            s[:, 1: n_top + 1] = np.cumsum(sm, axis=1, out=sm)
-        else:
-            sm = np.zeros((hi - lo, n_top), dtype=np.int32)
-        if g is not None:
-            # g only on the open blocks; every other cell keeps S_k(m).  With
-            # D = 2 sup_bound, |g(x_0) - g(x_k)| <= D, and rounding is monotone,
-            # so fl(|S_k(m)| - D) <= |S_k(f)| <= fl(|S_k(m)| + D).  A closed
-            # cell, holding S_k(m) or S_k(f), is thus below fl(M - D), which
-            # the cell of its segment's maximum is sure to reach, and its tail
-            # ratio below lb, which some tail cell reaches: it never wins a
-            # maximum, and every output bit is that of g on all cells
-            rows, blocks = np.nonzero(_open_blocks(np.abs(sm, out=sm), h_idx, k0, lil_norm,
-                                                   bound))
-            pad = n_blocks * _G_BLOCK + w - 1 - eps_bits.shape[1]
-            if pad > 0:  # a window shorter than the block: the last block reads past the bits
-                eps_bits = np.pad(eps_bits, ((0, 0), (0, pad)))
-            windows = sliding_window_view(eps_bits, _G_BLOCK + w - 1, axis=1)
-            gx = g(coordinate_matrix(windows[rows, blocks * _G_BLOCK], _G_BLOCK - 1, w))
-            g0 = gx[blocks == 0, 0]  # block 0 is open on every row, rows in order
-            s.reshape(hi - lo, n_blocks, _G_BLOCK)[rows, blocks] += g0[rows, None] - gx
-            del gx
-        del sm
-        s = s[:, : n_top + 1]
-        finals[lo:hi] = s[:, h_idx]
-        np.abs(s, out=s)
-        sups[lo:hi] = _horizon_accumulate(np.maximum, s, h_idx)
-        tail_ratio[lo:hi] = np.max(s[:, k0:] / lil_norm[None, :], axis=1)
-        del s  # else it lives on while the next chunk allocates its sums
+        finals[lo:hi], sups[lo:hi], tail_ratio[lo:hi] = walk(_shift_bits_chunk(cfg, lo, hi, n_top))
 
     if sigma is None:
         sigma = float(np.std(finals[:, -1]) / math.sqrt(n_top))
@@ -1193,7 +1227,7 @@ def clt_lil_report(cfg: ShiftConfig) -> CltReport:
             row[f"sup_q{int(q * 100)}"] = float(np.quantile(sup_scaled, q))
         report.rows.append(row)
     report.limsup = {
-        "tail_window": [k0, n_top],
+        "tail_window": [walk.k0, n_top],
         "normalization": "sqrt(2 sigma^2 k loglog k)",
         "mean": float(np.mean(tail_ratio / sigma)),
         "quantiles": {str(q): float(np.quantile(tail_ratio / sigma, q)) for q in qs},

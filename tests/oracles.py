@@ -45,6 +45,14 @@ def coordinates(eps, n, window):
     return np.array(xs, dtype=np.float64) * 2.0 ** -(W + 1)
 
 
+def horizon_accumulate(ufunc, x, h_idx):
+    """ufunc (np.maximum or np.minimum) over x[:, 1..n] for each horizon n in
+    ``h_idx``, one column each: reduced per segment between horizons, then
+    accumulated across them."""
+    cols = np.concatenate(([1], h_idx[:-1] + 1))
+    return ufunc.accumulate(ufunc.reduceat(x[:, : h_idx[-1] + 1], cols, axis=1), axis=1)
+
+
 def mstar_scan(h, residue, n_max):
     """max_{1 <= n <= n_max} |S_n(h)| / n along the orbit of `residue`, in floats."""
     s = best = 0.0

@@ -131,12 +131,26 @@ def test_report_has_no_violations_across_seeds():
 @given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=1, max_value=6),
        st.integers(min_value=1, max_value=48))
 def test_weak_bound_violations_equal_exact_count(q, seed, i, n_max):
-    # for integer q both sides of the weak bound are rationals, so the float
-    # comparison with its 1e-12 slack must decide every row as Fractions do
+    # for integer q both sides of the weak bound are rationals, which the
+    # report compares in integers: it must decide every row as Fractions do
     h = random_level_function(seed, 0, i=i)
     rep = maximal_inequality_report(h, bits=i, n_max=n_max, q=float(q))
     assert rep.weak_bound_violations == \
         weak_bound_violations(h, n_max, [row.t for row in rep.rows], q)
+
+
+def test_weak_bound_decided_exactly_for_integer_q_only(monkeypatch):
+    # a weak norm pushed down by a third flips every nonempty row at q = 2 and
+    # q = 1.5 alike: the integer verdict ignores the float columns, which the
+    # float verdict of a non-integer q reads
+    h = random_level_function(5, 0, i=6)
+    true_weak = maximal.weak_norm
+    monkeypatch.setattr(maximal, "weak_norm", lambda rep, q: true_weak(rep, q) / 3.0)
+    exact = maximal_inequality_report(h, bits=6, n_max=32, q=2.0)
+    assert exact.weak_bound_violations == 0
+    assert exact.min_slack_weak < 0
+    floats = maximal_inequality_report(h, bits=6, n_max=32, q=1.5)
+    assert floats.weak_bound_violations == sum(r.slack_weak < -1e-12 for r in floats.rows) > 0
 
 
 def _rows_by_full_scan(h, n_max, q):

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 import coblim.dynamics as dynamics
@@ -23,7 +25,6 @@ from coblim.mc_harness import (
     _MAXLOG,
     OdometerConfig,
     ShiftConfig,
-    _horizon_accumulate,
     _normal_cdf,
     _window_hit_count,
     clt_lil_report,
@@ -34,7 +35,7 @@ from coblim.mc_harness import (
     validate_hypotheses,
 )
 from coblim.reports import canonical_json, config_hash
-from oracles import coordinates, eval_g, orbit
+from oracles import coordinates, eval_g, horizon_accumulate, orbit
 
 
 # ---------------------------------------------------------------------------
@@ -743,24 +744,76 @@ def clt_whole_matrix_reference(cfg):
 
 
 # (100, 700, 1000) puts k0 = 125 and the segment edges mid-block, and
-# n_top + 1 = 1001 is a multiple of no block width tried
-@pytest.mark.parametrize("horizons", [(16,), (16, 64, 256), (100, 700, 1000)])
+# n_top + 1 = 1001 is a multiple of no block width tried; (16, 77, 333) puts
+# k0 = 41, both horizons and n_top + 1 off the bytes of the walk.  Window 3
+# is shorter than every block, so the last block reads past the bits
+@pytest.mark.parametrize("horizons", [(16,), (16, 64, 256), (100, 700, 1000), (16, 77, 333)])
 @pytest.mark.parametrize("martingale", ["rademacher", "zero"])
 @pytest.mark.parametrize("function", ["zero", "identity", "cosine", "inverse_cuberoot"])
 def test_clt_equals_whole_matrix_reference(monkeypatch, function, martingale, horizons):
-    base = ShiftConfig(horizons=horizons, paths=100, seed=31, function=function,
-                       martingale=martingale)
+    for window in (53, 3):
+        base = ShiftConfig(horizons=horizons, paths=100, seed=31, function=function,
+                           martingale=martingale, window=window)
+        try:
+            expected = clt_whole_matrix_reference(base)
+        except ValueError as exc:  # g = 0 and m = 0: f = 0
+            assert function == martingale == "zero"
+            with pytest.raises(ValueError, match=str(exc)):
+                clt_lil_report(base)
+            continue
+        for block in (8, 32, 64):
+            monkeypatch.setattr(mc_harness, "_G_BLOCK", block)
+            for workers in (1, 3):
+                assert clt_lil_report(dataclasses.replace(base, workers=workers)) == expected
+
+
+def test_blocks_must_be_whole_bytes(monkeypatch):
+    monkeypatch.setattr(mc_harness, "_G_BLOCK", 12)
+    with pytest.raises(AssertionError, match="whole bytes"):
+        clt_lil_report(ShiftConfig(horizons=(64,), paths=100, seed=1))
+
+
+def test_walk_tables_equal_a_direct_walk():
+    # byte b packs the steps 2 bit_i - 1 of k = 8j + i + 1, bit i the i-th least significant
+    for b in range(256):
+        steps = [2 * ((b >> i) & 1) - 1 for i in range(8)]
+        values = [sum(steps[:i]) for i in range(8)]
+        assert mc_harness._WALK_PREFIX[b].tolist() == values
+        assert mc_harness._WALK_TOTAL[b] == sum(steps)
+        assert (mc_harness._WALK_MAX[b], mc_harness._WALK_MIN[b]) == (max(values), min(values))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(16, 300), st.sets(st.integers(1, 299), max_size=4), st.integers(1, 5),
+       st.integers(1, 53), st.sampled_from(["rademacher", "zero"]),
+       st.sampled_from(["zero", "cosine"]), st.sampled_from([8, 32, 64]),
+       st.integers(0, 2 ** 32))
+def test_shift_walk_equals_per_step_sums(n_top, lower, rows, window, martingale, function,
+                                         block, seed):
+    # the byte-table walk against S_k(f) formed step by step on every k
+    mc_harness._G_BLOCK, saved = block, mc_harness._G_BLOCK
     try:
-        expected = clt_whole_matrix_reference(base)
-    except ValueError as exc:  # g = 0 and m = 0: f = 0
-        assert function == martingale == "zero"
-        with pytest.raises(ValueError, match=str(exc)):
-            clt_lil_report(base)
-        return
-    for block in (8, mc_harness._G_BLOCK, 64):
-        monkeypatch.setattr(mc_harness, "_G_BLOCK", block)
-        for workers in (1, 3):
-            assert clt_lil_report(dataclasses.replace(base, workers=workers)) == expected
+        horizons = tuple(sorted({h for h in lower if h < n_top} | {n_top}))
+        cfg = ShiftConfig(horizons=horizons, paths=100, seed=0, window=window,
+                          martingale=martingale, function=function)
+        bits = np.random.default_rng(seed).integers(0, 2, (rows, n_top + 2 * window + 1),
+                                                    dtype=np.uint8)
+        finals, sups, tail = mc_harness._ShiftWalk(cfg)(bits)
+    finally:
+        mc_harness._G_BLOCK = saved
+    s = np.zeros((rows, n_top + 1))
+    if martingale == "rademacher":
+        s[:, 1:] = np.cumsum(2 * bits[:, window: window + n_top].astype(np.int64) - 1, axis=1)
+    if function != "zero":
+        gx = cfg.function(dynamics.coordinate_matrix(bits, n_top, window))
+        s += gx[:, :1] - gx
+    h_idx = np.asarray(horizons)
+    k0 = max(16, n_top // 8)
+    ks = np.arange(k0, n_top + 1, dtype=np.float64)
+    assert np.array_equal(finals, s[:, h_idx])
+    assert np.array_equal(sups, horizon_accumulate(np.maximum, np.abs(s), h_idx))
+    assert np.array_equal(tail, np.max(np.abs(s[:, k0:]) / np.sqrt(2.0 * ks * np.log(np.log(ks))),
+                                       axis=1))
 
 
 @pytest.mark.parametrize("block", [8, 32])
@@ -777,15 +830,20 @@ def test_open_blocks_keep_every_maximum_under_extreme_transfers(monkeypatch, blo
     sm[:, 1:] = np.cumsum(rng.integers(-2, 3, (4000, n)), axis=1)
     gx = rng.choice([-1.0, 1.0], size=sm.shape)
     s = sm + (gx[:, :1] - gx)
-    blocks = mc_harness._open_blocks(np.abs(sm[:, 1:]).astype(np.int32), h_idx, k0,
-                                     lil_norm, 2.0)
+    # the rule reads the max of |S_k(m)| on each block, k = 0..n and 0 past n
+    n_blocks = n // block + 1
+    top = np.pad(np.abs(sm), ((0, 0), (0, n_blocks * block - n - 1)))
+    walk = mc_harness._ShiftWalk(ShiftConfig(horizons=tuple(h_idx), paths=100, seed=0))
+    assert walk.k0 == k0
+    blocks = mc_harness._open_blocks(top.reshape(4000, n_blocks, block).max(axis=2), h_idx,
+                                     k0, walk.norm_range, 2.0)
     mixed = np.where(np.repeat(blocks, block, axis=1)[:, : n + 1], s, sm)
     assert 0 < blocks.mean() < 1
     for x in (s, mixed):
         x[:] = np.abs(x)
     assert np.array_equal(mixed[:, h_idx], s[:, h_idx])
-    assert np.array_equal(_horizon_accumulate(np.maximum, mixed, h_idx),
-                          _horizon_accumulate(np.maximum, s, h_idx))
+    assert np.array_equal(horizon_accumulate(np.maximum, mixed, h_idx),
+                          horizon_accumulate(np.maximum, s, h_idx))
     assert np.array_equal(np.max(mixed[:, k0:] / lil_norm, axis=1),
                           np.max(s[:, k0:] / lil_norm, axis=1))
 
@@ -801,8 +859,9 @@ def test_coboundary_sandwich_holds_at_every_step(function):
 
 def test_clt_bounded_transfer_evaluates_g_on_few_cells_in_bounded_memory():
     # the clt-bounded-transfer preset: g on at most a quarter of the cells (a
-    # deterministic count), and a peak of at most three 2 MiB chunks, where
-    # the whole-matrix loop evaluated g on every cell and peaked at 6.5 MiB
+    # deterministic count), and a peak of at most 3 MiB (2.0 MiB measured),
+    # where the whole-matrix loop evaluated g on every cell and peaked at
+    # 6.5 MiB, and a float64 matrix of S_k per chunk peaked at 4.6 MiB
     preset = PRESETS["clt-bounded-transfer"]
     cosine = SHIFT_FUNCTIONS[preset["function"]["transfer"]]
     cells = []
@@ -821,7 +880,7 @@ def test_clt_bounded_transfer_evaluates_g_on_few_cells_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert sum(cells) <= 0.25 * cfg.paths * (cfg.horizons[-1] + 1)
-    assert peak <= 3 * (1 << 18) * 8
+    assert peak <= 3 << 20
 
 
 @pytest.mark.parametrize("bound", [-1.0, -1e-300, math.nan])
@@ -844,7 +903,7 @@ def test_horizon_accumulate_equals_full_accumulate(ufunc, horizons):
     x = np.random.default_rng(len(horizons)).standard_normal((5, horizons[-1] + 1))
     h_idx = np.asarray(horizons, dtype=np.int64)
     expected = ufunc.accumulate(x[:, 1:], axis=1)[:, h_idx - 1]
-    assert np.array_equal(_horizon_accumulate(ufunc, x, h_idx), expected)
+    assert np.array_equal(horizon_accumulate(ufunc, x, h_idx), expected)
 
 
 @pytest.mark.parametrize("horizons", [(8,), (4, 12)])
