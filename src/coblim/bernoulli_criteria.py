@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .reports import CriteriaReport
+from .reports import CriteriaReport, quantiles
 
 __all__ = [
     "FunctionOnUnitInterval",
@@ -765,7 +765,7 @@ def _weak_tail_check(f: FunctionOnUnitInterval, exponent: float, report: Criteri
     grid = (np.arange(1 << 16, dtype=np.float64) + 0.5) / (1 << 16)
     vals = np.abs(f(grid))
     sup = float(vals.max())
-    t1, t2 = np.quantile(vals, [0.99, 0.9999])
+    t1, t2 = quantiles(vals, [0.99, 0.9999])
     s1 = float(t1 ** exponent * np.mean(vals > t1))
     s2 = float(t2 ** exponent * np.mean(vals > t2))
     bounded = sup < 1e6

@@ -29,19 +29,12 @@ Conventions shared by all reports:
   or chunking of the path range;
 * each odometer event depends on the start only via its residue, and these
   are derived once per OdometerConfig (on first use) and shared by the
-  condition reports run on that config: g_table, the residue table of g;
-  start_residues, from the first raw word of each path's stream (no
-  Generator per path); and orbit_pass, the one pass over the orbit rows at
-  the start residues, which computes everything the three reports read of
-  them (window extrema per horizon for condition16 and slln; tail sups,
-  block and dyadic-window exceedance counts for condition17).  g is held
-  once, in one float64 buffer of M + n_top entries (M = 2^{i_max}):
-  g_table is a view of its first M entries and its last n_top entries
-  repeat the first n_top of g_table cyclically, so the orbit row g(T^k r),
-  k = 0..n_top, is the slice of the buffer at r.  The pass never gathers
-  the rows: it answers each window by range-extremum lookups into doubling
-  levels of the buffer regions that the rows of sorted start residues
-  cover (OrbitPass);
+  condition reports run on that config: g_table, the residue table of g,
+  in one buffer whose slice at r is the orbit row of r; start_residues,
+  from the first raw word of each path's stream (no Generator per path);
+  and orbit_pass, which answers every window of the orbit rows at the
+  start residues that the reports read by range-extremum lookups, without
+  gathering the rows (OrbitPass);
 * every Monte Carlo probability that has an exactly countable counterpart on
   the odometer is reported next to it (the exact side never samples);
 * "holds"/"fails" verdicts are finite-sample trend labels with the decision
@@ -64,6 +57,7 @@ from .counterexamples import (
     AbsoluteThreshold,
     TowerCounterexample,
     _window_bounds,
+    _window_hit_counts,
     blocks_for_range,
     exact_violation_probability,
     g_residue_table,
@@ -71,7 +65,7 @@ from .counterexamples import (
     truncation_tail_bound,
 )
 from .dynamics import coordinate_matrix, fair_bits, first_draws
-from .reports import CriteriaReport, config_hash
+from .reports import CriteriaReport, config_hash, quantiles
 
 __all__ = [
     "ShiftFunction",
@@ -512,8 +506,8 @@ def _paths_per_chunk(n: int) -> int:
 # ran fastest; 2^18 and 2^20 were slower (see ROADMAP)
 _REGION_CELLS = 1 << 15
 _REGION_PATHS = 128
-# the least top level of the max lookups and the top level of the min ones:
-# windows of 32 cells or more are read in grid pieces of at least 16 cells
+# the top level of the cell lookups: windows of 32 cells or more are read
+# through the blocks of 16 cells that they cover
 _PIECE_LEVEL = 4
 
 
@@ -537,37 +531,47 @@ class _RangeLookups:
     """ufunc (np.maximum or np.minimum) over fixed closed column windows [a, b]
     of orbit rows region[o : o + n_top + 1], for one region at a time.
 
-    Level k holds at entry p the ufunc over region[p : p + 2^k], built by
-    doubling, and a window is the ufunc of lookups into the levels: two
-    pieces of 2^k cells, k = min(floor(log2 of its length), top), one starting
-    at a and one ending at b, plus, on windows of 2^{top+1} cells or more,
-    the pieces of the grid of 2^top cells from column 1 that lie inside it.
-    Pieces may overlap, which max and min do not mind.  Only the levels that
-    lookups read are kept.  The buffers are allocated once, for regions of
-    up to `stride` cells and up to `rows` rows, and reused by every region.
+    Cell level k holds at entry p the ufunc over region[p : p + 2^k], built by
+    doubling up to k = 4, and a window of 2^k to 2^{k+1} - 1 cells, k < 5, is
+    the ufunc of two lookups at level k: one starting at a, one ending at b.
+    A window of L >= 32 cells holds c = floor((L + 1) / 16) - 1 or c + 1
+    whole blocks of the region's 16-cell grid.  Block level k holds at entry
+    j the ufunc over the blocks j .. j + 2^k - 1 (level 0 is cell level 4 at
+    the multiples of 16), so the window is the ufunc of four lookups: 16
+    cells at each end, and two at block level floor(log2 c), one from its
+    first whole block and one ending at its last.  Pieces may overlap, which
+    max and min do not mind.  Only the cell levels that lookups read are
+    kept.  The buffers are allocated once, for regions of up to `stride`
+    cells and up to `rows` rows, and reused by every region.
     """
 
-    def __init__(self, ufunc: np.ufunc, windows: Sequence[Tuple[int, int]], top: int,
+    def __init__(self, ufunc: np.ufunc, windows: Sequence[Tuple[int, int]],
                  stride: int, rows: int) -> None:
-        self.ufunc = ufunc
-        size = 1 << top
-        levels = [min((b - a + 1).bit_length() - 1, top) for a, b in windows]
-        # (window, first, last + 1) of the grid pieces [1 + t size, (t + 1) size]
-        self.sliced = [(w, (a + size - 2) // size, b // size)
-                       for w, (a, b) in enumerate(windows) if b - a + 1 >= 2 * size]
-        self.grid = max((hi for _, _, hi in self.sliced), default=0)
-        read = sorted(set(levels) | ({top} if self.grid else set()))
+        self.ufunc, size = ufunc, 1 << _PIECE_LEVEL
+        levels = [min((b - a + 1).bit_length() - 1, _PIECE_LEVEL) for a, b in windows]
+        read = sorted(set(levels))
         slot = {k: s for s, k in enumerate(read)}
         # the levels 1..max(read), each in its slot or, unread, in a scratch row
         self.level_rows = [slot.get(k, len(read) + k % 2) for k in range(1, read[-1] + 1)]
         scratch = 2 if len(self.level_rows) > len(read) - (0 in slot) else 0
         self.keep_region = 0 in slot
+        self.piece_row = slot.get(_PIECE_LEVEL)
+        long = [(w, a, b) for w, (a, b) in enumerate(windows) if b - a + 1 >= 2 * size]
+        self.long = np.asarray([w for w, _, _ in long], dtype=np.intp)
+        tops = [((b - a + 2) // size - 1).bit_length() - 1 for _, a, b in long]
         self.levels = np.empty((len(read) + scratch, stride))
-        self.cols = np.concatenate([
-            slot.get(top, 0) * stride + 1 + size * np.arange(self.grid),
-            [slot[k] * stride + a for k, (a, _) in zip(levels, windows)],
-            [slot[k] * stride + b + 1 - (1 << k) for k, (_, b) in zip(levels, windows)],
-        ]).astype(np.intp)
+        self.blocks = np.empty((max(tops, default=-1) + 1, stride // size))
+        self.cols = np.asarray(
+            [slot[k] * stride + a for k, (a, _) in zip(levels, windows)]
+            + [slot[k] * stride + b + 1 - (1 << k) for k, (_, b) in zip(levels, windows)],
+            dtype=np.intp)
+        # block lookups at ((o + shift) >> 4) + base: the whole blocks of
+        # [o + a, o + b] run from (o + a + 15) >> 4 to ((o + b + 1) >> 4) - 1
+        self.shift = np.asarray([a + size - 1 for _, a, _ in long]
+                                + [b + 1 for _, _, b in long], dtype=np.intp)
+        width = self.blocks.shape[1]
+        self.base = np.asarray([k * width for k in tops]
+                               + [k * width - (1 << k) for k in tops], dtype=np.intp)
         self.idx = np.empty((rows, self.cols.size), dtype=np.intp)
         self.vals = np.empty((rows, self.cols.size))
         self.out = np.empty((rows, len(windows)))
@@ -582,12 +586,19 @@ class _RangeLookups:
         for k, row in enumerate(self.level_rows, 1):
             n, half = cells - (1 << k) + 1, 1 << (k - 1)
             prev = ufunc(prev[:n], prev[half: half + n], out=levels[row, :n])
-        rows, g, w = offsets.shape[0], self.grid, self.out.shape[1]
+        rows, w = offsets.shape[0], self.out.shape[1]
         idx = np.add(offsets[:, None], self.cols, out=self.idx[:rows])
         vals = np.take(levels.reshape(-1), idx, out=self.vals[:rows], mode="clip")
-        out = ufunc(vals[:, g: g + w], vals[:, g + w:], out=self.out[:rows])
-        for col, lo, hi in self.sliced:
-            ufunc(out[:, col], ufunc.reduce(vals[:, lo:hi], axis=1), out=out[:, col])
+        out = ufunc(vals[:, :w], vals[:, w:], out=self.out[:rows])
+        if self.long.size:
+            blocks, count, n = self.blocks, cells >> _PIECE_LEVEL, self.long.size
+            blocks[0, :count] = levels[self.piece_row, : count << _PIECE_LEVEL: 1 << _PIECE_LEVEL]
+            for k in range(1, blocks.shape[0]):
+                m, half = count - (1 << k) + 1, 1 << (k - 1)
+                ufunc(blocks[k - 1, :m], blocks[k - 1, half: half + m], out=blocks[k, :m])
+            idx = ((offsets[:, None] + self.shift) >> _PIECE_LEVEL) + self.base
+            vals = np.take(blocks.reshape(-1), idx, mode="clip")
+            out[:, self.long] = ufunc(out[:, self.long], ufunc(vals[:, :n], vals[:, n:]))
         return out
 
 
@@ -663,10 +674,9 @@ class BlockProbe:
         `windows`."""
         block_max, dyadic_max = maxima[:, : len(self.blocks)], maxima[:, len(self.blocks):]
         for eps, thr in self.thresholds.items():
-            self.block_hits[eps] += (block_max > thr[None, :]).sum(axis=0)
-        for di in range(len(self.dyadic)):
-            for eps, thetas in self.dyadic_thresholds.items():
-                self.dyadic_hits[eps][di] += int(np.count_nonzero(dyadic_max[:, di] >= thetas[di]))
+            self.block_hits[eps] += (block_max > thr).view(np.uint8).sum(axis=0, dtype=np.int32)
+            self.dyadic_hits[eps] += (dyadic_max >= self.dyadic_thresholds[eps]).view(
+                np.uint8).sum(axis=0, dtype=np.int32)
         self.tail_sup[paths] = self._tail_sup(rows, block_max, buffer)
 
     def _tail_sup(self, rows: np.ndarray, block_max: np.ndarray,
@@ -707,9 +717,9 @@ class OrbitPass:
     buffer[r : r + n_top + 1] of the config's one g buffer (g_table.base).
     The paths, sorted by start residue, are cut into chunks (_region_chunks)
     whose rows lie in one region of the buffer, and the windows of a chunk
-    are lookups into doubling levels of its region (_RangeLookups): the
-    horizon segments (h_{j-1}, h_j] for both extrema, and the blocks and
-    dyadic windows for the max, whose levels reach the longest block.  The
+    are lookups into doubling levels over its region's cells and over its
+    16-cell blocks (_RangeLookups): the horizon segments (h_{j-1}, h_j] for
+    both extrema, and the blocks and dyadic windows for the max.  The
     results land at each path's own index, so they do not depend on the cut.
     """
 
@@ -723,12 +733,9 @@ class OrbitPass:
         rows = max(j - i for i, j in chunks)
         segments = list(zip((1,) + tuple(n + 1 for n in horizons[:-1]), horizons))
         self.probe = BlockProbe.for_config(cfg)
-        windows, top = segments, _PIECE_LEVEL
-        if self.probe is not None:
-            windows = segments + self.probe.windows
-            top = max(top, int(self.probe.lengths.max()).bit_length() - 1)
-        highs = _RangeLookups(np.maximum, windows, top, stride, rows)
-        lows = _RangeLookups(np.minimum, segments, _PIECE_LEVEL, stride, rows)
+        windows = segments if self.probe is None else segments + self.probe.windows
+        highs = _RangeLookups(np.maximum, windows, stride, rows)
+        lows = _RangeLookups(np.minimum, segments, stride, rows)
         self.wmax, self.wmin = np.empty((2, cfg.paths, len(horizons)), dtype=np.float64)
         for i, j in chunks:
             region = buffer[starts[i]: starts[j - 1] + n_top + 1]
@@ -740,30 +747,6 @@ class OrbitPass:
                 self.probe.observe(order[i:j], starts[i:j], maxima[:, len(horizons):], buffer)
 
 
-_HIT_PIECE = 1 << 18  # table entries scanned at a time by _window_hit_count
-
-
-def _window_hit_count(table: np.ndarray, thr: float, n: int) -> int:
-    """Number of residues r whose window r+1..r+n (mod M) meets a value >= thr:
-    the union of the arcs p-n..p-1 before the hits p, so each hit adds the
-    cyclic gap back to the previous hit, capped at n.  The table is scanned in
-    pieces of _HIT_PIECE entries; the last hit carries to the next piece, and
-    the first hit closes the cyclic gap at the end."""
-    total, first, last = 0, -1, -1
-    for lo in range(0, table.shape[0], _HIT_PIECE):
-        hits = np.flatnonzero(table[lo: lo + _HIT_PIECE] >= thr)
-        if hits.size == 0:
-            continue
-        hits += lo
-        if last < 0:
-            first = int(hits[0])
-        else:
-            total += min(int(hits[0]) - last, n)
-        total += int(np.minimum(np.diff(hits), n).sum())
-        last = int(hits[-1])
-    return 0 if last < 0 else total + min(first + table.shape[0] - last, n)
-
-
 # ---------------------------------------------------------------------------
 # condition16: in-probability decay of the scaled orbit maximum
 # ---------------------------------------------------------------------------
@@ -773,10 +756,10 @@ def condition16_report(cfg: OdometerConfig) -> ConditionReport:
 
     The estimate reads the window maxima of cfg.orbit_pass.  The exact
     counterparts per (n, eps): the full-g probability, counting all residues
-    mod 2^{i_max} with _window_hit_count (the event depends on the start only
-    through them), and the single-tower lower bound from
-    exact_violation_probability.  The Monte Carlo estimate must sit within 3
-    binomial sigma of the former.
+    mod 2^{i_max} (the event depends on the start only through them) in one
+    call to _window_hit_counts for all pairs, which reads block maxima of the
+    table; and the single-tower lower bound from exact_violation_probability.
+    The Monte Carlo estimate must sit within 3 binomial sigma of the former.
 
     All exceedance events are closed (max >= threshold) so that the sampled
     event and its exact counterpart coincide literally; the open and closed
@@ -786,12 +769,14 @@ def condition16_report(cfg: OdometerConfig) -> ConditionReport:
     _level_trend_verdict on the first/last horizon estimates.
     """
     report = _new_report("condition16", cfg)
-    cex, table = cfg.cex, cfg.g_table
+    cex, table, wmax = cfg.cex, cfg.g_table, cfg.orbit_pass.wmax
+    pairs = [(eps * math.sqrt(n), n) for n in cfg.horizons for eps in cfg.epsilons]
+    hits = iter(_window_hit_counts(table, pairs))
     for gi, n in enumerate(cfg.horizons):
         for eps in cfg.epsilons:
             thr = eps * math.sqrt(n)
-            est = float(np.mean(cfg.orbit_pass.wmax[:, gi] >= thr))
-            exact = Fraction(_window_hit_count(table, thr, n), table.shape[0])
+            est = float(np.mean(wmax[:, gi] >= thr))
+            exact = Fraction(next(hits), table.shape[0])
             report.add_row(
                 n=n, epsilon=eps, estimate=est,
                 se=_binomial_se(est, cfg.paths), threshold=thr, paths=cfg.paths,
@@ -883,7 +868,7 @@ def condition17_report(cfg: OdometerConfig) -> ConditionReport:
     report.extras["tail_sup"] = {
         "window": [n0, n_top],
         "mean": float(np.mean(probe.tail_sup)),
-        "quantiles": {str(q): float(np.quantile(probe.tail_sup, q)) for q in qs},
+        "quantiles": dict(zip(map(str, qs), quantiles(probe.tail_sup, qs))),
         "max": float(np.max(probe.tail_sup)),
     }
     for eps in cfg.epsilons:
@@ -1223,13 +1208,13 @@ def clt_lil_report(cfg: ShiftConfig) -> CltReport:
             "mean": float(np.mean(z)),
             "sup_mean": float(np.mean(sup_scaled)),
         }
-        for q in qs:
-            row[f"sup_q{int(q * 100)}"] = float(np.quantile(sup_scaled, q))
+        for q, value in zip(qs, quantiles(sup_scaled, qs)):
+            row[f"sup_q{int(q * 100)}"] = value
         report.rows.append(row)
     report.limsup = {
         "tail_window": [walk.k0, n_top],
         "normalization": "sqrt(2 sigma^2 k loglog k)",
         "mean": float(np.mean(tail_ratio / sigma)),
-        "quantiles": {str(q): float(np.quantile(tail_ratio / sigma, q)) for q in qs},
+        "quantiles": dict(zip(map(str, qs), quantiles(tail_ratio / sigma, qs))),
     }
     return report

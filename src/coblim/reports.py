@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from typing import Any, Dict, List, Sequence
+
+import numpy as np
 
 __all__ = [
     "CheckResult",
@@ -22,6 +25,7 @@ __all__ = [
     "csv_text",
     "jsonable",
     "plot_text",
+    "quantiles",
 ]
 
 
@@ -84,6 +88,27 @@ def plot_text(xs: Sequence[Any], ys: Sequence[Any]) -> str:
         return _cell(float(v) if isinstance(v, Fraction) else v)
 
     return "\n".join(f"{cell(x)} {cell(y)}" for x, y in zip(xs, ys)) + "\n"
+
+
+def quantiles(x: np.ndarray, qs: Sequence[float]) -> List[float]:
+    """np.quantile(x, q) for each q in [0, 1], bit for bit, for a 1-D sample
+    without NaN, and without the numpy.ma import np.quantile makes on first
+    use.  numpy's linear method: with s = sorted x and v = (n - 1) q, it
+    takes a + (b - a) t for t < 0.5 and b - (b - a)(1 - t) otherwise, with
+    a = s[i], b = s[i + 1] and t = v - i for i = floor v; for v >= n - 1,
+    a = b = s[n - 1] and t = v + 1.  Like numpy, it partitions a copy of x
+    at those indices instead of sorting it."""
+    last, picks = x.shape[0] - 1, []
+    for q in qs:
+        v = last * q
+        i, t = (last, v + 1) if v >= last else (math.floor(v), v - math.floor(v))
+        picks.append((i, min(i + 1, last), t))
+    s = np.partition(x, sorted({k for i, j, _ in picks for k in (i, j)}))
+    out = []
+    for i, j, t in picks:
+        a, b = float(s[i]), float(s[j])
+        out.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+    return out
 
 
 def config_hash(config: Dict[str, Any]) -> str:

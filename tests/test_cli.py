@@ -413,6 +413,23 @@ def test_cli_and_monte_carlo_reports_leave_scipy_special_unloaded():
     assert result.stdout.strip() == "[False, False]"
 
 
+def test_presets_leave_numpy_ma_and_scipy_special_unloaded(tmp_path):
+    # numpy.ma (which np.quantile imports on first use) and scipy.special cost
+    # 15-300 ms each; an odometer and a criteria preset must load neither
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, coblim.cli\n"
+        f"for n, args in enumerate(({['conditions', '--preset', 'tower-slln']!r},\n"
+        f"                          {['criteria', '--preset', 'criteria-affine']!r})):\n"
+        f"    assert coblim.cli.main(args + ['--out', {str(tmp_path)!r} + f'/{{n}}']) == 0\n"
+        "print([name in sys.modules for name in ('numpy.ma', 'scipy.special')])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip().splitlines()[-1] == "[False, False]"
+
+
 def test_csv_and_plot_cell_formats():
     row = [Fraction(3, 8), 0.1, np.float64(0.25), None, 7, "a b"]
     header = ["f", "x", "np", "none", "int", "s"]

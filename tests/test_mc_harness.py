@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+import coblim.counterexamples as counterexamples
 import coblim.dynamics as dynamics
 import coblim.mc_harness as mc_harness
 from coblim import __version__
 from coblim.cli import DEFAULT_SEED, PRESETS
-from coblim.counterexamples import blocks_for_range, build_tower_counterexample
+from coblim.counterexamples import _window_hit_counts, blocks_for_range, build_tower_counterexample
 from coblim.dynamics import stream_generator
 from coblim.mc_harness import (
     SHIFT_FUNCTIONS,
@@ -26,7 +27,7 @@ from coblim.mc_harness import (
     OdometerConfig,
     ShiftConfig,
     _normal_cdf,
-    _window_hit_count,
+    _RangeLookups,
     clt_lil_report,
     condition16_report,
     condition17_report,
@@ -218,9 +219,20 @@ def test_condition16_estimates_within_three_sigma_of_exact():
         assert isinstance(ex["exact_prob"], Fraction)
 
 
+def window_hits(table, pairs):
+    """Per (thr, n): the residues whose window res+1..res+n (mod M) meets a
+    value >= thr, by brute force."""
+    m, wmax = table.shape[0], {}
+    for _, n in pairs:
+        if n not in wmax:
+            idx = (np.arange(m)[:, None] + np.arange(1, n + 1)[None, :]) % m
+            wmax[n] = table[idx].max(axis=1)
+    return [int(np.count_nonzero(wmax[n] >= thr)) for thr, n in pairs]
+
+
 def test_window_hit_count_matches_brute_force():
     # the count of residues whose window res+1..res+n (mod M) meets a value
-    # >= thr; n >= M covers the whole table
+    # >= thr, for all pairs of a table in one call; n >= M covers the table
     rng = np.random.default_rng(7)
     for m in range(1, 65):
         tables = [rng.standard_normal(m), rng.integers(0, 3, m).astype(np.float64),
@@ -230,32 +242,33 @@ def test_window_hit_count_matches_brute_force():
             mids = (vals[:-1] + vals[1:]) / 2.0
             thresholds = [vals[0] - 1.0, vals[-1] + 1.0, vals[0], vals[-1],
                           *vals[::5], *mids[::5]]
-            for n in range(1, m + 3 + 1):
-                idx = (np.arange(m)[:, None] + np.arange(1, n + 1)[None, :]) % m
-                wmax = table[idx].max(axis=1)
-                for thr in thresholds:
-                    expected = int(np.count_nonzero(wmax >= thr))
-                    assert _window_hit_count(table, thr, n) == expected, (m, n, thr, table)
+            pairs = [(thr, n) for n in range(1, m + 3 + 1) for thr in thresholds]
+            assert _window_hit_counts(table, pairs) == window_hits(table, pairs), (m, table)
 
 
-@pytest.mark.parametrize("piece", [3, 4, 5])
-def test_window_hit_count_carries_across_pieces(monkeypatch, piece):
-    # the table is scanned in pieces: a hit's gap reaches back into earlier
-    # pieces and the cyclic gap closes at the end, so pieces of 3-5 entries
-    # over tables of several pieces must give the brute-force count
-    monkeypatch.setattr(mc_harness, "_HIT_PIECE", piece)
-    m = 23
-    cases = [[], [0, 2], [21, 22], [11], [piece - 1, piece],
-             [piece - 1, piece, 2 * piece - 1, 2 * piece], list(range(m))]
-    rng = np.random.default_rng(3)
-    cases += [np.flatnonzero(rng.random(m) < 0.2).tolist() for _ in range(5)]
-    for hits in cases:
-        table = np.zeros(m)
-        table[hits] = 1.0
-        for n in (1, 2, piece, 7, m - 1, m, m + 4):
-            idx = (np.arange(m)[:, None] + np.arange(1, n + 1)[None, :]) % m
-            expected = int(np.count_nonzero(table[idx].max(axis=1) >= 0.5))
-            assert _window_hit_count(table, 0.5, n) == expected, (hits, n)
+@pytest.mark.parametrize("cap, piece", [(1, 50), (2, 1 << 17), (4, 20), (64, 5), (64, 1 << 17)])
+def test_window_hit_count_block_summary_edges(monkeypatch, cap, piece):
+    # the count is read off block maxima of up to `cap` cells, scanning
+    # `piece` blocks or cells at a time: table sizes that the block size of
+    # n does not divide (the block then shrinks to one that does), miss runs
+    # across the cyclic end, tables of all hits, no hit and one hit, and
+    # windows of n = 2b - 1 and 2b cells around each block size b, against
+    # brute force
+    monkeypatch.setattr(counterexamples, "_HIT_BLOCK", cap)
+    monkeypatch.setattr(counterexamples, "_HIT_PIECE", piece)
+    rng = np.random.default_rng(cap + piece)
+    for m in (1, 2, 3, 5, 7, 9, 16, 23, 64, 100, 130, 384):
+        cases = [[], list(range(m)), [0], [m - 1], [m // 2], [0, m - 1],
+                 list(range(2, m - 2)), list(range(m // 3, m // 3 + 3))]
+        cases += [np.flatnonzero(rng.random(m) < share).tolist() for share in (0.05, 0.3, 0.9)]
+        ns = sorted({1, 2, 3, 4, 5, m - 1, m, m + 1, 2 * m}
+                    | {k for b in (1, 2, 4, 8, 16, 32, 64) for k in (2 * b - 1, 2 * b)})
+        for hits in cases:
+            hits = sorted({h for h in hits if 0 <= h < m})
+            table = rng.standard_normal(m) - 3.0
+            table[hits] = 1.0 + rng.random(len(hits))
+            pairs = [(thr, n) for n in ns if n >= 1 for thr in (1.0, 1.5, -10.0, 5.0)]
+            assert _window_hit_counts(table, pairs) == window_hits(table, pairs), (m, hits)
 
 
 def test_odometer_pass_holds_one_table_and_chunk_sized_temporaries():
@@ -553,6 +566,56 @@ def test_orbit_pass_matches_brute_force_over_full_rows(monkeypatch, i_max, horiz
             hits = [np.count_nonzero(full[:, 1 << i: (1 << (i + 1)) + 1].max(axis=1) >= thr)
                     for i, thr in zip(dyadic, probe.dyadic_thresholds[eps])]
             assert probe.dyadic_hits[eps].tolist() == hits
+
+
+@pytest.mark.parametrize("ufunc", [np.maximum, np.minimum], ids=["max", "min"])
+def test_range_lookups_match_window_reductions_at_every_offset(ufunc):
+    # windows of 1-64 cells, with 31, 32, 33, 47 and 48 about the edges where
+    # a window is read through whole 16-cell blocks and through one or two
+    # of them, and longer ones, at every row offset mod 16 of the region,
+    # with rows that start and end the region; the buffers are reused by a
+    # second, shorter region
+    lengths = list(range(1, 65)) + [31, 32, 33, 47, 48, 95, 96, 97, 255, 256, 257, 1000]
+    windows = [(a, a + n - 1) for n in lengths for a in (0, 1, 7, 16, 17)]
+    n_top = max(b for _, b in windows)
+    rng = np.random.default_rng(17)
+    lookups = _RangeLookups(ufunc, windows, stride=n_top + 48, rows=48)
+    for cells in (n_top + 48, n_top + 20):
+        region = rng.standard_normal(cells)
+        offsets = np.arange(cells - n_top)
+        got = lookups(region, offsets)
+        expected = [[ufunc.reduce(region[o + a: o + b + 1]) for a, b in windows] for o in offsets]
+        assert got.tobytes() == np.asarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("cells, paths", [(1, 2), (300, 7), (None, None)],
+                         ids=["one-row-regions", "small-regions", "preset-regions"])
+def test_orbit_pass_long_windows_match_modular_gather(monkeypatch, cells, paths):
+    # horizon segments of 31, 32, 33, 47 and 48 cells and dyadic windows of
+    # 33 and 65 cells; 1500 paths on M = 2^10 put rows at every offset mod 16
+    # of their regions, first rows that start a region and last rows that end it
+    if cells is not None:
+        monkeypatch.setattr(mc_harness, "_REGION_CELLS", cells)
+        monkeypatch.setattr(mc_harness, "_REGION_PATHS", paths)
+    cex = build_tower_counterexample("ip_lil", p=1.2, r=4.0, i_max=10, bits=14)
+    horizons = (31, 63, 96, 143, 191)
+    n_top, m = horizons[-1], 1 << 10
+    table = np.random.default_rng(23).standard_normal(m)
+    cfg = odometer_config(cex=cex, horizons=horizons, paths=1500, epsilons=(0.2, 0.25))
+    write_g(cfg, table)
+    full = table[(cfg.start_residues[:, None] + np.arange(n_top + 1)) % m]
+    run = cfg.orbit_pass
+    segments = list(zip((1,) + tuple(n + 1 for n in horizons[:-1]), horizons))
+    assert [b - a + 1 for a, b in segments] == [31, 32, 33, 47, 48]
+    for gi, n in enumerate(horizons):
+        assert run.wmax[:, gi].tobytes() == full[:, 1: n + 1].max(axis=1).tobytes()
+        assert run.wmin[:, gi].tobytes() == full[:, 1: n + 1].min(axis=1).tobytes()
+    assert run.probe.dyadic == [5, 6]
+    for eps in cfg.epsilons:
+        hits = [np.count_nonzero(full[:, 1 << i: (1 << (i + 1)) + 1].max(axis=1) >= thr)
+                for i, thr in zip(run.probe.dyadic, run.probe.dyadic_thresholds[eps])]
+        assert run.probe.dyadic_hits[eps].tolist() == hits
+        assert 0 < sum(hits) < cfg.paths * len(hits)
 
 
 def test_unknown_martingale_rejected():

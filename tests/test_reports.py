@@ -5,8 +5,10 @@ from fractions import Fraction
 from typing import Any, Dict, List
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coblim.reports import CheckResult, jsonable
+from coblim.reports import CheckResult, jsonable, quantiles
 
 
 @dataclass
@@ -32,3 +34,23 @@ def test_jsonable_leaves_and_nested_dataclass():
         "checks": [{"name": "c", "passed": True, "margin": 0.25, "detail": "d"}],
         "extras": {"1": ["1/3", [0, 1]], "none": None},
     }
+
+
+# signed zeros compare equal, so which of them a sort or a partition puts at
+# an index is not fixed; the sample holds +0.0 only
+_samples = st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64)
+                    .map(lambda x: x + 0.0), min_size=1, max_size=40)
+_ties = st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=40)
+_qs = st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)), min_size=1,
+               max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_samples, _ties), _qs)
+def test_quantiles_bit_identical_to_np_quantile(sample, qs):
+    # n = 1, q = 0 and q = 1, ties, and values of any size
+    x = np.asarray(sample)
+    got = np.asarray(quantiles(x, qs))
+    want = np.asarray([np.quantile(x, q) for q in qs])
+    assert got.tobytes() == want.tobytes(), (sample, qs, got, want)
+    assert quantiles(x[:1], qs) == [float(x[0])] * len(qs)
