@@ -42,6 +42,7 @@ __all__ = [
     "AbsoluteThreshold",
     "dyadic_window",
     "full_window",
+    "g_rank_dtype",
     "g_residue_table",
     "blocks_for_range",
 ]
@@ -273,48 +274,66 @@ def orbit_truncation_bound(cex: TowerCounterexample, n: int) -> float:
     return min(_omitted_towers_sum(cex, lambda k, n_i: min(1.0, (n + 2.0 * k) / n_i)), 1.0)
 
 
-def g_residue_table(cex: TowerCounterexample, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """g as a dense table over residues mod 2^{i_max}, written into `out`
-    (a float64 array of 2^{i_max} entries) when given.
+def g_rank_dtype(cex: TowerCounterexample) -> np.dtype:
+    """The smallest unsigned type that holds every rank of g_residue_table:
+    g takes at most 1 + sum_i (2k_i - 1) values, 0 and one per band cell."""
+    return np.min_scalar_type(sum(2 * m.k - 1 for m in cex.maps))
+
+
+def g_residue_table(cex: TowerCounterexample, out: np.ndarray) -> np.ndarray:
+    """g over the residues mod 2^{i_max} as ranks into its sorted values:
+    writes the ranks into `out` (2^{i_max} entries of g_rank_dtype(cex)) and
+    returns the values, so that g(r) = values[out[r]].
 
     g depends on the point only through value mod 2^{i_max}, and T adds 1 to
-    it, so an orbit of g is a run of consecutive (cyclic) table entries.
-    Built by doubling: the towers up to i have period n_i, so the table mod
-    n_i is the table mod n_{i-1} twice, plus tower i's profile on its
-    residues n_i - 2k_i + 1 .. n_i - 1.  Every cell gets one addition per
-    tower, in tower order, as from one addition per level.
+    it, so an orbit of g is a run of consecutive (cyclic) table entries.  A
+    cell's value is 0.0 plus one addition per tower whose band (residues
+    n_i - 2k_i + 1 .. n_i - 1 mod n_i) holds it, in tower order, as from one
+    addition per level, so the values are 0.0 and those of the band cells (a
+    band longer than n_{i-1} can cover every copy of a prior band cell, whose
+    value then goes unused).  The ranks are built by doubling: the table mod
+    n_i is the table mod n_{i-1} twice, with tower i's band overwritten.
     """
-    size = 1 << cex.i_max
-    if out is None:
-        out = np.empty(size, dtype=np.float64)
-    elif out.shape != (size,) or out.dtype != np.float64:
-        raise ValueError(f"out must be a float64 array of {size} entries")
+    size, dtype = 1 << cex.i_max, g_rank_dtype(cex)
+    if out.shape != (size,) or out.dtype != dtype:
+        raise ValueError(f"out must be a {dtype} array of {size} entries")
+    # each tower's profile on its band, residues ascending, and the value of
+    # every band cell: the prior towers' additions where their bands hold it
+    profiles, bands = [m.profile()[1][::-1] for m in cex.maps], []
+    for m, own in zip(cex.maps, profiles):
+        residues, band = np.arange(m.n - own.size, m.n), np.zeros(own.size)
+        for prior, vals in zip(cex.maps, profiles[: len(bands)]):
+            level = residues % prior.n - (prior.n - vals.size)
+            np.add(band, vals.take(level, mode="clip"), out=band, where=level >= 0)
+        bands.append(band + own)
+    values = np.sort(np.concatenate([[0.0], *bands]))
+    values = values[np.r_[True, values[1:] != values[:-1]]]
     period = cex.maps[0].n
-    out[:period] = 0.0
-    for m in cex.maps:
+    out[:period] = 0
+    for m, band in zip(cex.maps, bands):
         out[period: m.n] = out[: m.n - period]
         period = m.n
-        _, vals = m.profile()
-        out[m.n - 2 * m.k + 1: m.n] += vals[::-1]
-    return out
+        out[m.n - band.size: m.n] = np.searchsorted(values, band)
+    return values
 
 
 # _window_hit_counts reads the table through maxima of blocks of at most
 # _HIT_BLOCK cells, and scans at most _HIT_PIECE blocks or cells at a time:
-# gathers of 2^18 cells (2 MiB) raised the peak RSS of a conditions preset
-# by 2 MiB, those of 2^17 did not
+# gathers of 2^18 float64 cells (2 MiB) raised the peak RSS of a conditions
+# preset by 2 MiB, those of 2^17 did not
 _HIT_BLOCK, _HIT_PIECE = 64, 1 << 17
 
 
 def _window_hit_counts(table: np.ndarray, pairs: Sequence[Tuple[float, int]]) -> List[int]:
     """Per (thr, n): the number of residues r whose window r+1..r+n (mod M)
-    meets a value >= thr.  That is M less max(L - n + 1, 0) summed over the
-    cyclic runs of L misses (values < thr) between two hits, or 0 without a
-    hit.  The runs are read off the maxima of the table's blocks of b cells,
-    b the largest power of two up to _HIT_BLOCK that divides M and has
-    2b - 1 <= n, shared by the pairs of one b: a run of n or more misses
-    covers a whole block, so only runs from a hit block to the next one
-    across a miss block can count.
+    meets an entry >= thr, for a table of values or of ranks (g_residue_table)
+    with thresholds of the same kind.  That is M less max(L - n + 1, 0)
+    summed over the cyclic runs of L misses (entries < thr) between two
+    hits, or 0 without a hit.  The runs are read off the maxima of the
+    table's blocks of b cells, b the largest power of two up to _HIT_BLOCK
+    that divides M and has 2b - 1 <= n, shared by the pairs of one b: a run
+    of n or more misses covers a whole block, so only runs from a hit block
+    to the next one across a miss block can count.
     """
     m, counts, maxima = table.shape[0], [], {}
     for thr, n in pairs:

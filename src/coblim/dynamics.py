@@ -8,8 +8,9 @@ w + 1 mod 2^B.  The uniform measure on the 2^B words is preserved exactly,
 and the zero cylinders generate exact Rokhlin towers: the set of points whose
 first i bits vanish has measure 2^-i, and its first 2^i - 1 images under T
 are pairwise disjoint translates, so a point's level in that tower is its
-value mod 2^i.  The reports read the odometer through residue tables
-(`counterexamples.g_residue_table`) and start residues (`first_draws`).
+value mod 2^i.  The reports read the odometer through a table of g over the
+residues, held as ranks into its sorted values
+(`counterexamples.g_residue_table`), and start residues (`first_draws`).
 
 The *dyadic Bernoulli shift* is realized through sampled trajectories: a
 two-sided window of i.i.d. fair bits (eps_k) and the derived doubling-map

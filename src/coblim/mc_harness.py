@@ -29,8 +29,9 @@ Conventions shared by all reports:
   or chunking of the path range;
 * each odometer event depends on the start only via its residue, and these
   are derived once per OdometerConfig (on first use) and shared by the
-  condition reports run on that config: g_table, the residue table of g,
-  in one buffer whose slice at r is the orbit row of r; start_residues,
+  condition reports run on that config: g_table, the residue table of g as
+  ranks into its sorted values g_values (uint16 on both tower presets), in
+  one buffer whose slice at r is the orbit row of r; start_residues,
   from the first raw word of each path's stream (no Generator per path);
   and orbit_pass, which answers every window of the orbit rows at the
   start residues that the reports read by range-extremum lookups, without
@@ -60,6 +61,7 @@ from .counterexamples import (
     _window_hit_counts,
     blocks_for_range,
     exact_violation_probability,
+    g_rank_dtype,
     g_residue_table,
     orbit_truncation_bound,
     truncation_tail_bound,
@@ -315,16 +317,24 @@ class OdometerConfig:
 
     @cached_property
     def g_table(self) -> np.ndarray:
-        """g on every residue mod M = 2^{i_max} of the odometer (see g_residue_table):
-        the first M entries of the config's one float64 buffer of g (g_table.base),
-        whose last n_top entries repeat the first n_top of g_table cyclically, so
-        the orbit row g(T^k r), k = 0..n_top, is buffer[r : r + n_top + 1].  Only
-        those n_top entries are copied, never the whole table."""
+        """g on every residue mod M = 2^{i_max} of the odometer as ranks into
+        g_values, built with them (see g_residue_table): the first M entries of
+        the config's one rank buffer of g (g_table.base), whose last n_top
+        entries repeat the first n_top of g_table cyclically, so the orbit row
+        of r, the ranks of g(T^k r) for k = 0..n_top, is buffer[r : r + n_top + 1].
+        Only those n_top entries are copied, never the whole table."""
         m, n_top = 1 << self.cex.i_max, self.horizons[-1]
-        buffer = np.empty(m + n_top)
-        table = g_residue_table(self.cex, out=buffer[:m])
+        buffer = np.empty(m + n_top, dtype=g_rank_dtype(self.cex))
+        table = buffer[:m]
+        self.__dict__["g_values"] = g_residue_table(self.cex, out=table)
         buffer[m:] = table[:n_top] if n_top <= m else table[np.arange(n_top) % m]
         return table
+
+    @cached_property
+    def g_values(self) -> np.ndarray:
+        """The sorted values of g (see g_residue_table): g(r) = g_values[g_table[r]]."""
+        self.g_table  # building the table stores its values here
+        return self.__dict__["g_values"]
 
     @cached_property
     def start_residues(self) -> np.ndarray:
@@ -541,12 +551,13 @@ class _RangeLookups:
     cells at each end, and two at block level floor(log2 c), one from its
     first whole block and one ending at its last.  Pieces may overlap, which
     max and min do not mind.  Only the cell levels that lookups read are
-    kept.  The buffers are allocated once, for regions of up to `stride`
-    cells and up to `rows` rows, and reused by every region.
+    kept.  The buffers are allocated once, of the regions' `dtype` (the
+    rank type of g for OrbitPass), for regions of up to `stride` cells and
+    up to `rows` rows, and reused by every region.
     """
 
     def __init__(self, ufunc: np.ufunc, windows: Sequence[Tuple[int, int]],
-                 stride: int, rows: int) -> None:
+                 stride: int, rows: int, dtype: np.dtype) -> None:
         self.ufunc, size = ufunc, 1 << _PIECE_LEVEL
         levels = [min((b - a + 1).bit_length() - 1, _PIECE_LEVEL) for a, b in windows]
         read = sorted(set(levels))
@@ -559,8 +570,8 @@ class _RangeLookups:
         long = [(w, a, b) for w, (a, b) in enumerate(windows) if b - a + 1 >= 2 * size]
         self.long = np.asarray([w for w, _, _ in long], dtype=np.intp)
         tops = [((b - a + 2) // size - 1).bit_length() - 1 for _, a, b in long]
-        self.levels = np.empty((len(read) + scratch, stride))
-        self.blocks = np.empty((max(tops, default=-1) + 1, stride // size))
+        self.levels = np.empty((len(read) + scratch, stride), dtype)
+        self.blocks = np.empty((max(tops, default=-1) + 1, stride // size), dtype)
         self.cols = np.asarray(
             [slot[k] * stride + a for k, (a, _) in zip(levels, windows)]
             + [slot[k] * stride + b + 1 - (1 << k) for k, (_, b) in zip(levels, windows)],
@@ -573,8 +584,8 @@ class _RangeLookups:
         self.base = np.asarray([k * width for k in tops]
                                + [k * width - (1 << k) for k in tops], dtype=np.intp)
         self.idx = np.empty((rows, self.cols.size), dtype=np.intp)
-        self.vals = np.empty((rows, self.cols.size))
-        self.out = np.empty((rows, len(windows)))
+        self.vals = np.empty((rows, self.cols.size), dtype)
+        self.out = np.empty((rows, len(windows)), dtype)
 
     def __call__(self, region: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """The window values of the rows region[o:], o in `offsets`, one row
@@ -609,10 +620,13 @@ class BlockProbe:
     n_top, with thresholds eps sqrt(m_j loglog m_j), and the towers i whose
     dyadic window [2^i, 2^{i+1}] lies in [n0, n_top], with thresholds eps
     sqrt(2^{i+1} loglog 2^{i+1}); `windows` lists the closed column windows
-    of both, blocks first, whose maxima OrbitPass reads.  Counts, filled by
-    observe: per path the tail sup of g.T^n / sqrt(n loglog n) over n0 <= n
-    <= n_top; per eps the paths whose block max exceeds its threshold
-    (strictly) and those whose dyadic-window max meets its threshold.
+    of both, blocks first, whose maxima OrbitPass reads as ranks into
+    cfg.g_values.  A value exceeds (meets) a threshold exactly when its rank
+    reaches the least rank of a value that does, so observe compares ranks
+    with these once-computed ranks.  Counts, filled by observe: per path the
+    tail sup of g.T^n / sqrt(n loglog n) over n0 <= n <= n_top; per eps the
+    paths whose block max exceeds its threshold (strictly) and those whose
+    dyadic-window max meets its threshold.
     """
 
     def __init__(self, cfg: OdometerConfig, blocks: List[Tuple[int, int, int]]) -> None:
@@ -649,6 +663,12 @@ class BlockProbe:
         }
         self.windows = ([(mj, mj + ln) for _, mj, ln in blocks]
                         + [(1 << i, 1 << (i + 1)) for i in self.dyadic])
+        self.values = values = cfg.g_values
+        rank_type = np.min_scalar_type(values.size)  # up to len(values): never reached
+        self.block_ranks = {eps: np.searchsorted(values, thr, "right").astype(rank_type)
+                            for eps, thr in self.thresholds.items()}
+        self.dyadic_ranks = {eps: np.searchsorted(values, thr, "left").astype(rank_type)
+                             for eps, thr in self.dyadic_thresholds.items()}
         self.tail_sup = np.empty(cfg.paths, dtype=np.float64)
         self.block_hits = {eps: np.zeros(len(blocks), dtype=np.int64) for eps in cfg.epsilons}
         self.dyadic_hits = {eps: np.zeros(len(self.dyadic), dtype=np.int64)
@@ -670,29 +690,29 @@ class BlockProbe:
     def observe(self, paths: np.ndarray, rows: np.ndarray, maxima: np.ndarray,
                 buffer: np.ndarray) -> None:
         """Add the paths `paths`, whose orbit rows are buffer[r : r + n_top + 1]
-        for r in `rows`, to the counts; `maxima` holds their maxima over
-        `windows`."""
+        for r in `rows`, to the counts; `maxima` holds the ranks of their
+        maxima over `windows`."""
         block_max, dyadic_max = maxima[:, : len(self.blocks)], maxima[:, len(self.blocks):]
-        for eps, thr in self.thresholds.items():
-            self.block_hits[eps] += (block_max > thr).view(np.uint8).sum(axis=0, dtype=np.int32)
-            self.dyadic_hits[eps] += (dyadic_max >= self.dyadic_thresholds[eps]).view(
+        for eps, ranks in self.block_ranks.items():
+            self.block_hits[eps] += (block_max >= ranks).view(np.uint8).sum(axis=0, dtype=np.int32)
+            self.dyadic_hits[eps] += (dyadic_max >= self.dyadic_ranks[eps]).view(
                 np.uint8).sum(axis=0, dtype=np.int32)
-        self.tail_sup[paths] = self._tail_sup(rows, block_max, buffer)
+        self.tail_sup[paths] = self._tail_sup(rows, self.values.take(block_max), buffer)
 
     def _tail_sup(self, rows: np.ndarray, block_max: np.ndarray,
                   buffer: np.ndarray) -> np.ndarray:
-        """max over n0 <= n <= n_top of fl(g.T^n / norm_n) per row, dividing
-        only the cells outside the blocks and those of the blocks that may
-        hold it.  Rounding is monotone, so with B the block max and N its
-        min and max of norm, every ratio of a block is at most the larger of
-        fl(B / N_min) and fl(B / N_max) (the first for B >= 0, the second for
-        B < 0), and the ratio at the cell of B is at least the smaller: a
-        block whose upper bound is below the largest lower bound, or below an
-        outside ratio, holds no maximum."""
-        n0, norm = self.n0, self.norm
+        """max over n0 <= n <= n_top of fl(g.T^n / norm_n) per row of ranks,
+        dividing only the cells outside the blocks and those of the blocks
+        that may hold it.  Rounding is monotone, so with B the block max (a
+        value) and N its min and max of norm, every ratio of a block is at
+        most the larger of fl(B / N_min) and fl(B / N_max) (the first for
+        B >= 0, the second for B < 0), and the ratio at the cell of B is at
+        least the smaller: a block whose upper bound is below the largest
+        lower bound, or below an outside ratio, holds no maximum."""
+        n0, norm, values = self.n0, self.norm, self.values
         if self.outside.size:
-            best = np.max(buffer[rows[:, None] + self.outside] / norm[self.outside - n0],
-                          axis=1)
+            best = np.max(values.take(buffer[rows[:, None] + self.outside])
+                          / norm[self.outside - n0], axis=1)
         else:
             best = np.full(rows.shape[0], -np.inf)
         by_min, by_max = block_max / self.norm_min, block_max / self.norm_max
@@ -702,7 +722,7 @@ class BlockProbe:
         lengths = self.lengths[block]
         first = np.cumsum(lengths) - lengths
         cols = np.repeat(self.starts[block] - first, lengths) + np.arange(int(lengths.sum()))
-        ratios = buffer[np.repeat(rows[path], lengths) + cols] / norm[cols - n0]
+        ratios = values.take(buffer[np.repeat(rows[path], lengths) + cols]) / norm[cols - n0]
         np.maximum.at(best, path, np.maximum.reduceat(ratios, first))
         return best
 
@@ -714,7 +734,9 @@ class OrbitPass:
     slln; and probe, condition17's BlockProbe, None where the config has none.
 
     Every value is a max or min over a window of a row, and the row of r is
-    buffer[r : r + n_top + 1] of the config's one g buffer (g_table.base).
+    buffer[r : r + n_top + 1] of the config's one rank buffer of g
+    (g_table.base).  The ranks order as the values of g do, so the extrema
+    are taken on ranks and read in cfg.g_values at the end.
     The paths, sorted by start residue, are cut into chunks (_region_chunks)
     whose rows lie in one region of the buffer, and the windows of a chunk
     are lookups into doubling levels over its region's cells and over its
@@ -734,17 +756,18 @@ class OrbitPass:
         segments = list(zip((1,) + tuple(n + 1 for n in horizons[:-1]), horizons))
         self.probe = BlockProbe.for_config(cfg)
         windows = segments if self.probe is None else segments + self.probe.windows
-        highs = _RangeLookups(np.maximum, windows, stride, rows)
-        lows = _RangeLookups(np.minimum, segments, stride, rows)
-        self.wmax, self.wmin = np.empty((2, cfg.paths, len(horizons)), dtype=np.float64)
+        highs = _RangeLookups(np.maximum, windows, stride, rows, buffer.dtype)
+        lows = _RangeLookups(np.minimum, segments, stride, rows, buffer.dtype)
+        wmax, wmin = np.empty((2, cfg.paths, len(horizons)), dtype=buffer.dtype)
         for i, j in chunks:
             region = buffer[starts[i]: starts[j - 1] + n_top + 1]
             offsets = starts[i:j] - starts[i]
             maxima = highs(region, offsets)
-            self.wmax[order[i:j]] = np.maximum.accumulate(maxima[:, : len(horizons)], axis=1)
-            self.wmin[order[i:j]] = np.minimum.accumulate(lows(region, offsets), axis=1)
+            wmax[order[i:j]] = np.maximum.accumulate(maxima[:, : len(horizons)], axis=1)
+            wmin[order[i:j]] = np.minimum.accumulate(lows(region, offsets), axis=1)
             if self.probe is not None:
                 self.probe.observe(order[i:j], starts[i:j], maxima[:, len(horizons):], buffer)
+        self.wmax, self.wmin = cfg.g_values.take(wmax), cfg.g_values.take(wmin)
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +781,8 @@ def condition16_report(cfg: OdometerConfig) -> ConditionReport:
     counterparts per (n, eps): the full-g probability, counting all residues
     mod 2^{i_max} (the event depends on the start only through them) in one
     call to _window_hit_counts for all pairs, which reads block maxima of the
-    table; and the single-tower lower bound from exact_violation_probability.
+    rank table against the least rank of a value at the threshold; and the
+    single-tower lower bound from exact_violation_probability.
     The Monte Carlo estimate must sit within 3 binomial sigma of the former.
 
     All exceedance events are closed (max >= threshold) so that the sampled
@@ -770,8 +794,10 @@ def condition16_report(cfg: OdometerConfig) -> ConditionReport:
     """
     report = _new_report("condition16", cfg)
     cex, table, wmax = cfg.cex, cfg.g_table, cfg.orbit_pass.wmax
-    pairs = [(eps * math.sqrt(n), n) for n in cfg.horizons for eps in cfg.epsilons]
-    hits = iter(_window_hit_counts(table, pairs))
+    ranks = np.searchsorted(cfg.g_values, [eps * math.sqrt(n) for n in cfg.horizons
+                                           for eps in cfg.epsilons])
+    ns = [n for n in cfg.horizons for _ in cfg.epsilons]
+    hits = iter(_window_hit_counts(table, list(zip(ranks.tolist(), ns))))
     for gi, n in enumerate(cfg.horizons):
         for eps in cfg.epsilons:
             thr = eps * math.sqrt(n)
@@ -905,7 +931,7 @@ def slln_report(cfg: OdometerConfig) -> ConditionReport:
     alpha, p = cfg.resolved_alpha(), cfg.cex.p
     report.extras["alpha"] = alpha
 
-    g0 = cfg.g_table[cfg.start_residues][:, None]
+    g0 = cfg.g_values.take(cfg.g_table[cfg.start_residues])[:, None]
     wmax, wmin = cfg.orbit_pass.wmax, cfg.orbit_pass.wmin
     maxS_at = np.maximum(g0 - wmin, wmax - g0)
 

@@ -24,6 +24,17 @@ def tower_value(m, lev):
     return m.amplitude * min(j, 2 * m.k - j) if 1 <= j < 2 * m.k else 0.0
 
 
+def g_table_per_level(cex):
+    """g on every residue mod 2^{i_max} as floats: 0.0 plus one strided
+    addition per level of each tower, towers in order."""
+    table = np.zeros(1 << cex.i_max)
+    for m in cex.maps:
+        levels, vals = m.profile()
+        for lev, v in zip(levels.tolist(), vals.tolist()):
+            table[lev::m.n] += v
+    return table
+
+
 def eval_g(cex, v):
     """g = sum_i g_i at the odometer point of value v, whose level in the
     height-2^i tower is v mod 2^i."""

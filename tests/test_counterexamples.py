@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,17 +12,19 @@ from hypothesis import strategies as st
 from coblim.counterexamples import (
     AbsoluteThreshold,
     PeakFraction,
+    TowerCounterexample,
     TowerLevelMap,
     build_tower_counterexample,
     dyadic_window,
     exact_norms,
     exact_violation_probability,
+    g_rank_dtype,
     g_residue_table,
     norm_decay_ratios,
     orbit_truncation_bound,
     truncation_tail_bound,
 )
-from oracles import eval_g, tower_value, violation_probability_bruteforce
+from oracles import eval_g, g_table_per_level, tower_value, violation_probability_bruteforce
 
 
 def small_iplil(i_max=10, bits=12):
@@ -128,32 +131,87 @@ def test_eval_g_sums_tower_levels():
     assert eval_g(cex, 517) == pytest.approx(expected)
 
 
+def residue_table(cex):
+    """(ranks, values) of g_residue_table on a fresh table."""
+    ranks = np.empty(1 << cex.i_max, dtype=g_rank_dtype(cex))
+    return ranks, g_residue_table(cex, ranks)
+
+
 def test_g_residue_table_matches_eval():
     cex = small_iplil(i_max=6, bits=8)
-    table = g_residue_table(cex)
-    assert table.shape == (1 << cex.i_max,)
+    ranks, values = residue_table(cex)
+    assert ranks.shape == (1 << cex.i_max,)
     for v in (0, 17, 63, 255):
-        assert table[v & ((1 << cex.i_max) - 1)] == pytest.approx(eval_g(cex, v))
+        assert values[ranks[v & ((1 << cex.i_max) - 1)]] == pytest.approx(eval_g(cex, v))
+
+
+def assert_ranks_give_per_level_table(cex):
+    """values[ranks] equals the per-level float table bit for bit, and the
+    values strictly increase.  Each value occurs in the table unless the
+    band of some tower i > i0 is longer than n_{i-1}: it then reaches the
+    first copy of the table mod n_{i-1} and may cover every copy of a prior
+    band cell."""
+    ranks, values = residue_table(cex)
+    expected = g_table_per_level(cex)
+    assert np.array_equal(values[ranks].view(np.int64), expected.view(np.int64))
+    assert np.all(values[1:] > values[:-1])
+    assert (np.bincount(ranks, minlength=values.size).all()
+            or any(2 * m.k - 1 > m.n // 2 for m in cex.maps[1:]))
 
 
 def test_g_residue_table_equals_per_level_additions():
-    # one slice addition per tower gives every cell the same additions in the
-    # same tower order as one strided addition per level, so the tables are
-    # equal bit for bit; the last tower's period n_{i_max} is the table size
+    # the band cells get the same additions in the same tower order as one
+    # strided addition per level, so the values the ranks select equal that
+    # table bit for bit; the last tower's period n_{i_max} is the table size.
+    # The ranks are written into `out` only
     for cex in (small_iplil(i_max=12, bits=14), small_slln(i_max=12, bits=14)):
         assert cex.maps[-1].n == 1 << cex.i_max
-        expected = np.zeros(1 << cex.i_max)
-        for m in cex.maps:
-            levels, vals = m.profile()
-            for lev, v in zip(levels.tolist(), vals.tolist()):
-                expected[lev::m.n] += v
-        assert np.array_equal(g_residue_table(cex), expected)
-        out = np.full((1 << cex.i_max) + 5, np.nan)
-        head = g_residue_table(cex, out=out[: 1 << cex.i_max])
-        assert np.shares_memory(head, out) and np.array_equal(head, expected)
-        assert np.isnan(out[1 << cex.i_max:]).all()
-        with pytest.raises(ValueError, match="float64 array of 4096 entries"):
+        assert_ranks_give_per_level_table(cex)
+        dtype = g_rank_dtype(cex)
+        out = np.full((1 << cex.i_max) + 5, np.iinfo(dtype).max, dtype=dtype)
+        values = g_residue_table(cex, out=out[: 1 << cex.i_max])
+        assert np.array_equal(values[out[: 1 << cex.i_max]], g_table_per_level(cex))
+        assert (out[1 << cex.i_max:] == np.iinfo(dtype).max).all()
+        with pytest.raises(ValueError, match=f"{dtype} array of 4096 entries"):
             g_residue_table(cex, out=out)
+        with pytest.raises(ValueError, match=f"{dtype} array of 4096 entries"):
+            g_residue_table(cex, out=np.empty(1 << cex.i_max))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=3, max_value=6), st.integers(min_value=0, max_value=6),
+       st.data())
+def test_g_residue_table_equals_per_level_additions_on_random_towers(i0, extra, data):
+    # consecutive towers i0..i_max with any 0 < 2k_i < n_i and amplitudes
+    # that make equal sums along different tower sets (0.5, 1, 1.5) and sums
+    # that round (0.1, 0.2, 0.3), or arbitrary ones
+    i_max = i0 + extra
+    amplitude = st.one_of(st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0, 1.5]),
+                          st.floats(min_value=1e-3, max_value=1e3))
+    maps = tuple(
+        TowerLevelMap(i=i, n=1 << i, k=data.draw(st.integers(1, (1 << (i - 1)) - 1)),
+                      amplitude=data.draw(amplitude))
+        for i in range(i0, i_max + 1))
+    cex = TowerCounterexample(kind="ip_lil", p=1.2, r=4.0, q=None, window_exp=0.5,
+                              i0=i0, i_max=i_max, bits=i_max, maps=maps)
+    assert_ranks_give_per_level_table(cex)
+
+
+def test_g_rank_dtype_widens_exactly_past_two_to_the_sixteen_values():
+    # g takes at most 1 + sum_i (2k_i - 1) values; the ranks, below that
+    # bound, fit uint16 up to a bound of 2^16 and take uint32 from 2^16 + 1.
+    # The stubs hold only the k_i (and a 4-cell table size), so no table of
+    # that many cells is built
+    def stub(*ks):
+        return SimpleNamespace(i_max=2, maps=[SimpleNamespace(k=k) for k in ks])
+
+    assert g_rank_dtype(stub(1 << 7)) == np.uint8           # bound 2^8
+    assert g_rank_dtype(stub(1, 1 << 7)) == np.uint16       # bound 2^8 + 1
+    assert g_rank_dtype(stub(1 << 15)) == np.uint16         # bound 2^16
+    assert g_rank_dtype(stub(1, 1 << 15)) == np.uint32      # bound 2^16 + 1
+    with pytest.raises(ValueError, match="uint32 array of 4 entries"):
+        g_residue_table(stub(1, 1 << 15), out=np.empty(4, dtype=np.uint16))
+    assert g_rank_dtype(small_iplil(i_max=16, bits=18)) == np.uint16
 
 
 # ---------------------------------------------------------------------------

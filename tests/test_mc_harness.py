@@ -128,10 +128,15 @@ def odometer_config(**kw):
 
 
 def write_g(cfg, table):
-    """Write `table` into the config's one buffer of g: g_table and the cyclic
-    tail that the orbit rows of the last residues read."""
-    buffer = cfg.g_table.base
-    buffer[:] = table[np.arange(buffer.shape[0]) % table.shape[0]]
+    """Make `table` the config's g: its sorted distinct values as g_values,
+    and their ranks in one buffer of the smallest unsigned type that holds
+    them, g_table and the cyclic tail that the orbit rows of the last
+    residues read."""
+    m = table.shape[0]
+    values, ranks = np.unique(table, return_inverse=True)
+    buffer = ranks.astype(np.min_scalar_type(values.size - 1))[
+        np.arange(m + cfg.horizons[-1]) % m]
+    cfg.__dict__.update(g_table=buffer[:m], g_values=values)
 
 
 def cex_with_bits(bits):
@@ -230,9 +235,41 @@ def window_hits(table, pairs):
     return [int(np.count_nonzero(wmax[n] >= thr)) for thr, n in pairs]
 
 
+def test_condition16_counts_maxima_that_meet_the_threshold():
+    # a table that takes the thresholds eps sqrt(n) themselves on a twentieth
+    # of its cells and -1 elsewhere, so that window maxima meet them exactly:
+    # the exact counts (read on ranks) and the estimates both count a max
+    # equal to its threshold, as brute force over the table does
+    cfg = odometer_config(horizons=(16, 64))
+    m, n_top = 1 << cfg.cex.i_max, cfg.horizons[-1]
+    rng = np.random.default_rng(29)
+    thresholds = [eps * math.sqrt(n) for n in cfg.horizons for eps in cfg.epsilons]
+    table = np.where(rng.random(m) < 0.05, rng.choice(thresholds, m), -1.0)
+    write_g(cfg, table)
+    report = condition16_report(cfg)
+    pairs = [(row["threshold"], row["n"]) for row in report.rows]
+    assert [ex["exact_prob"] * m for ex in report.exact_rows] == window_hits(table, pairs)
+    full = table[(cfg.start_residues[:, None] + np.arange(1, n_top + 1)) % m]
+    for row in report.rows:
+        wmax = full[:, : row["n"]].max(axis=1)
+        assert np.any(wmax == row["threshold"])
+        assert row["estimate"] == np.mean(wmax >= row["threshold"])
+
+
+def rank_hit_counts(table, pairs):
+    """_window_hit_counts on the uint16 ranks of `table` into its sorted
+    distinct values, each threshold thr replaced by the least rank of a value
+    >= thr, as condition16 calls it."""
+    values, ranks = np.unique(table, return_inverse=True)
+    thresholds = np.searchsorted(values, [thr for thr, _ in pairs], "left").tolist()
+    return _window_hit_counts(ranks.astype(np.uint16),
+                              [(thr, n) for thr, (_, n) in zip(thresholds, pairs)])
+
+
 def test_window_hit_count_matches_brute_force():
     # the count of residues whose window res+1..res+n (mod M) meets a value
-    # >= thr, for all pairs of a table in one call; n >= M covers the table
+    # >= thr, for all pairs of a table in one call; n >= M covers the table.
+    # The same counts from the table's uint16 ranks at integer thresholds
     rng = np.random.default_rng(7)
     for m in range(1, 65):
         tables = [rng.standard_normal(m), rng.integers(0, 3, m).astype(np.float64),
@@ -243,7 +280,9 @@ def test_window_hit_count_matches_brute_force():
             thresholds = [vals[0] - 1.0, vals[-1] + 1.0, vals[0], vals[-1],
                           *vals[::5], *mids[::5]]
             pairs = [(thr, n) for n in range(1, m + 3 + 1) for thr in thresholds]
-            assert _window_hit_counts(table, pairs) == window_hits(table, pairs), (m, table)
+            expected = window_hits(table, pairs)
+            assert _window_hit_counts(table, pairs) == expected, (m, table)
+            assert rank_hit_counts(table, pairs) == expected, (m, table)
 
 
 @pytest.mark.parametrize("cap, piece", [(1, 50), (2, 1 << 17), (4, 20), (64, 5), (64, 1 << 17)])
@@ -253,7 +292,7 @@ def test_window_hit_count_block_summary_edges(monkeypatch, cap, piece):
     # n does not divide (the block then shrinks to one that does), miss runs
     # across the cyclic end, tables of all hits, no hit and one hit, and
     # windows of n = 2b - 1 and 2b cells around each block size b, against
-    # brute force
+    # brute force, on the table and on its uint16 ranks
     monkeypatch.setattr(counterexamples, "_HIT_BLOCK", cap)
     monkeypatch.setattr(counterexamples, "_HIT_PIECE", piece)
     rng = np.random.default_rng(cap + piece)
@@ -268,22 +307,26 @@ def test_window_hit_count_block_summary_edges(monkeypatch, cap, piece):
             table = rng.standard_normal(m) - 3.0
             table[hits] = 1.0 + rng.random(len(hits))
             pairs = [(thr, n) for n in ns if n >= 1 for thr in (1.0, 1.5, -10.0, 5.0)]
-            assert _window_hit_counts(table, pairs) == window_hits(table, pairs), (m, hits)
+            expected = window_hits(table, pairs)
+            assert _window_hit_counts(table, pairs) == expected, (m, hits)
+            assert rank_hit_counts(table, pairs) == expected, (m, hits)
 
 
 def test_odometer_pass_holds_one_table_and_chunk_sized_temporaries():
-    # tracemalloc sees numpy's buffers.  Building g_table holds the one buffer
-    # of M + n_top entries plus numpy's fixed-size ufunc iteration buffers
-    # (about 192 KiB), where a wrapped copy of the table would hold two or
-    # three tables; the pass and condition16 add the levels and lookups of
-    # one region of the table and pieces of the table
+    # tracemalloc sees numpy's buffers.  Building g_table holds the one uint16
+    # rank buffer of M + n_top entries plus numpy's fixed-size ufunc iteration
+    # buffers (about 192 KiB), where a wrapped copy of the table would hold
+    # two or three tables, and a float64 table four times the bytes; the pass
+    # and condition16 add the levels and lookups of one region of the table
+    # and pieces of the table
     cex = build_tower_counterexample("ip_lil", p=1.2, r=4.0, i_max=16, bits=18)
     cfg = odometer_config(cex=cex, horizons=(256, 1024, 4096), paths=1000)
-    buffer_bytes = ((1 << 16) + 4096) * 8
+    buffer_bytes = ((1 << 16) + 4096) * 2
     chunk_bytes = (1 << 18) * 8
     tracemalloc.start()
     try:
         assert cfg.g_table.base.shape == ((1 << 16) + 4096,)
+        assert cfg.g_table.dtype == np.uint16
         _, peak_tables = tracemalloc.get_traced_memory()
         cfg.orbit_pass
         condition16_report(cfg)
@@ -292,6 +335,30 @@ def test_odometer_pass_holds_one_table_and_chunk_sized_temporaries():
         tracemalloc.stop()
     assert peak_tables < buffer_bytes + (1 << 18)
     assert peak < buffer_bytes + 3 * chunk_bytes
+
+
+def test_tower_iplil_pass_holds_one_uint16_table_and_chunk_sized_temporaries():
+    # the conditions tower-iplil preset: g takes 2,374 values on its 2^22
+    # residues, so its table is one buffer of uint16 ranks, and the table and
+    # the orbit pass stay within that buffer plus the chunk allowance above,
+    # where a float64 table alone would take 32 MiB
+    preset = PRESETS["tower-iplil"]
+    system, exponents = preset["system"], preset["exponents"]
+    cex = build_tower_counterexample(system["kind"], exponents["p"], exponents["r"],
+                                     window_exp=exponents["alpha"], i0=system["i0"],
+                                     i_max=system["i_max"], bits=system["bits"])
+    cfg = OdometerConfig(cex=cex, horizons=tuple(preset["horizons"]["n"]),
+                         paths=preset["paths"]["count"], seed=DEFAULT_SEED,
+                         epsilons=tuple(preset["epsilons"]["values"]))
+    tracemalloc.start()
+    try:
+        cfg.orbit_pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cfg.g_table.dtype == np.uint16 and cfg.g_values.size == 2374
+    assert cfg.g_table.base.shape == ((1 << 22) + cfg.horizons[-1],)
+    assert peak < ((1 << 22) + cfg.horizons[-1]) * 2 + 3 * (1 << 18) * 8
 
 
 @pytest.mark.parametrize("i_max, horizons", [(12, (64, 256)), (4, (4, 16, 40))],
@@ -315,7 +382,8 @@ def test_orbits_and_window_extrema_match_modular_gather(i_max, horizons):
         table = np.random.default_rng(5).standard_normal(m)
         write_g(cfg, table)
         full = table[cyclic]
-        assert np.array_equal(rows, full)
+        rows = sliding_window_view(cfg.g_table.base, n_top + 1)[:m]
+        assert np.array_equal(cfg.g_values[rows], full)
         res = cfg.start_residues
         wmax, wmin = cfg.orbit_pass.wmax, cfg.orbit_pass.wmin
         assert wmax.shape == wmin.shape == (cfg.paths, len(horizons))
@@ -520,19 +588,29 @@ def test_orbit_pass_matches_brute_force_over_full_rows(monkeypatch, i_max, horiz
     # every output of the pass against maxima, minima and ratios over whole
     # orbit rows, on a table of both signs and on one of negative values and
     # a few zeros, where the tail sup is often 0 inside a block and its
-    # bracket is a single value; horizons off the 16-cell grid, blocks longer
-    # than 32 cells (long-blocks), no condition17 probe (no-probe), windows
-    # of one cell (one-cell-segments) and orbit rows that wrap around M = 16.
-    # The caps of 1 cell and 2 paths split runs of equal residues across
-    # chunks
+    # bracket is a single value, and, with a probe, on one that takes the
+    # probe's thresholds on a tenth of its cells and -1 elsewhere, so that
+    # window maxima meet thresholds exactly (> and >= differ there);
+    # horizons off the 16-cell grid, blocks longer than 32 cells
+    # (long-blocks), no condition17 probe (no-probe), windows of one cell
+    # (one-cell-segments) and orbit rows that wrap around M = 16.  The caps
+    # of 1 cell and 2 paths split runs of equal residues across chunks
     cex = build_tower_counterexample("ip_lil", p=1.2, r=4.0, i_max=i_max, bits=14)
     n0, n_top, m = horizons[0], horizons[-1], 1 << i_max
-    signed = np.random.default_rng(i_max + n_top).standard_normal(m)
+    rng = np.random.default_rng(i_max + n_top)
+    signed = rng.standard_normal(m)
     assert np.any(signed < 0) and np.any(signed > 0)
     nonpositive = -np.abs(signed)
     nonpositive[::13] = 0.0
+    tables = [signed, nonpositive]
+    probe = mc_harness.BlockProbe.for_config(odometer_config(
+        cex=cex, horizons=horizons, block_exp=block_exp, epsilons=(0.1, 0.3)))
+    if probe is not None:
+        thresholds = np.concatenate([*probe.thresholds.values(),
+                                     *probe.dyadic_thresholds.values()])
+        tables.append(np.where(rng.random(m) < 0.1, rng.choice(thresholds, m), -1.0))
     for table, (cells, paths) in itertools.product(
-            (signed, nonpositive),
+            tables,
             ((1, 2), (n_top + 9, 3), (mc_harness._REGION_CELLS, mc_harness._REGION_PATHS))):
         monkeypatch.setattr(mc_harness, "_REGION_CELLS", cells)
         monkeypatch.setattr(mc_harness, "_REGION_PATHS", paths)
@@ -554,18 +632,24 @@ def test_orbit_pass_matches_brute_force_over_full_rows(monkeypatch, i_max, horiz
         assert probe.blocks == [b for b in blocks_for_range(block_exp, n_top)
                                 if b[1] >= n0 and b[1] + b[2] <= n_top]
         assert probe.blocks
+        ties = 0
         for eps in cfg.epsilons:
-            hits = [np.count_nonzero(full[:, mj: mj + ln + 1].max(axis=1) > thr)
-                    for (_, mj, ln), thr in zip(probe.blocks, probe.thresholds[eps])]
+            maxima = [full[:, mj: mj + ln + 1].max(axis=1) for _, mj, ln in probe.blocks]
+            hits = [np.count_nonzero(w > thr) for w, thr in zip(maxima, probe.thresholds[eps])]
             assert probe.block_hits[eps].tolist() == hits
-            assert table is nonpositive or 0 < sum(hits) < cfg.paths * len(hits)
+            assert table is not signed or 0 < sum(hits) < cfg.paths * len(hits)
+            ties += sum(np.count_nonzero(w == thr)
+                        for w, thr in zip(maxima, probe.thresholds[eps]))
         dyadic = [i for i in range(cex.i0, i_max + 1)
                   if (1 << i) >= n0 and (1 << (i + 1)) <= n_top]
         assert probe.dyadic == dyadic
         for eps in cfg.epsilons:
-            hits = [np.count_nonzero(full[:, 1 << i: (1 << (i + 1)) + 1].max(axis=1) >= thr)
-                    for i, thr in zip(dyadic, probe.dyadic_thresholds[eps])]
+            maxima = [full[:, 1 << i: (1 << (i + 1)) + 1].max(axis=1) for i in dyadic]
+            thresholds = probe.dyadic_thresholds[eps]
+            hits = [np.count_nonzero(w >= thr) for w, thr in zip(maxima, thresholds)]
             assert probe.dyadic_hits[eps].tolist() == hits
+            ties += sum(np.count_nonzero(w == thr) for w, thr in zip(maxima, thresholds))
+        assert table is not tables[-1] or ties > 0
 
 
 @pytest.mark.parametrize("ufunc", [np.maximum, np.minimum], ids=["max", "min"])
@@ -574,18 +658,22 @@ def test_range_lookups_match_window_reductions_at_every_offset(ufunc):
     # a window is read through whole 16-cell blocks and through one or two
     # of them, and longer ones, at every row offset mod 16 of the region,
     # with rows that start and end the region; the buffers are reused by a
-    # second, shorter region
+    # second, shorter region; on values and on the uint16 ranks OrbitPass reads
     lengths = list(range(1, 65)) + [31, 32, 33, 47, 48, 95, 96, 97, 255, 256, 257, 1000]
     windows = [(a, a + n - 1) for n in lengths for a in (0, 1, 7, 16, 17)]
     n_top = max(b for _, b in windows)
     rng = np.random.default_rng(17)
-    lookups = _RangeLookups(ufunc, windows, stride=n_top + 48, rows=48)
-    for cells in (n_top + 48, n_top + 20):
-        region = rng.standard_normal(cells)
-        offsets = np.arange(cells - n_top)
-        got = lookups(region, offsets)
-        expected = [[ufunc.reduce(region[o + a: o + b + 1]) for a, b in windows] for o in offsets]
-        assert got.tobytes() == np.asarray(expected).tobytes()
+    for dtype in (np.float64, np.uint16):
+        lookups = _RangeLookups(ufunc, windows, stride=n_top + 48, rows=48, dtype=dtype)
+        for cells in (n_top + 48, n_top + 20):
+            region = (rng.standard_normal(cells) if dtype is np.float64
+                      else rng.integers(0, 1 << 16, cells).astype(dtype))
+            offsets = np.arange(cells - n_top)
+            got = lookups(region, offsets)
+            expected = [[ufunc.reduce(region[o + a: o + b + 1]) for a, b in windows]
+                        for o in offsets]
+            assert got.dtype == dtype
+            assert got.tobytes() == np.asarray(expected, dtype=dtype).tobytes()
 
 
 @pytest.mark.parametrize("cells, paths", [(1, 2), (300, 7), (None, None)],
