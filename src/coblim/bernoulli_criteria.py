@@ -135,18 +135,18 @@ def _lockstep_integrals(
     `func(xs, owner)` evaluates the integrand of problem `owner[k]` at
     `xs[k]`.  Each round evaluates the pending panels of every unfinished
     problem in one `func` call, 45 nodes per panel (the panel, then its left
-    and right half, 15 Gauss-Legendre nodes each).  Then each unfinished
-    problem takes one step of `adaptive_integral`'s refinement on its own
-    heap, so its panels, and its result, do not depend on the other
+    and right half, 15 Gauss-Legendre nodes each), followed by the two ends
+    of every panel that bisection cannot refine (mostly none).  Then each
+    unfinished problem takes one step of `adaptive_integral`'s refinement on
+    its own heap, so its panels, and its result, do not depend on the other
     problems of the batch.
 
     Bisection cannot refine a panel once one of its halves has no float
     strictly inside: that half's nodes all round onto one float, so its rule
     sees a single value and the defect can vanish on a jump.  Such a panel's
     error is at least its width times the spread of its 45 node values and
-    of f at its two ends, which its round's call evaluates too (2 more
-    evals); all its nodes can round onto one end.  It is never split, and a
-    problem stops once it is its worst panel.
+    of f at its two ends (2 more evals); all its nodes can round onto one
+    end.  It is never split, and a problem stops once it is its worst panel.
     """
     results = [QuadratureResult(0.0, 0.0, 0, 0) for _ in problems]
     heaps: List[List[Tuple[float, float, float, float]]] = [[] for _ in problems]
@@ -158,7 +158,7 @@ def _lockstep_integrals(
     his: List[float] = []
     for j, (a, b, breakpoints) in enumerate(problems):
         if b > a:
-            cuts = sorted({a, b, *(c for c in breakpoints if a < c < b)}) if breakpoints else [a, b]
+            cuts = sorted({a, b, *(c for c in breakpoints if a < c < b)})
             active.append(j)
             owner += [j] * (len(cuts) - 1)
             los += cuts[:-1]
@@ -176,25 +176,21 @@ def _lockstep_integrals(
         xs = center[:, :, None] + half[:, :, None] * _GL_NODES
         # panels that bisection cannot refine: a half has no float strictly
         # inside.  That depends on lo and hi only, so f at both ends of each
-        # such panel joins this round's call
+        # such panel (mostly none) joins this round's call
         stuck = ~((lo < center[:, 1]) & (center[:, 1] < mid)
                   & (mid < center[:, 2]) & (center[:, 2] < hi))
-        if stuck.any():
-            stuck_owner = np.asarray(owner)[stuck]
-            ys = func(np.concatenate([xs.ravel(), lo[stuck], hi[stuck]]),
-                      np.concatenate([np.repeat(owner, 45), stuck_owner, stuck_owner]))
-            ys, ends = ys[: xs.size], ys[xs.size:].reshape(2, -1)
-            for j in stuck_owner.tolist():
-                evals[j] += 2
-        else:
-            ys = func(xs.ravel(), np.repeat(owner, 45))
+        owners = np.asarray(owner)
+        stuck_owner = owners[stuck]
+        ys = func(np.concatenate([xs.ravel(), lo[stuck], hi[stuck]]),
+                  np.concatenate([owners.repeat(45), stuck_owner, stuck_owner]))
+        ys, ends = ys[: xs.size], ys[xs.size:].reshape(2, -1)
+        for j in stuck_owner.tolist():
+            evals[j] += 2
         rules = half * _rule_sums(ys).reshape(-1, 3)
         halves = rules[:, 1] + rules[:, 2]
         errs = np.abs(rules[:, 0] - halves)
-        if stuck.any():
-            vals = np.concatenate([ys.reshape(-1, 45)[stuck], ends.T], axis=1)
-            spread = (hi - lo)[stuck] * np.ptp(vals, axis=1)
-            errs[stuck] = np.maximum(errs[stuck], spread)
+        vals = np.concatenate([ys.reshape(-1, 45)[stuck], ends.T], axis=1)
+        errs[stuck] = np.maximum(errs[stuck], (hi - lo)[stuck] * np.ptp(vals, axis=1))
         for j, neg_err, plo, phi, value in zip(owner, (-errs).tolist(), los, his,
                                                halves.tolist()):
             heappush(heaps[j], (neg_err, plo, phi, value))

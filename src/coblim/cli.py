@@ -39,8 +39,9 @@ import math
 import platform
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy
@@ -56,6 +57,7 @@ from .bernoulli_criteria import (
 from .counterexamples import (
     TowerCounterexample,
     build_tower_counterexample,
+    check_table_bits,
     exact_norms,
     norm_decay_ratios,
 )
@@ -73,6 +75,7 @@ from .mc_harness import (
     ShiftConfig,
     clt_lil_report,
     condition16_report,
+    condition17_blocks,
     condition17_report,
     slln_report,
     validate_hypotheses,
@@ -251,6 +254,15 @@ class ConfigView:
     def fail(self, key: str, message: str, section: Optional[str] = None) -> "ConfigError":
         return ConfigError(message, path=self.path, line=self.anchor(key, section))
 
+    @contextmanager
+    def blame(self, key: str, section: Optional[str] = None, prefix: str = "",
+              errors: Tuple[type, ...] = (ValueError,)) -> Iterator[None]:
+        """Raise an error of the block as a ConfigError anchored at `key`."""
+        try:
+            yield
+        except errors as exc:
+            raise self.fail(key, prefix + str(exc), section) from exc
+
     def section(self, name: str) -> Dict[str, Any]:
         val = self.cfg.get(name, {})
         if not isinstance(val, dict):
@@ -409,14 +421,12 @@ def _build_cex(view: ConfigView) -> TowerCounterexample:
                     check=lambda b: 2 <= b <= 40, describe="bits in [2, 40]")
     i0 = view.get("system", "i0", int, default=None, check=lambda v: v >= 1)
     i_max = view.get("system", "i_max", int, default=20, check=lambda v: v >= 1)
-    try:
+    with view.blame("system", prefix="counterexample construction rejected: "):
         return build_tower_counterexample(
             kind, float(p), float(r), q=None if q is None else float(q),
             window_exp=None if window_exp is None else float(window_exp),
             i0=i0, i_max=i_max, bits=bits,
         )
-    except ValueError as exc:
-        raise view.fail("system", f"counterexample construction rejected: {exc}") from exc
 
 
 def _monte_carlo_config(view: ConfigView, kind: type, **fields: Any) -> Any:
@@ -429,11 +439,9 @@ def _monte_carlo_config(view: ConfigView, kind: type, **fields: Any) -> Any:
         raise view.fail("n", "horizons.n must be an int or a list of ints")
     count = view.get("paths", "count", int, default=10000, check=lambda v: v >= 100,
                      describe="at least 100 paths")
-    try:
+    with view.blame("n", "horizons"):
         return kind(horizons=tuple(sorted(set(horizons))), paths=count,
                     seed=view.cfg["seed"], workers=view.cfg["workers"], **fields)
-    except ValueError as exc:
-        raise view.fail("n", str(exc), section="horizons") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +496,8 @@ def _run_counterexample(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
 
 def _run_conditions(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     cex = _build_cex(view)
+    with view.blame("i_max", "system"):  # before the table of 2^i_max entries is allocated
+        check_table_bits(cex.i_max)
     eps = view.get("epsilons", "values", list, default=[0.1, 0.5, 1.0])
     if not eps or not all(isinstance(e, (int, float)) and not isinstance(e, bool) and e > 0
                           for e in eps):
@@ -498,6 +508,8 @@ def _run_conditions(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
                               epsilons=tuple(float(e) for e in eps),
                               alpha=view.get("exponents", "slln_alpha", (int, float)),
                               block_exp=float(block_exp))
+    with view.blame("n", "horizons"):  # before condition16's pass, which runs first
+        condition17_blocks(cfg)
     reports = {
         "condition16": condition16_report(cfg),
         "condition17": condition17_report(cfg),
@@ -543,10 +555,8 @@ def _run_clt(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
                           describe="'rademacher' or 'zero'")
     cfg = _monte_carlo_config(view, ShiftConfig, function=transfer,
                               martingale=martingale, window=window)
-    try:
+    with view.blame("function"):  # a degenerate f
         rep = clt_lil_report(cfg)
-    except ValueError as exc:  # a degenerate f
-        raise view.fail("function", str(exc)) from exc
     files = {
         "clt.json": canonical_json(rep),
         "clt.csv": _records_csv(rep.rows),
@@ -572,14 +582,10 @@ def _run_maximal(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
                  describe="weak-norm exponent q > 1")
 
     # both guards run before the first draw, which at level 20 holds 2^20 numerators
-    try:
+    with view.blame("level", "system"):
         check_level(level)
-    except ValueError as exc:
-        raise view.fail("level", str(exc), section="system") from exc
-    try:
+    with view.blame("bits", "system"):
         check_enumeration(bits, level)
-    except ValueError as exc:
-        raise view.fail("bits", str(exc), section="system") from exc
 
     files: Artifacts = {}
     summary_rows = []
@@ -620,10 +626,9 @@ def _run_criteria(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
                       check=lambda s: s in FUNCTION_FAMILIES,
                       describe=f"one of {FUNCTION_FAMILIES}")
     params = view.get("function", "params", dict, default={})
-    try:
+    with view.blame("params", prefix="function construction rejected: ",
+                    errors=(TypeError, ValueError)):
         f = make_function(family, **params)
-    except (TypeError, ValueError) as exc:
-        raise view.fail("params", f"function construction rejected: {exc}") from exc
     p = view.get("exponents", "p", (int, float), required=True,
                  check=lambda v: 1 < v < 2, describe="p in (1, 2)")
     r = view.get("exponents", "r", (int, float), default=None)
@@ -639,11 +644,9 @@ def _run_criteria(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
 
     sub_reports["moment_integral"] = prop212_check(f, float(p), delta=float(delta))
     if r is not None:
-        try:
+        with view.blame("r"):
             sub_reports["moment_integral_pair"] = prop213_check(
                 f, float(p), float(r), delta=float(delta))
-        except ValueError as exc:
-            raise view.fail("r", str(exc)) from exc
     tables: Dict[Tuple[float, float], CriteriaReport] = {}
     for which in ("2.2", "2.5") + (("2.8",) if r is not None else ()):
         tag = f"corollary_{which.replace('.', '_')}"
@@ -673,11 +676,9 @@ def _run_series(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
                      check=lambda v: v >= 1000, describe="K_max >= 10^3")
     threshold = view.get("epsilons", "dr_threshold", (int, float), default=5.0,
                          check=lambda v: v > 1, describe="growth threshold > 1")
-    try:
+    with view.blame("exponents"):
         report = prop23_report(geometric_family(float(p)), K_max=k_max,
                                dr_threshold=float(threshold))
-    except ValueError as exc:
-        raise view.fail("exponents", str(exc)) from exc
 
     main_ctx = report.context["main"]
     quad_ctx = report.context["quadratic"]
@@ -718,10 +719,8 @@ def _run_validate(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     for thm in theorems:
         if thm not in THEOREM_IDS:
             raise view.fail("theorems", f"unknown theorem id {thm!r}; known: {THEOREM_IDS}")
-        try:
+        with view.blame("exponents", prefix=f"window {thm}: ", errors=(ValueError, KeyError)):
             rep = validate_hypotheses(expo, thm)
-        except (ValueError, KeyError) as exc:
-            raise view.fail("exponents", f"window {thm}: {exc}") from exc
         combined.absorb(thm, rep)
         rows += [[thm, c.name, int(c.passed), c.margin, c.detail] for c in rep.checks]
     files = {

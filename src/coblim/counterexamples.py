@@ -21,6 +21,7 @@ quantities.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -42,6 +43,8 @@ __all__ = [
     "AbsoluteThreshold",
     "dyadic_window",
     "full_window",
+    "MAX_TABLE_BITS",
+    "check_table_bits",
     "g_rank_dtype",
     "g_residue_table",
     "blocks_for_range",
@@ -274,6 +277,17 @@ def orbit_truncation_bound(cex: TowerCounterexample, n: int) -> float:
     return min(_omitted_towers_sum(cex, lambda k, n_i: min(1.0, (n + 2.0 * k) / n_i)), 1.0)
 
 
+MAX_TABLE_BITS = 24  # refuse residue tables beyond 2^24 entries
+
+
+def check_table_bits(i_max: int) -> None:
+    """Refuse a residue table of 2^i_max entries beyond the resource guard
+    (i_max <= MAX_TABLE_BITS), before anything is allocated."""
+    if i_max > MAX_TABLE_BITS:
+        raise ValueError(f"resource guard: i_max={i_max} exceeds {MAX_TABLE_BITS}; "
+                         f"a residue table of 2^{i_max} entries refused")
+
+
 def g_rank_dtype(cex: TowerCounterexample) -> np.dtype:
     """The smallest unsigned type that holds every rank of g_residue_table:
     g takes at most 1 + sum_i (2k_i - 1) values, 0 and one per band cell."""
@@ -339,7 +353,7 @@ def _window_hit_counts(table: np.ndarray, pairs: Sequence[Tuple[float, int]]) ->
     for thr, n in pairs:
         b = min(_HIT_BLOCK, 1 << (((n + 1) // 2).bit_length() - 1), m & -m)
         if b not in maxima:
-            maxima[b] = table if b == 1 else np.maximum.reduceat(table, np.arange(0, m, b))
+            maxima[b] = np.maximum.reduceat(table, np.arange(0, m, b))
         blocks, excess, first, hits = table.reshape(-1, b), 0, 0, None
         for lo in range(0, m // b, _HIT_PIECE):
             found = np.flatnonzero(maxima[b][lo: lo + _HIT_PIECE] >= thr) + lo
@@ -477,21 +491,18 @@ class PeakFraction:
 
 @dataclass(frozen=True)
 class AbsoluteThreshold:
-    """Threshold as a raw value; compared against a_i * min(j, 2k_i - j)."""
+    """Threshold as a raw value; compared against a_i * min(j, 2k_i - j).
+
+    The qualifying j are those with min(j, 2k_i - j) >= u for the least u
+    in 1..k_i with fl(u * a_i) >= value, the float comparison the event
+    makes; fl(u * a_i) grows with u, so u is found by bisection (none above
+    the peak, every j for value <= a_i).
+    """
 
     value: float
 
     def qualifying_j(self, m: TowerLevelMap) -> range:
-        if self.value <= 0:
-            return range(1, 2 * m.k)
-        # smallest unit count u with a_i * u >= value
-        u = math.ceil(self.value / m.amplitude)
-        if u * m.amplitude < self.value:  # guard the ceil against rounding
-            u += 1
-        while u > 1 and (u - 1) * m.amplitude >= self.value:
-            u -= 1
-        if u > m.k:
-            return range(0)
+        u = 1 + bisect_left(range(1, m.k + 1), True, key=lambda u: u * m.amplitude >= self.value)
         return range(u, 2 * m.k - u + 1)
 
 
@@ -527,9 +538,7 @@ def exact_violation_probability(
     `window` is an inclusive pair (l_lo, l_hi); default is the dyadic block
     window [2^i, 2^{i+1}].
     """
-    if not cex.i0 <= i <= cex.i_max:
-        raise ValueError(f"tower index {i} outside [{cex.i0}, {cex.i_max}]")
-    m = cex.map_for(i)
+    m = cex.map_for(i)  # refuses i outside [i0, i_max]
     if window is None:
         window = dyadic_window(i)
     l_lo, l_hi = window

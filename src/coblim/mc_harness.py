@@ -35,7 +35,10 @@ Conventions shared by all reports:
   from the first raw word of each path's stream (no Generator per path);
   and orbit_pass, which answers every window of the orbit rows at the
   start residues that the reports read by range-extremum lookups, without
-  gathering the rows (OrbitPass);
+  gathering the rows (OrbitPass).  g is >= 0, as every tower counterexample
+  is, so the events on |g.T^n| read g.T^n: both conditions compare window
+  maxima with their thresholds, condition17 brackets its tail sup by block
+  maxima, and OrbitPass refuses a g with a negative value;
 * every Monte Carlo probability that has an exactly countable counterpart on
   the odometer is reported next to it (the exact side never samples);
 * "holds"/"fails" verdicts are finite-sample trend labels with the decision
@@ -60,6 +63,7 @@ from .counterexamples import (
     _window_bounds,
     _window_hit_counts,
     blocks_for_range,
+    check_table_bits,
     exact_violation_probability,
     g_rank_dtype,
     g_residue_table,
@@ -78,6 +82,7 @@ __all__ = [
     "CltReport",
     "validate_hypotheses",
     "condition16_report",
+    "condition17_blocks",
     "condition17_report",
     "slln_report",
     "clt_lil_report",
@@ -282,7 +287,9 @@ class OdometerConfig:
 
     `cex` is g, and fixes the precision B = cex.bits and the exponents p, q
     and r; `alpha` is the strong-law normalization exponent (1/p when None);
-    `block_exp` is the block-growth exponent of condition17."""
+    `block_exp` is the block-growth exponent of condition17.  The residue
+    table of g holds 2^{cex.i_max} entries, so i_max above MAX_TABLE_BITS is
+    refused (check_table_bits)."""
 
     system: ClassVar[str] = "odometer"
     cex: TowerCounterexample
@@ -299,6 +306,7 @@ class OdometerConfig:
         self.epsilons = tuple(float(e) for e in self.epsilons)
         if not self.epsilons or any(e <= 0 for e in self.epsilons):
             raise ValueError("epsilons must be positive")
+        check_table_bits(self.cex.i_max)
         bits = self.cex.bits
         if not 1 <= bits <= 64:
             raise ValueError(f"bits = {bits} invalid: odometer precision in [1, 64]")
@@ -327,7 +335,7 @@ class OdometerConfig:
         buffer = np.empty(m + n_top, dtype=g_rank_dtype(self.cex))
         table = buffer[:m]
         self.__dict__["g_values"] = g_residue_table(self.cex, out=table)
-        buffer[m:] = table[:n_top] if n_top <= m else table[np.arange(n_top) % m]
+        np.take(table, np.arange(n_top), mode="wrap", out=buffer[m:])
         return table
 
     @cached_property
@@ -541,40 +549,34 @@ class _RangeLookups:
     """ufunc (np.maximum or np.minimum) over fixed closed column windows [a, b]
     of orbit rows region[o : o + n_top + 1], for one region at a time.
 
-    Cell level k holds at entry p the ufunc over region[p : p + 2^k], built by
-    doubling up to k = 4, and a window of 2^k to 2^{k+1} - 1 cells, k < 5, is
-    the ufunc of two lookups at level k: one starting at a, one ending at b.
-    A window of L >= 32 cells holds c = floor((L + 1) / 16) - 1 or c + 1
-    whole blocks of the region's 16-cell grid.  Block level k holds at entry
-    j the ufunc over the blocks j .. j + 2^k - 1 (level 0 is cell level 4 at
-    the multiples of 16), so the window is the ufunc of four lookups: 16
-    cells at each end, and two at block level floor(log2 c), one from its
-    first whole block and one ending at its last.  Pieces may overlap, which
-    max and min do not mind.  Only the cell levels that lookups read are
-    kept.  The buffers are allocated once, of the regions' `dtype` (the
-    rank type of g for OrbitPass), for regions of up to `stride` cells and
-    up to `rows` rows, and reused by every region.
+    Row k of the cell levels holds at entry p the ufunc over region[p : p +
+    2^k], for k = 0.._PIECE_LEVEL: row 0 is the region copied in, and row k
+    is built from row k - 1 by doubling.  A window of 2^k to 2^{k+1} - 1
+    cells, k < 5, is the ufunc of two lookups in row k: one starting at a,
+    one ending at b.  A window of L >= 32 cells holds c = floor((L + 1) /
+    16) - 1 or c + 1 whole blocks of the region's 16-cell grid.  Block level
+    k holds at entry j the ufunc over the blocks j .. j + 2^k - 1 (level 0
+    is cell row 4 at the multiples of 16), so the window is the ufunc of
+    four lookups: 16 cells at each end, and two at block level floor(log2
+    c), one from its first whole block and one ending at its last.  Pieces
+    may overlap, which max and min do not mind.  The buffers are allocated
+    once, of the regions' `dtype` (the rank type of g for OrbitPass), for
+    regions of up to `stride` cells and up to `rows` rows, and reused by
+    every region.
     """
 
     def __init__(self, ufunc: np.ufunc, windows: Sequence[Tuple[int, int]],
                  stride: int, rows: int, dtype: np.dtype) -> None:
         self.ufunc, size = ufunc, 1 << _PIECE_LEVEL
         levels = [min((b - a + 1).bit_length() - 1, _PIECE_LEVEL) for a, b in windows]
-        read = sorted(set(levels))
-        slot = {k: s for s, k in enumerate(read)}
-        # the levels 1..max(read), each in its slot or, unread, in a scratch row
-        self.level_rows = [slot.get(k, len(read) + k % 2) for k in range(1, read[-1] + 1)]
-        scratch = 2 if len(self.level_rows) > len(read) - (0 in slot) else 0
-        self.keep_region = 0 in slot
-        self.piece_row = slot.get(_PIECE_LEVEL)
         long = [(w, a, b) for w, (a, b) in enumerate(windows) if b - a + 1 >= 2 * size]
         self.long = np.asarray([w for w, _, _ in long], dtype=np.intp)
         tops = [((b - a + 2) // size - 1).bit_length() - 1 for _, a, b in long]
-        self.levels = np.empty((len(read) + scratch, stride), dtype)
-        self.blocks = np.empty((max(tops, default=-1) + 1, stride // size), dtype)
+        self.levels = np.empty((_PIECE_LEVEL + 1, stride), dtype)
+        self.blocks = np.empty((max(tops, default=0) + 1, stride // size), dtype)
         self.cols = np.asarray(
-            [slot[k] * stride + a for k, (a, _) in zip(levels, windows)]
-            + [slot[k] * stride + b + 1 - (1 << k) for k, (_, b) in zip(levels, windows)],
+            [k * stride + a for k, (a, _) in zip(levels, windows)]
+            + [k * stride + b + 1 - (1 << k) for k, (_, b) in zip(levels, windows)],
             dtype=np.intp)
         # block lookups at ((o + shift) >> 4) + base: the whole blocks of
         # [o + a, o + b] run from (o + a + 15) >> 4 to ((o + b + 1) >> 4) - 1
@@ -591,25 +593,22 @@ class _RangeLookups:
         """The window values of the rows region[o:], o in `offsets`, one row
         each; a view into a buffer that the next call overwrites."""
         ufunc, levels, cells = self.ufunc, self.levels, region.shape[0]
-        if self.keep_region:
-            levels[0, :cells] = region
-        prev = region
-        for k, row in enumerate(self.level_rows, 1):
-            n, half = cells - (1 << k) + 1, 1 << (k - 1)
-            prev = ufunc(prev[:n], prev[half: half + n], out=levels[row, :n])
+        levels[0, :cells] = region
+        for k in range(1, _PIECE_LEVEL + 1):
+            n, half = max(cells - (1 << k) + 1, 0), 1 << (k - 1)
+            ufunc(levels[k - 1, :n], levels[k - 1, half: half + n], out=levels[k, :n])
         rows, w = offsets.shape[0], self.out.shape[1]
         idx = np.add(offsets[:, None], self.cols, out=self.idx[:rows])
         vals = np.take(levels.reshape(-1), idx, out=self.vals[:rows], mode="clip")
         out = ufunc(vals[:, :w], vals[:, w:], out=self.out[:rows])
-        if self.long.size:
-            blocks, count, n = self.blocks, cells >> _PIECE_LEVEL, self.long.size
-            blocks[0, :count] = levels[self.piece_row, : count << _PIECE_LEVEL: 1 << _PIECE_LEVEL]
-            for k in range(1, blocks.shape[0]):
-                m, half = count - (1 << k) + 1, 1 << (k - 1)
-                ufunc(blocks[k - 1, :m], blocks[k - 1, half: half + m], out=blocks[k, :m])
-            idx = ((offsets[:, None] + self.shift) >> _PIECE_LEVEL) + self.base
-            vals = np.take(blocks.reshape(-1), idx, mode="clip")
-            out[:, self.long] = ufunc(out[:, self.long], ufunc(vals[:, :n], vals[:, n:]))
+        blocks, count, n = self.blocks, cells >> _PIECE_LEVEL, self.long.size
+        blocks[0, :count] = levels[_PIECE_LEVEL, : count << _PIECE_LEVEL: 1 << _PIECE_LEVEL]
+        for k in range(1, blocks.shape[0]):
+            m, half = count - (1 << k) + 1, 1 << (k - 1)
+            ufunc(blocks[k - 1, :m], blocks[k - 1, half: half + m], out=blocks[k, :m])
+        idx = ((offsets[:, None] + self.shift) >> _PIECE_LEVEL) + self.base
+        vals = np.take(blocks.reshape(-1), idx, mode="clip")
+        out[:, self.long] = ufunc(out[:, self.long], ufunc(vals[:, :n], vals[:, n:]))
         return out
 
 
@@ -626,17 +625,16 @@ class BlockProbe:
     with these once-computed ranks.  Counts, filled by observe: per path the
     tail sup of g.T^n / sqrt(n loglog n) over n0 <= n <= n_top; per eps the
     paths whose block max exceeds its threshold (strictly) and those whose
-    dyadic-window max meets its threshold.
+    dyadic-window max meets its threshold.  The events read |g.T^n|, which
+    is g.T^n: OrbitPass admits only g >= 0.
     """
 
     def __init__(self, cfg: OdometerConfig, blocks: List[Tuple[int, int, int]]) -> None:
         n0, n_top, cex = cfg.horizons[0], cfg.horizons[-1], cfg.cex
         self.blocks = blocks
         self.n0 = n0
-        self.norm = np.sqrt(
-            np.arange(n0, n_top + 1, dtype=np.float64)
-            * np.log(np.log(np.arange(n0, n_top + 1, dtype=np.float64)))
-        )
+        ns = np.arange(n0, n_top + 1, dtype=np.float64)
+        self.norm = np.sqrt(ns * np.log(np.log(ns)))
         starts = np.asarray([mj for _, mj, _ in blocks], dtype=np.int64)
         self.lengths = np.asarray([ln + 1 for _, _, ln in blocks], dtype=np.int64)
         # blocks are contiguous (m_{j+1} = m_j + l_j): the closed windows cover
@@ -648,10 +646,7 @@ class BlockProbe:
         covered, ends = self.norm[: last + 1 - n0], self.norm[starts + self.lengths - 1 - n0]
         self.norm_min = np.minimum(np.minimum.reduceat(covered, starts - n0), ends)
         self.norm_max = np.maximum(np.maximum.reduceat(covered, starts - n0), ends)
-        self.thresholds = {
-            eps: eps * np.sqrt(starts * np.log(np.log(starts.astype(np.float64))))
-            for eps in cfg.epsilons
-        }
+        self.thresholds = {eps: eps * self.norm[starts - n0] for eps in cfg.epsilons}
         self.dyadic = [
             i for i in range(cex.i0, cex.i_max + 1)
             if (1 << i) >= n0 and (1 << (i + 1)) <= n_top
@@ -674,19 +669,6 @@ class BlockProbe:
         self.dyadic_hits = {eps: np.zeros(len(self.dyadic), dtype=np.int64)
                             for eps in cfg.epsilons}
 
-    @classmethod
-    def for_config(cls, cfg: OdometerConfig) -> Optional["BlockProbe"]:
-        """The probe of cfg, or None when its first horizon is below 16 (log
-        log must be positive) or no complete block fits in the range."""
-        n0, n_top = cfg.horizons[0], cfg.horizons[-1]
-        if n0 < 16:
-            return None
-        blocks = [
-            (j, mj, ln) for j, mj, ln in blocks_for_range(cfg.block_exp, n_top)
-            if mj >= n0 and mj + ln <= n_top
-        ]
-        return cls(cfg, blocks) if blocks else None
-
     def observe(self, paths: np.ndarray, rows: np.ndarray, maxima: np.ndarray,
                 buffer: np.ndarray) -> None:
         """Add the paths `paths`, whose orbit rows are buffer[r : r + n_top + 1]
@@ -703,21 +685,17 @@ class BlockProbe:
                   buffer: np.ndarray) -> np.ndarray:
         """max over n0 <= n <= n_top of fl(g.T^n / norm_n) per row of ranks,
         dividing only the cells outside the blocks and those of the blocks
-        that may hold it.  Rounding is monotone, so with B the block max (a
-        value) and N its min and max of norm, every ratio of a block is at
-        most the larger of fl(B / N_min) and fl(B / N_max) (the first for
-        B >= 0, the second for B < 0), and the ratio at the cell of B is at
-        least the smaller: a block whose upper bound is below the largest
-        lower bound, or below an outside ratio, holds no maximum."""
+        that may hold it.  Rounding is monotone and g >= 0 (OrbitPass), so
+        with B the block max and N_min, N_max the least and largest norm over
+        the block, every ratio of the block is at most fl(B / N_min), and the
+        ratio at the cell of B is at least fl(B / N_max): a block whose upper
+        bound is below the largest lower bound, or below an outside ratio,
+        holds no maximum."""
         n0, norm, values = self.n0, self.norm, self.values
-        if self.outside.size:
-            best = np.max(values.take(buffer[rows[:, None] + self.outside])
-                          / norm[self.outside - n0], axis=1)
-        else:
-            best = np.full(rows.shape[0], -np.inf)
-        by_min, by_max = block_max / self.norm_min, block_max / self.norm_max
-        upper = np.maximum(by_min, by_max)
-        lower = np.max(np.minimum(by_min, by_max, out=by_min), axis=1)
+        best = np.max(values.take(buffer[rows[:, None] + self.outside])
+                      / norm[self.outside - n0], axis=1, initial=-np.inf)
+        upper = block_max / self.norm_min
+        lower = np.max(block_max / self.norm_max, axis=1)
         path, block = np.nonzero(upper >= np.maximum(best, lower)[:, None])
         lengths = self.lengths[block]
         first = np.cumsum(lengths) - lengths
@@ -733,6 +711,8 @@ class OrbitPass:
     over T^1..T^n (rows paths, columns horizons n), read by condition16 and
     slln; and probe, condition17's BlockProbe, None where the config has none.
 
+    g must be >= 0, as every tower counterexample is: the odometer reports
+    read |g| as g, so a g whose least value is negative is refused.
     Every value is a max or min over a window of a row, and the row of r is
     buffer[r : r + n_top + 1] of the config's one rank buffer of g
     (g_table.base).  The ranks order as the values of g do, so the extrema
@@ -740,31 +720,38 @@ class OrbitPass:
     The paths, sorted by start residue, are cut into chunks (_region_chunks)
     whose rows lie in one region of the buffer, and the windows of a chunk
     are lookups into doubling levels over its region's cells and over its
-    16-cell blocks (_RangeLookups): the horizon segments (h_{j-1}, h_j] for
-    both extrema, and the blocks and dyadic windows for the max.  The
-    results land at each path's own index, so they do not depend on the cut.
+    16-cell blocks (_RangeLookups): the prefix windows [1, h] for both
+    extrema, and the blocks and dyadic windows for the max.  The results
+    land at each path's own index, so they do not depend on the cut.
     """
 
     def __init__(self, cfg: OdometerConfig) -> None:
         horizons, n_top = cfg.horizons, cfg.horizons[-1]
+        if cfg.g_values[0] < 0:
+            raise ValueError(f"g takes the negative value {cfg.g_values[0]}: the odometer "
+                             f"reports read |g| as g, so g must be >= 0")
         buffer = cfg.g_table.base
         order = np.argsort(cfg.start_residues, kind="stable")
         starts = cfg.start_residues[order]
         chunks = _region_chunks(starts, n_top, cfg.workers)
         stride = max(int(starts[j - 1] - starts[i]) for i, j in chunks) + n_top + 1
         rows = max(j - i for i, j in chunks)
-        segments = list(zip((1,) + tuple(n + 1 for n in horizons[:-1]), horizons))
-        self.probe = BlockProbe.for_config(cfg)
-        windows = segments if self.probe is None else segments + self.probe.windows
+        prefixes = [(1, n) for n in horizons]
+        try:
+            blocks: Optional[List[Tuple[int, int, int]]] = condition17_blocks(cfg)
+        except ValueError:  # no condition17 probe; condition16 and slln still run
+            blocks = None
+        self.probe = None if blocks is None else BlockProbe(cfg, blocks)
+        windows = prefixes if self.probe is None else prefixes + self.probe.windows
         highs = _RangeLookups(np.maximum, windows, stride, rows, buffer.dtype)
-        lows = _RangeLookups(np.minimum, segments, stride, rows, buffer.dtype)
+        lows = _RangeLookups(np.minimum, prefixes, stride, rows, buffer.dtype)
         wmax, wmin = np.empty((2, cfg.paths, len(horizons)), dtype=buffer.dtype)
         for i, j in chunks:
             region = buffer[starts[i]: starts[j - 1] + n_top + 1]
             offsets = starts[i:j] - starts[i]
             maxima = highs(region, offsets)
-            wmax[order[i:j]] = np.maximum.accumulate(maxima[:, : len(horizons)], axis=1)
-            wmin[order[i:j]] = np.minimum.accumulate(lows(region, offsets), axis=1)
+            wmax[order[i:j]] = maxima[:, : len(horizons)]
+            wmin[order[i:j]] = lows(region, offsets)
             if self.probe is not None:
                 self.probe.observe(order[i:j], starts[i:j], maxima[:, len(horizons):], buffer)
         self.wmax, self.wmin = cfg.g_values.take(wmax), cfg.g_values.take(wmin)
@@ -840,6 +827,20 @@ def _new_report(condition: str, cfg: OdometerConfig) -> ConditionReport:
 # condition17: almost-sure decay probed through blocks
 # ---------------------------------------------------------------------------
 
+def condition17_blocks(cfg: OdometerConfig) -> List[Tuple[int, int, int]]:
+    """condition17's complete blocks (j, m_j, l_j) of cfg, m_j >= n0 and m_j
+    + l_j <= n_top, found without reading g; refuses a first horizon n0
+    below 16 (log log must be positive) and a range without a block."""
+    n0, n_top = cfg.horizons[0], cfg.horizons[-1]
+    if n0 < 16:
+        raise ValueError("first horizon must be >= 16 (log log must be positive)")
+    blocks = [(j, mj, ln) for j, mj, ln in blocks_for_range(cfg.block_exp, n_top)
+              if mj >= n0 and mj + ln <= n_top]
+    if not blocks:
+        raise ValueError("no complete blocks inside the horizon range; extend horizons")
+    return blocks
+
+
 def condition17_report(cfg: OdometerConfig) -> ConditionReport:
     """Block probe of (n log log n)^{-1/2} g.T^n -> 0 a.s.
 
@@ -855,15 +856,13 @@ def condition17_report(cfg: OdometerConfig) -> ConditionReport:
     matching Monte Carlo estimates of the same event.
 
     Verdict rule per eps: Borel-Cantelli increments are aggregated per
-    dyadic span of m_j and fed to _increment_trend_verdict.
+    dyadic span of m_j and fed to _increment_trend_verdict.  A config that
+    condition17_blocks refuses is refused before the orbit pass runs.
     """
     report = _new_report("condition17", cfg)
     n0, n_top = cfg.horizons[0], cfg.horizons[-1]
-    if n0 < 16:
-        raise ValueError("first horizon must be >= 16 (log log must be positive)")
+    condition17_blocks(cfg)
     probe = cfg.orbit_pass.probe
-    if probe is None:
-        raise ValueError("no complete blocks inside the horizon range; extend horizons")
     cex, blocks = cfg.cex, probe.blocks
 
     for eps in cfg.epsilons:

@@ -129,6 +129,61 @@ def test_maximal_bits_guard_edges_checked_before_drawing(tmp_path, capsys, monke
     assert not out.exists()
 
 
+class _Built(Exception):
+    """Raised by the stubbed residue table: the run got past every guard."""
+
+
+def _no_table(*args, **kwargs):
+    raise _Built
+
+
+@pytest.mark.parametrize("i_max", [24, 25])
+def test_conditions_table_guard_edges_checked_before_building(tmp_path, capsys, monkeypatch,
+                                                               i_max):
+    # the residue table of g holds 2^i_max entries, so i_max 25 must be
+    # refused before it is built; the stub fails the test if it is reached
+    # there, and at i_max 24 it stops the accepted run before the table is
+    # filled
+    monkeypatch.setattr("coblim.mc_harness.g_residue_table", _no_table)
+    config = tmp_path / "imax.json"
+    config.write_text(json.dumps({"preset": "tower-iplil",
+                                  "system": {"bits": 26, "i_max": i_max}}, indent=1))
+    out = tmp_path / "run"
+    if i_max == 24:
+        with pytest.raises(_Built):
+            run_cli("conditions", "--config", str(config), "--out", str(out))
+        return
+    line = next(i for i, text in enumerate(config.read_text().splitlines(), start=1)
+                if '"i_max"' in text)
+    code = run_cli("conditions", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert f"imax.json:{line}: resource guard: i_max=25 exceeds 24" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("horizons, message", [
+    ([8, 64], "first horizon must be >= 16"),
+    ([17, 18], "no complete blocks inside the horizon range"),
+], ids=["first-below-16", "no-block"])
+def test_conditions_horizon_preconditions_checked_before_the_table(tmp_path, capsys,
+                                                                   monkeypatch, horizons,
+                                                                   message):
+    # condition17's preconditions are refused at the horizons line before the
+    # table of g is built and condition16's pass runs
+    monkeypatch.setattr("coblim.mc_harness.g_residue_table", _no_table)
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps({"preset": "tower-iplil", "horizons": {"n": horizons}},
+                                 indent=1))
+    line = next(i for i, text in enumerate(config.read_text().splitlines(), start=1)
+                if '"n"' in text)
+    assert line > 1
+    out = tmp_path / "run"
+    code = run_cli("conditions", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert f"short.json:{line}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_series_preset_exits_zero_with_three_verdicts(tmp_path, capsys):
     code = run_cli("series", "--preset", "series-327", "--out", str(tmp_path))
     out = capsys.readouterr().out

@@ -313,6 +313,30 @@ def test_peak_fraction_above_peak_is_empty():
     assert len(PeakFraction(Fraction(1)).qualifying_j(m)) == 1  # peak only
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), i=st.integers(2, 14),
+       amplitude=st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False),
+       where=st.sampled_from(["below", "at", "above", "nonpositive", "over-peak"]))
+def test_absolute_threshold_qualifies_the_levels_that_meet_it(data, i, amplitude, where):
+    # the qualifying j are exactly those whose profile value is >= the
+    # threshold, compared as floats, for thresholds at u * a, its float
+    # neighbours, <= 0 and above the peak
+    n = 1 << i
+    k = data.draw(st.integers(1, n // 2 - 1))
+    m = TowerLevelMap(i=i, n=n, k=k, amplitude=amplitude)
+    u = data.draw(st.integers(1, k))
+    value = {
+        "below": math.nextafter(u * amplitude, -math.inf),
+        "at": u * amplitude,
+        "above": math.nextafter(u * amplitude, math.inf),
+        "nonpositive": -data.draw(st.floats(0.0, 1e6)),
+        "over-peak": math.nextafter(k * amplitude, math.inf) * data.draw(st.floats(1.0, 4.0)),
+    }[where]
+    levels, values = m.profile()
+    expected = [j for j, v in zip(n - levels, values.tolist()) if v >= value]
+    assert list(AbsoluteThreshold(value).qualifying_j(m)) == expected
+
+
 def test_violation_probability_exact_type():
     cex = small_iplil(i_max=8, bits=10)
     prob = exact_violation_probability(cex, 7, PeakFraction(Fraction(1, 3)), None)

@@ -158,6 +158,18 @@ def test_config_rejects_thin_sampling():
             make(horizons=(64,), paths=50, seed=1)
 
 
+@pytest.mark.parametrize("i_max", [24, 25])
+def test_config_odometer_table_guard(i_max):
+    # the residue table of g holds 2^i_max entries: 2^24 are accepted, 2^25
+    # refused when the config is made, before the table is built
+    cex = dataclasses.replace(cex_with_bits(30), i_max=i_max)
+    if i_max == 24:
+        assert odometer_config(cex=cex).cex.i_max == 24
+        return
+    with pytest.raises(ValueError, match="resource guard: i_max=25 exceeds 24"):
+        odometer_config(cex=cex)
+
+
 def test_config_odometer_horizon_guard():
     with pytest.raises(ValueError, match="too long"):
         odometer_config(cex=cex_with_bits(12), horizons=(4096,), paths=200)
@@ -237,14 +249,14 @@ def window_hits(table, pairs):
 
 def test_condition16_counts_maxima_that_meet_the_threshold():
     # a table that takes the thresholds eps sqrt(n) themselves on a twentieth
-    # of its cells and -1 elsewhere, so that window maxima meet them exactly:
+    # of its cells and 0 elsewhere, so that window maxima meet them exactly:
     # the exact counts (read on ranks) and the estimates both count a max
     # equal to its threshold, as brute force over the table does
     cfg = odometer_config(horizons=(16, 64))
     m, n_top = 1 << cfg.cex.i_max, cfg.horizons[-1]
     rng = np.random.default_rng(29)
     thresholds = [eps * math.sqrt(n) for n in cfg.horizons for eps in cfg.epsilons]
-    table = np.where(rng.random(m) < 0.05, rng.choice(thresholds, m), -1.0)
+    table = np.where(rng.random(m) < 0.05, rng.choice(thresholds, m), 0.0)
     write_g(cfg, table)
     report = condition16_report(cfg)
     pairs = [(row["threshold"], row["n"]) for row in report.rows]
@@ -365,9 +377,9 @@ def test_tower_iplil_pass_holds_one_uint16_table_and_chunk_sized_temporaries():
                          ids=["M-above-top-horizon", "top-horizon-above-M"])
 def test_orbits_and_window_extrema_match_modular_gather(i_max, horizons):
     # the buffer of g holds the orbit row of every residue r at r; a random
-    # table without zeros, written into that buffer before the pass, makes
-    # both window ends matter; i_max = 4 (M = 16) wraps the orbit rows around
-    # the table more than once
+    # nonnegative table without zeros, written into that buffer before the
+    # pass, makes both window ends matter; i_max = 4 (M = 16) wraps the orbit
+    # rows around the table more than once
     cex = build_tower_counterexample("ip_lil", p=1.2, r=4.0, i_max=i_max, bits=14)
     n_top, m = horizons[-1], 1 << i_max
     extrema = []
@@ -379,7 +391,7 @@ def test_orbits_and_window_extrema_match_modular_gather(i_max, horizons):
         cyclic = (np.arange(m)[:, None] + np.arange(n_top + 1)[None, :]) % m
         rows = sliding_window_view(buffer, n_top + 1)[:m]
         assert np.array_equal(rows, cfg.g_table[cyclic])
-        table = np.random.default_rng(5).standard_normal(m)
+        table = np.abs(np.random.default_rng(5).standard_normal(m))
         write_g(cfg, table)
         full = table[cyclic]
         rows = sliding_window_view(cfg.g_table.base, n_top + 1)[:m]
@@ -557,13 +569,14 @@ def test_condition17_and_slln_reports_run():
 
 def test_slln_window_extrema_match_brute_force_on_table_without_zeros():
     # On the tower tables g vanishes on most residues, so most window minima
-    # are 0 and a window that misses one end goes unseen.  A random table
-    # without zeros and short horizons make both window ends matter.
+    # are 0 and a window that misses one end goes unseen.  A random
+    # nonnegative table without zeros and short horizons make both window
+    # ends matter; its scale puts every estimate strictly inside (0, 1).
     cfg = odometer_config(horizons=(4, 16), epsilons=(0.25, 0.4))
     m = 1 << cfg.cex.i_max
     assert len(cfg.g_table) == m
-    table = np.random.default_rng(11).standard_normal(m)
-    assert np.all(table != 0.0)
+    table = 2.0 * np.abs(np.random.default_rng(11).standard_normal(m))
+    assert np.all(table > 0.0)
     write_g(cfg, table)
     res = cfg.start_residues
     alpha = cfg.resolved_alpha()
@@ -586,11 +599,13 @@ def test_slln_window_extrema_match_brute_force_on_table_without_zeros():
 def test_orbit_pass_matches_brute_force_over_full_rows(monkeypatch, i_max, horizons,
                                                        block_exp):
     # every output of the pass against maxima, minima and ratios over whole
-    # orbit rows, on a table of both signs and on one of negative values and
-    # a few zeros, where the tail sup is often 0 inside a block and its
-    # bracket is a single value, and, with a probe, on one that takes the
-    # probe's thresholds on a tenth of its cells and -1 elsewhere, so that
-    # window maxima meet thresholds exactly (> and >= differ there);
+    # orbit rows, on a table of squared normals (its spread over several
+    # orders of magnitude keeps some but not all block maxima above every
+    # threshold) and on their integer parts, mostly zeros and ties, where the
+    # tail sup is often 0 inside a block and its bracket is a single value,
+    # and, with a probe, on one that takes the probe's thresholds on a tenth
+    # of its cells and 0 elsewhere, so that window maxima meet thresholds
+    # exactly (> and >= differ there);
     # horizons off the 16-cell grid, blocks longer than 32 cells
     # (long-blocks), no condition17 probe (no-probe), windows of one cell
     # (one-cell-segments) and orbit rows that wrap around M = 16.  The caps
@@ -598,17 +613,16 @@ def test_orbit_pass_matches_brute_force_over_full_rows(monkeypatch, i_max, horiz
     cex = build_tower_counterexample("ip_lil", p=1.2, r=4.0, i_max=i_max, bits=14)
     n0, n_top, m = horizons[0], horizons[-1], 1 << i_max
     rng = np.random.default_rng(i_max + n_top)
-    signed = rng.standard_normal(m)
-    assert np.any(signed < 0) and np.any(signed > 0)
-    nonpositive = -np.abs(signed)
-    nonpositive[::13] = 0.0
-    tables = [signed, nonpositive]
-    probe = mc_harness.BlockProbe.for_config(odometer_config(
-        cex=cex, horizons=horizons, block_exp=block_exp, epsilons=(0.1, 0.3)))
+    squares = rng.standard_normal(m) ** 2
+    floors = np.floor(squares)
+    assert np.any(floors == 0.0) and np.any(floors > 0.0)
+    tables = [squares, floors]
+    probe = odometer_config(cex=cex, horizons=horizons, block_exp=block_exp,
+                            epsilons=(0.1, 0.3)).orbit_pass.probe
     if probe is not None:
         thresholds = np.concatenate([*probe.thresholds.values(),
                                      *probe.dyadic_thresholds.values()])
-        tables.append(np.where(rng.random(m) < 0.1, rng.choice(thresholds, m), -1.0))
+        tables.append(np.where(rng.random(m) < 0.1, rng.choice(thresholds, m), 0.0))
     for table, (cells, paths) in itertools.product(
             tables,
             ((1, 2), (n_top + 9, 3), (mc_harness._REGION_CELLS, mc_harness._REGION_PATHS))):
@@ -637,7 +651,7 @@ def test_orbit_pass_matches_brute_force_over_full_rows(monkeypatch, i_max, horiz
             maxima = [full[:, mj: mj + ln + 1].max(axis=1) for _, mj, ln in probe.blocks]
             hits = [np.count_nonzero(w > thr) for w, thr in zip(maxima, probe.thresholds[eps])]
             assert probe.block_hits[eps].tolist() == hits
-            assert table is not signed or 0 < sum(hits) < cfg.paths * len(hits)
+            assert table is not squares or 0 < sum(hits) < cfg.paths * len(hits)
             ties += sum(np.count_nonzero(w == thr)
                         for w, thr in zip(maxima, probe.thresholds[eps]))
         dyadic = [i for i in range(cex.i0, i_max + 1)
@@ -650,6 +664,21 @@ def test_orbit_pass_matches_brute_force_over_full_rows(monkeypatch, i_max, horiz
             assert probe.dyadic_hits[eps].tolist() == hits
             ties += sum(np.count_nonzero(w == thr) for w, thr in zip(maxima, thresholds))
         assert table is not tables[-1] or ties > 0
+
+
+def test_orbit_pass_refuses_negative_g():
+    # the odometer reports read |g| as g, which holds for every tower
+    # counterexample (g >= 0); a table with a negative value is refused
+    # before any window is read, one with a least value of 0 is not
+    cfg = odometer_config(horizons=(16, 64))
+    table = np.abs(np.random.default_rng(31).standard_normal(1 << cfg.cex.i_max))
+    table[7] = -table[7]
+    write_g(cfg, table)
+    with pytest.raises(ValueError, match=r"read \|g\| as g, so g must be >= 0"):
+        cfg.orbit_pass
+    table[7] = 0.0
+    write_g(cfg, table)
+    assert cfg.g_values[0] == 0.0 and cfg.orbit_pass.wmin.min() == 0.0
 
 
 @pytest.mark.parametrize("ufunc", [np.maximum, np.minimum], ids=["max", "min"])
@@ -679,22 +708,20 @@ def test_range_lookups_match_window_reductions_at_every_offset(ufunc):
 @pytest.mark.parametrize("cells, paths", [(1, 2), (300, 7), (None, None)],
                          ids=["one-row-regions", "small-regions", "preset-regions"])
 def test_orbit_pass_long_windows_match_modular_gather(monkeypatch, cells, paths):
-    # horizon segments of 31, 32, 33, 47 and 48 cells and dyadic windows of
+    # prefix windows of 31, 32, 33, 47, 48 and 191 cells and dyadic windows of
     # 33 and 65 cells; 1500 paths on M = 2^10 put rows at every offset mod 16
     # of their regions, first rows that start a region and last rows that end it
     if cells is not None:
         monkeypatch.setattr(mc_harness, "_REGION_CELLS", cells)
         monkeypatch.setattr(mc_harness, "_REGION_PATHS", paths)
     cex = build_tower_counterexample("ip_lil", p=1.2, r=4.0, i_max=10, bits=14)
-    horizons = (31, 63, 96, 143, 191)
+    horizons = (31, 32, 33, 47, 48, 191)
     n_top, m = horizons[-1], 1 << 10
-    table = np.random.default_rng(23).standard_normal(m)
+    table = np.abs(np.random.default_rng(23).standard_normal(m))
     cfg = odometer_config(cex=cex, horizons=horizons, paths=1500, epsilons=(0.2, 0.25))
     write_g(cfg, table)
     full = table[(cfg.start_residues[:, None] + np.arange(n_top + 1)) % m]
     run = cfg.orbit_pass
-    segments = list(zip((1,) + tuple(n + 1 for n in horizons[:-1]), horizons))
-    assert [b - a + 1 for a, b in segments] == [31, 32, 33, 47, 48]
     for gi, n in enumerate(horizons):
         assert run.wmax[:, gi].tobytes() == full[:, 1: n + 1].max(axis=1).tobytes()
         assert run.wmin[:, gi].tobytes() == full[:, 1: n + 1].min(axis=1).tobytes()
