@@ -288,10 +288,10 @@ class ConfigView:
             return default
         val = sec[key]
         kinds = kind if isinstance(kind, tuple) else (kind,)
+        names = "/".join(k.__name__ for k in kinds)
         if isinstance(val, bool) and bool not in kinds:
-            raise self.fail(key, f"{section}.{key} must be {kind}, got a boolean")
+            raise self.fail(key, f"{section}.{key} must be {names}, got a boolean")
         if not isinstance(val, kinds):
-            names = "/".join(k.__name__ for k in kinds)
             raise self.fail(key, f"{section}.{key} must be {names}, got {type(val).__name__}")
         if check is not None and not check(val):
             raise self.fail(key, f"{section}.{key} = {val!r} invalid" +
@@ -707,14 +707,16 @@ def _run_series(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
 
 def _run_validate(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     expo = view.section("exponents")
-    known = {k: v for k, v in expo.items() if v is not None}
-    if view.get("exponents", "q", (int, float)) is not None:
+    # numbers or exact decimal strings such as "6/5", never JSON booleans
+    known = {k: view.get("exponents", k, (int, float, str)) for k, v in expo.items()
+             if v is not None}
+    if "q" in known:
         default_thms = ["2.7", "2.11"]
     else:
         default_thms = ["2.1", "2.4i", "2.4ii", "2.10"]
     theorems = view.get("system", "theorems", list, default=default_thms)
     combined = CriteriaReport(title="exponent hypothesis windows",
-                              context={"exponents": dict(known)})
+                              context={"exponents": known})
     rows = []
     for thm in theorems:
         if thm not in THEOREM_IDS:

@@ -24,7 +24,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,6 +34,8 @@ __all__ = [
     "TowerLevelMap",
     "TowerCounterexample",
     "build_tower_counterexample",
+    "exact_exponent",
+    "feasibility_checks",
     "truncation_tail_bound",
     "orbit_truncation_bound",
     "exact_norms",
@@ -140,13 +142,63 @@ class TowerCounterexample:
         return out
 
 
-Exponent = Union[float, Fraction]
+Exponent = Union[int, float, str, Fraction]
 
 
-def _window_bounds(kind: str, p: Exponent, r: Exponent,
-                   q: Optional[Exponent]) -> Tuple[Exponent, Exponent]:
-    """The open window of the kind's exponent (alpha for ip_lil, beta for
-    slln), in floats or, from `validate_hypotheses`, exactly in Fractions."""
+def exact_exponent(x: Exponent) -> Fraction:
+    """Exact rational from an exponent.
+
+    Floats are read through their decimal repr, so p = 1.6 means the decimal
+    8/5, not the binary double nearest to it; boundary cases like
+    p = r/(r-1) then compare exactly.
+    """
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    return Fraction(str(x))
+
+
+def feasibility_checks(kind: str, p: Exponent, r: Exponent, q: Optional[Exponent],
+                       context: Dict[str, Any]) -> Iterator[Tuple[str, bool, float, str]]:
+    """The exponent hypotheses of the kind's counterexample, decided exactly,
+    as (name, passed, margin, detail) checks; the margin is the distance to
+    the boundary (positive = strict slack).
+
+    ip_lil (theorem 2.10): 1 <= p < 2 <= r and p < r/(r-1); slln (theorem
+    2.11): 1 < p < 2, 1 <= q < p < r and q < (p-1)r/(r-1).  Each kind ends
+    with the open window of its exponent (alpha / beta), nonempty exactly
+    when its strict inequality holds.  The exponents are read by
+    exact_exponent and the checks are yielded in that order, so a caller may
+    stop at the first failing one: the range checks come before any division
+    by r - 1 or p.  `context` receives the exponents, the boundary and the
+    window as Fractions.  build_tower_counterexample and
+    mc_harness.validate_hypotheses both decide the kinds by this rule.
+    """
+    p, r = exact_exponent(p), exact_exponent(r)
+    if kind == "ip_lil":
+        context["p"], context["r"] = p, r
+        yield ("1 <= p < 2 <= r", 1 <= p < 2 <= r, float(min(p - 1, 2 - p, r - 2)),
+               f"p = {p}, r = {r}")
+        bound = r / (r - 1)
+        context["feasibility_gap"] = (bound - p) / 2
+        yield "p < r/(r-1)", p < bound, float(bound - p), f"r/(r-1) = {bound}"
+        lo, hi, note = (r - 2) / (2 * (r - 1)), 1 - p / 2, ", width = feasibility gap"
+    else:
+        q = exact_exponent(q)  # type: ignore[arg-type]
+        context["q"], context["p"], context["r"] = q, p, r
+        yield "1 < p < 2", 1 < p < 2, float(min(p - 1, 2 - p)), f"p = {p}"
+        yield ("1 <= q < p < r", 1 <= q < p < r, float(min(q - 1, p - q, r - p)),
+               f"q = {q}, p = {p}, r = {r}")
+        bound = (p - 1) * r / (r - 1)
+        context["(p-1)r/(r-1)"] = bound
+        yield "q < (p-1)r/(r-1)", q < bound, float(bound - q), f"(p-1)r/(r-1) = {bound}"
+        lo, hi, note = (r - p) / (p * (r - 1)), 1 - q / p, ""
+    context["window"] = (lo, hi)
+    yield "window nonempty", lo < hi, float(hi - lo), f"({float(lo):.6g}, {float(hi):.6g}){note}"
+
+
+def _window_bounds(kind: str, p: float, r: float, q: Optional[float]) -> Tuple[float, float]:
+    """The open window of the kind's exponent in floats, for the default
+    midpoint only; feasibility_checks decides the window exactly."""
     if kind == "ip_lil":
         return (r - 2) / (2 * (r - 1)), 1 - p / 2
     return (r - p) / (p * (r - 1)), 1 - q / p  # type: ignore[operator]
@@ -172,7 +224,8 @@ def build_tower_counterexample(
 
     Args:
         kind: "ip_lil" (needs 1 <= p < 2 <= r, p < r/(r-1)) or "slln"
-            (needs 1 <= q < p < r, 1 < p < 2, q < (p-1)r/(r-1)).
+            (needs 1 <= q < p < r, 1 < p < 2, q < (p-1)r/(r-1)); decided
+            exactly by feasibility_checks.
         window_exp: exponent in the open feasibility window; default midpoint.
         i0: first tower index; default is the smallest i with 2k_i < n_i and
             n_i > e^e (keeps log log n_i positive).
@@ -180,40 +233,28 @@ def build_tower_counterexample(
         bits: odometer precision B >= i_max.
 
     Raises:
-        ValueError naming the violated strict inequality when the exponents
-        sit on or beyond a boundary, or when the window is empty.
+        ValueError "feasibility fails: <check> (<detail>)" at the first
+        failing check of feasibility_checks, so when the exponents sit on or
+        beyond a boundary; and when the window exponent is outside the exact
+        open window.
     """
     if kind not in ("ip_lil", "slln"):
         raise ValueError(f"unknown kind {kind!r}")
-    if kind == "ip_lil":
-        if q is not None:
-            raise ValueError("q is only a parameter of the slln kind")
-        if not (1 <= p < 2 <= r):
-            raise ValueError(f"need 1 <= p < 2 <= r, got p={p}, r={r}")
-        if not p < r / (r - 1):
-            raise ValueError(
-                f"feasibility fails: need p < r/(r-1) = {r / (r - 1):.6g} (got p={p}); "
-                "the window of admissible exponents is empty"
-            )
-    else:
-        if q is None:
-            raise ValueError("the slln kind requires q")
-        if not (1 <= q < p < r and 1 < p < 2):
-            raise ValueError(f"need 1 <= q < p < r and 1 < p < 2, got q={q}, p={p}, r={r}")
-        if not q < (p - 1) * r / (r - 1):
-            raise ValueError(
-                f"feasibility fails: need q < (p-1)r/(r-1) = {(p - 1) * r / (r - 1):.6g} "
-                f"(got q={q}); the window of admissible exponents is empty"
-            )
-    lo, hi = _window_bounds(kind, p, r, q)
-    if not lo < hi:
-        raise ValueError(f"window ({lo:.6g}, {hi:.6g}) for the {kind} exponent is empty")
+    if kind == "ip_lil" and q is not None:
+        raise ValueError("q is only a parameter of the slln kind")
+    if kind == "slln" and q is None:
+        raise ValueError("the slln kind requires q")
+    context: Dict[str, Any] = {}
+    for name, passed, _, detail in feasibility_checks(kind, p, r, q, context):
+        if not passed:
+            raise ValueError(f"feasibility fails: {name} ({detail})")
+    lo, hi = context["window"]
     if window_exp is None:
-        window_exp = (lo + hi) / 2
-    if not lo < window_exp < hi:
-        raise ValueError(
-            f"window exponent {window_exp} outside the open window ({lo:.6g}, {hi:.6g})"
-        )
+        float_lo, float_hi = _window_bounds(kind, p, r, q)
+        window_exp = (float_lo + float_hi) / 2
+    if not lo < exact_exponent(window_exp) < hi:
+        raise ValueError(f"window exponent {window_exp} outside the open window "
+                         f"({float(lo):.6g}, {float(hi):.6g})")
 
     def k_of(i: int) -> int:
         return math.ceil(2 ** (i * window_exp))

@@ -60,11 +60,12 @@ from . import __version__
 from .counterexamples import (
     AbsoluteThreshold,
     TowerCounterexample,
-    _window_bounds,
     _window_hit_counts,
     blocks_for_range,
     check_table_bits,
+    exact_exponent,
     exact_violation_probability,
+    feasibility_checks,
     g_rank_dtype,
     g_residue_table,
     orbit_truncation_bound,
@@ -141,25 +142,11 @@ SHIFT_FUNCTIONS: Dict[str, ShiftFunction] = {
 # hypothesis validation (exact rational arithmetic)
 # ---------------------------------------------------------------------------
 
-def _frac(x: Union[int, float, str, Fraction]) -> Fraction:
-    """Exact rational from user input.
-
-    Floats are read through their decimal repr, so validate_hypotheses(p=1.6)
-    means the decimal 8/5, not the binary double nearest to it; boundary
-    cases like p = r/(r-1) then compare exactly.
-    """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(str(x))
-
-
 def _need(exponents: Mapping[str, Any], *names: str) -> List[Fraction]:
     missing = [n for n in names if n not in exponents or exponents[n] is None]
     if missing:
         raise ValueError(f"missing exponent(s): {', '.join(missing)}")
-    return [_frac(exponents[n]) for n in names]
+    return [exact_exponent(exponents[n]) for n in names]
 
 
 THEOREM_IDS = ("2.1", "2.4i", "2.4ii", "2.7", "2.10", "2.11")
@@ -171,10 +158,14 @@ def validate_hypotheses(exponents: Mapping[str, Any], theorem: str) -> CriteriaR
     Supported ids: "2.1" (weak invariance principle via weak-norm pair),
     "2.4i"/"2.4ii" (iterated logarithm, strict/boundary), "2.7" (strong-law
     series), "2.10" and "2.11" (counterexample feasibility windows).  Every
-    comparison is performed in rational arithmetic; margins are distances to
-    the relevant boundary (positive = strict slack).  Where the construction
-    needs an auxiliary exponent window, the open interval is reported in the
-    context and its nonemptiness is a named check.
+    comparison is performed in rational arithmetic, on exponents read by
+    counterexamples.exact_exponent (floats through their decimal repr);
+    margins are distances to the relevant boundary (positive = strict
+    slack).  Where the construction needs an auxiliary exponent window, the
+    open interval is reported in the context and its nonemptiness is a named
+    check.  The checks of 2.10 and 2.11 are counterexamples.feasibility_checks
+    for the ip_lil and slln kinds, the rule by which build_tower_counterexample
+    accepts or refuses the same exponents.
     """
     if theorem not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
@@ -186,7 +177,7 @@ def validate_hypotheses(exponents: Mapping[str, Any], theorem: str) -> CriteriaR
         (p,) = _need(exponents, "p")
         report.add("1 < p < 2", 1 < p < 2, float(min(p - 1, 2 - p)),
                    detail=f"p = {p}")
-        r = _frac(exponents["r"]) if exponents.get("r") is not None else p / (p - 1)
+        r = exact_exponent(exponents["r"]) if exponents.get("r") is not None else p / (p - 1)
         ctx["p"] = p
         ctx["r_conjugate"] = r
         lo, hi = 1 - p / 2, (r / 2 - 1) / (r - 1)
@@ -228,31 +219,12 @@ def validate_hypotheses(exponents: Mapping[str, Any], theorem: str) -> CriteriaR
                    detail=f"[{float(lo):.6g}, {float(hi):.6g}]")
     elif theorem == "2.10":
         p, r = _need(exponents, "p", "r")
-        ctx["p"], ctx["r"] = p, r
-        report.add("1 <= p < 2 <= r", 1 <= p < 2 <= r,
-                   float(min(p - 1, 2 - p, r - 2)), detail=f"p = {p}, r = {r}")
-        gap = Fraction(1, 2) * (r / (r - 1) - p)
-        ctx["feasibility_gap"] = gap
-        report.add("p < r/(r-1)", p < r / (r - 1), float(r / (r - 1) - p),
-                   detail=f"r/(r-1) = {r / (r - 1)}")
-        lo, hi = _window_bounds("ip_lil", p, r, None)
-        ctx["window"] = (lo, hi)
-        report.add("window nonempty", lo < hi, float(hi - lo),
-                   detail=f"({float(lo):.6g}, {float(hi):.6g}), width = feasibility gap")
+        for check in feasibility_checks("ip_lil", p, r, None, ctx):
+            report.add(*check)
     else:  # 2.11
         q, p, r = _need(exponents, "q", "p", "r")
-        ctx["q"], ctx["p"], ctx["r"] = q, p, r
-        report.add("1 < p < 2", 1 < p < 2, float(min(p - 1, 2 - p)), detail=f"p = {p}")
-        report.add("1 <= q < p < r", 1 <= q < p < r,
-                   float(min(q - 1, p - q, r - p)), detail=f"q = {q}, p = {p}, r = {r}")
-        bound = (p - 1) * r / (r - 1)
-        ctx["(p-1)r/(r-1)"] = bound
-        report.add("q < (p-1)r/(r-1)", q < bound, float(bound - q),
-                   detail=f"(p-1)r/(r-1) = {bound}")
-        lo, hi = _window_bounds("slln", p, r, q)
-        ctx["window"] = (lo, hi)
-        report.add("window nonempty", lo < hi, float(hi - lo),
-                   detail=f"({float(lo):.6g}, {float(hi):.6g})")
+        for check in feasibility_checks("slln", p, r, q, ctx):
+            report.add(*check)
     return report
 
 

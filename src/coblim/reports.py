@@ -54,8 +54,6 @@ def jsonable(obj: Any) -> Any:
         return [jsonable(v) for v in obj]
     if hasattr(obj, "tolist"):  # numpy array or scalar
         return jsonable(obj.tolist())
-    if hasattr(obj, "item") and not isinstance(obj, (int, float, str, bool)):
-        return obj.item()
     return obj
 
 

@@ -203,6 +203,47 @@ def test_validate_failing_window_exits_one(tmp_path):
     assert code == 1  # the 2.1 window is degenerate-empty at (1.2, 4)
 
 
+def test_validate_reads_decimal_string_exponents(tmp_path):
+    config = tmp_path / "frac.json"
+    config.write_text(json.dumps({"system": {"theorems": ["2.10"]},
+                                  "exponents": {"p": "6/5", "r": 4.0}}))
+    out = tmp_path / "run"
+    assert run_cli("validate", "--config", str(config), "--out", str(out)) == 0
+    assert "p = 6/5, r = 4" in (out / "windows.csv").read_text()
+
+
+def test_validate_refuses_boolean_exponent_at_its_line(tmp_path, capsys):
+    # JSON true is not the exponent 1
+    config = tmp_path / "bool.json"
+    config.write_text(json.dumps({"exponents": {"p": True, "r": 4.0}}, indent=1))
+    line = next(i for i, text in enumerate(config.read_text().splitlines(), start=1)
+                if '"p"' in text)
+    out = tmp_path / "run"
+    code = run_cli("validate", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert f"bool.json:{line}: exponents.p must be int/float/str, got a boolean" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["counterexample", "conditions"])
+def test_boundary_exponents_refused_at_system_line(tmp_path, capsys, subcommand):
+    # q = (p-1)r/(r-1) = 21/20 exactly: the window of the slln kind is empty
+    config = tmp_path / "edge.json"
+    config.write_text(json.dumps({
+        "system": {"name": "odometer", "kind": "slln", "bits": 16, "i0": 4, "i_max": 12},
+        "exponents": {"q": 1.05, "p": 1.3, "r": 1.4},
+    }, indent=1))
+    line = next(i for i, text in enumerate(config.read_text().splitlines(), start=1)
+                if '"system"' in text)
+    out = tmp_path / "run"
+    code = run_cli(subcommand, "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert (f"edge.json:{line}: counterexample construction rejected: "
+            f"feasibility fails: q < (p-1)r/(r-1)") in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # config loading and line-anchored errors
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coblim.counterexamples import (
@@ -24,6 +24,7 @@ from coblim.counterexamples import (
     orbit_truncation_bound,
     truncation_tail_bound,
 )
+from coblim.mc_harness import validate_hypotheses
 from oracles import eval_g, g_table_per_level, tower_value, violation_probability_bruteforce
 
 
@@ -50,6 +51,31 @@ def test_feasibility_rejects_empty_window_slln():
     # needs q < (p-1)r/(r-1) = 0.5*1.8/0.8 at p=1.5, r=1.8
     with pytest.raises(ValueError, match="feasibility"):
         build_tower_counterexample("slln", p=1.5, r=1.8, q=1.2)
+
+
+def _builds(kind, p, r, q):
+    """Whether the construction accepts the exponents; a refusal must be a
+    feasibility failure."""
+    try:
+        build_tower_counterexample(kind, p, r, q=q, i_max=12, bits=12)
+    except ValueError as exc:
+        assert str(exc).startswith("feasibility fails: ")
+        return False
+    return True
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(100, 250), st.integers(101, 600), st.integers(100, 250))
+@example(130, 140, 105)  # slln: q = (p-1)r/(r-1) = 21/20 exactly
+@example(150, 300, 100)  # ip_lil: p = r/(r-1) = 3/2 exactly
+def test_construction_accepts_exactly_the_validated_exponents(a, b, c):
+    # two-decimal exponents: the construction and validate decide each kind
+    # by one exact rule, so they agree on and beside every boundary
+    p, r, q = a / 100, b / 100, c / 100
+    assert _builds("ip_lil", p, r, None) == validate_hypotheses(
+        {"p": p, "r": r}, "2.10").all_passed
+    assert _builds("slln", p, r, q) == validate_hypotheses(
+        {"q": q, "p": p, "r": r}, "2.11").all_passed
 
 
 def test_kind_validation():
