@@ -721,7 +721,8 @@ def _run_validate(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     for thm in theorems:
         if thm not in THEOREM_IDS:
             raise view.fail("theorems", f"unknown theorem id {thm!r}; known: {THEOREM_IDS}")
-        with view.blame("exponents", prefix=f"window {thm}: ", errors=(ValueError, KeyError)):
+        with view.blame("exponents", prefix=f"window {thm}: ",
+                        errors=(ValueError, KeyError, ZeroDivisionError)):
             rep = validate_hypotheses(expo, thm)
         combined.absorb(thm, rep)
         rows += [[thm, c.name, int(c.passed), c.margin, c.detail] for c in rep.checks]

@@ -196,14 +196,6 @@ def feasibility_checks(kind: str, p: Exponent, r: Exponent, q: Optional[Exponent
     yield "window nonempty", lo < hi, float(hi - lo), f"({float(lo):.6g}, {float(hi):.6g}){note}"
 
 
-def _window_bounds(kind: str, p: float, r: float, q: Optional[float]) -> Tuple[float, float]:
-    """The open window of the kind's exponent in floats, for the default
-    midpoint only; feasibility_checks decides the window exactly."""
-    if kind == "ip_lil":
-        return (r - 2) / (2 * (r - 1)), 1 - p / 2
-    return (r - p) / (p * (r - 1)), 1 - q / p  # type: ignore[operator]
-
-
 def _amplitude(kind: str, p: float, n: int, k: int) -> float:
     if kind == "ip_lil":
         return math.sqrt(n * math.log(math.log(n))) / k
@@ -250,8 +242,7 @@ def build_tower_counterexample(
             raise ValueError(f"feasibility fails: {name} ({detail})")
     lo, hi = context["window"]
     if window_exp is None:
-        float_lo, float_hi = _window_bounds(kind, p, r, q)
-        window_exp = (float_lo + float_hi) / 2
+        window_exp = float((lo + hi) / 2)
     if not lo < exact_exponent(window_exp) < hi:
         raise ValueError(f"window exponent {window_exp} outside the open window "
                          f"({float(lo):.6g}, {float(hi):.6g})")

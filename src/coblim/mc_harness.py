@@ -165,7 +165,9 @@ def validate_hypotheses(exponents: Mapping[str, Any], theorem: str) -> CriteriaR
     open interval is reported in the context and its nonemptiness is a named
     check.  The checks of 2.10 and 2.11 are counterexamples.feasibility_checks
     for the ip_lil and slln kinds, the rule by which build_tower_counterexample
-    accepts or refuses the same exponents.
+    accepts or refuses the same exponents.  Every check of a theorem is
+    computed, so exponents that put one of its boundary formulas on a pole
+    (r = 1, or p = 0 or 1) raise ZeroDivisionError.
     """
     if theorem not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")

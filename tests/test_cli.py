@@ -226,6 +226,26 @@ def test_validate_refuses_boolean_exponent_at_its_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("theorem, exponents", [
+    ("2.10", {"p": 1.2, "r": 1}),
+    ("2.11", {"q": 1.1, "p": 1.2, "r": 1}),
+    ("2.11", {"q": 1.1, "p": 0, "r": 3.0}),
+], ids=["iplil-r1", "slln-r1", "slln-p0"])
+def test_validate_refuses_exponents_on_a_pole_at_their_line(tmp_path, capsys, theorem,
+                                                            exponents):
+    # r = 1 or p = 0 puts a boundary formula of the shared rule on a pole
+    config = tmp_path / "pole.json"
+    config.write_text(json.dumps({"system": {"theorems": [theorem]},
+                                  "exponents": exponents}, indent=1))
+    line = next(i for i, text in enumerate(config.read_text().splitlines(), start=1)
+                if '"exponents"' in text)
+    out = tmp_path / "run"
+    code = run_cli("validate", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert f"pole.json:{line}: window {theorem}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand", ["counterexample", "conditions"])
 def test_boundary_exponents_refused_at_system_line(tmp_path, capsys, subcommand):
     # q = (p-1)r/(r-1) = 21/20 exactly: the window of the slln kind is empty
