@@ -377,7 +377,7 @@ Artifacts = Dict[str, str]  # file name -> exact text
 def _records_csv(records: Sequence[Dict[str, Any]]) -> str:
     """CRLF table of dict rows, columns in first-seen key order."""
     keys = list(dict.fromkeys(k for row in records for k in row))
-    return csv_text(keys, [[row.get(k) for k in keys] for row in records], "\r\n")
+    return csv_text(keys, (map(row.get, keys) for row in records), "\r\n")
 
 
 def _report_json(report: CriteriaReport, sha: str) -> str:

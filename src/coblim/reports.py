@@ -4,6 +4,9 @@ Every analysis in the package funnels its verdicts through CriteriaReport so
 the CLI can exit nonzero when a hard check fails.  Every artifact's text
 comes from ``canonical_json`` (sorted keys, trailing newline, repr-floats),
 ``csv_text`` or ``plot_text``, so repeated runs are byte-identical.
+``canonical_json`` is one walk that converts report values as ``jsonable``
+does and writes the indentation of ``json.dumps(indent=2)``; the stdlib's C
+encoder formats the scalars, one call per container or per row table.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
-from typing import Any, Dict, List, Sequence
+from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Any, Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -30,35 +35,89 @@ __all__ = [
 
 
 _PLAIN_TYPES = frozenset({float, int, str, bool, type(None)})
+_NESTED = (dict, list, tuple)
+# Scalars the C encoder writes as json.dumps writes their jsonable value:
+# np.float64 is a float subclass, written by float's repr as its tolist() is.
+_FLAT = _PLAIN_TYPES | {np.float64}
+# Item separator "\0": ensure_ascii escapes every NUL inside a string, so
+# each raw NUL of the output is a separator.
+_ENCODE = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                         ": ", "\0", True, False, True)
+
+
+def _encode(obj: Any) -> str:
+    """``obj``'s compact JSON text; the C encoder may return it in several
+    chunks (CPython 3.10 and 3.11 flush every 100,000), so they are joined."""
+    return "".join(_ENCODE(obj, 0))
+
+
+def _step(obj: Any) -> Any:
+    """One level of ``jsonable``; a container's values are left as they are."""
+    if type(obj) in _PLAIN_TYPES:
+        return obj
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): v for k, v in obj.items()}
+    if hasattr(obj, "tolist"):  # numpy array or scalar
+        return _step(obj.tolist())
+    return obj
 
 
 def jsonable(obj: Any) -> Any:
     """Recursively convert report values into JSON-stable primitives.
 
     Fractions become exact "num/den" strings; a dataclass instance becomes
-    the dict of its fields, so a report's JSON shape is its field list;
-    numpy scalars/arrays become Python scalars/lists; floats stay floats
-    (json uses repr, which is deterministic and round-trips).  Values of the
-    exact plain types are returned at once; their subclasses (np.float64)
-    take the branches below.
+    the dict of its fields, so a report's JSON shape is its field list; dict
+    keys become ``str`` (a later duplicate wins); numpy scalars/arrays become
+    Python scalars/lists; floats stay floats (json uses repr, which is
+    deterministic and round-trips).  Values of the exact plain types are
+    returned at once; their subclasses (np.float64) take the numpy branch.
     """
-    if type(obj) in _PLAIN_TYPES:
-        return obj
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    obj = _step(obj)
     if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
+        return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if hasattr(obj, "tolist"):  # numpy array or scalar
-        return jsonable(obj.tolist())
     return obj
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
+    """``json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"``, byte for byte."""
+    return _text(_step(obj), "\n") + "\n"
+
+
+def _text(obj: Any, nl: str) -> str:
+    """The text of a ``_step``-converted value whose own lines start ``nl``."""
+    if not isinstance(obj, _NESTED):
+        return _encode(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = nl + "  "
+    if _table(obj):
+        # Every raw NUL is a separator; only one between rows follows a "}".
+        cell = inner + "  "
+        body = _encode(obj)[2:-2].replace("}\0{", inner + "}," + inner + "{" + cell)
+        return "[" + inner + "{" + cell + body.replace("\0", "," + cell) + inner + "}" + nl + "]"
+    keys = sorted(obj) if isinstance(obj, dict) else None
+    vals = [_step(v) for v in (obj if keys is None else map(obj.get, keys))]
+    texts = _encode([None if isinstance(v, _NESTED) else v for v in vals])[1:-1]
+    texts = [_text(v, inner) if isinstance(v, _NESTED) else t
+             for v, t in zip(vals, texts.split("\0"))]
+    if keys is None:
+        return "[" + inner + ("," + inner).join(texts) + nl + "]"
+    texts = [encode_basestring_ascii(k) + ": " + t for k, t in zip(keys, texts)]
+    return "{" + inner + ("," + inner).join(texts) + nl + "}"
+
+
+def _table(obj: Any) -> bool:
+    """Whether ``obj`` is a list of nonempty dicts with str keys and flat
+    scalar values, which the C encoder writes whole, each row's keys sorted."""
+    return (not isinstance(obj, dict) and set(map(type, obj)) == {dict} and all(obj)
+            and set(map(type, chain.from_iterable(obj))) == {str}
+            and set(map(type, chain.from_iterable(map(dict.values, obj)))) <= _FLAT)
 
 
 def _cell(v: Any) -> str:
@@ -71,12 +130,12 @@ def _cell(v: Any) -> str:
     return "" if v is None else str(v)
 
 
-def csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]], eol: str) -> str:
+def csv_text(header: Sequence[str], rows: Iterable[Iterable[Any]], eol: str) -> str:
     """Comma-joined table: Fractions as exact "n/d", floats as repr, None empty.
 
     Cells are never quoted.  ``eol`` ends every line, header included.
     """
-    lines = [",".join(header)] + [",".join(_cell(v) for v in row) for row in rows]
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
     return eol.join(lines) + eol
 
 

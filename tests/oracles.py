@@ -2,13 +2,17 @@
 
 Each is a plain function over ints and arrays that follows its definition one
 point or one step at a time, with none of the kernels' tables, views or
-packed reads.
+packed reads.  The last two are the reference formatters for the artifact
+text: the standard library's JSON encoder and a per-cell CSV join.
 """
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from coblim.reports import jsonable
 
 
 def orbit(start, bits, steps):
@@ -105,3 +109,23 @@ def weak_bound_violations(h, n_max, thresholds, q):
         weak = max((v ** q * (tail + 1) for tail, v in enumerate(hit)), default=0)
         count += t ** q * Fraction(len(hit), m) > Fraction(q, q - 1) ** q * weak / m
     return count
+
+
+def json_text(obj):
+    """A report's JSON text through the standard library's own indented
+    encoder: sorted keys, two spaces per level, a trailing newline."""
+    return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
+
+
+def csv_lines(header, rows, eol):
+    """A CSV table one cell at a time: a Fraction as "n/d", a float (np.float64
+    included) as its own repr, None as empty, anything else by str."""
+    def cell(v):
+        if isinstance(v, Fraction):
+            return f"{v.numerator}/{v.denominator}"
+        if isinstance(v, float):
+            return repr(v)
+        return "" if v is None else str(v)
+
+    lines = [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
+    return eol.join(lines) + eol
