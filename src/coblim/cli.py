@@ -44,7 +44,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .bernoulli_criteria import (
@@ -510,6 +509,8 @@ def _run_conditions(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
                               block_exp=float(block_exp))
     with view.blame("n", "horizons"):  # before condition16's pass, which runs first
         condition17_blocks(cfg)
+    with view.blame("slln_alpha", "exponents"):  # read by slln_report, which runs last
+        cfg.resolved_alpha()
     reports = {
         "condition16": condition16_report(cfg),
         "condition17": condition17_report(cfg),
@@ -596,8 +597,9 @@ def _run_maximal(view: ConfigView, sha: str) -> Tuple[Artifacts, int]:
     min_slack = math.inf
     for stream in range(count):
         h = random_level_function(view.cfg["seed"], stream, i=level)
-        rep = maximal_inequality_report(h, bits, n_max,
-                                        t_grid=default_threshold_grid(h, grid), q=float(q))
+        with view.blame("n_max", "horizons"):  # its int64 guard; the rest is checked above
+            rep = maximal_inequality_report(h, bits, n_max,
+                                            t_grid=default_threshold_grid(h, grid), q=float(q))
         total_level += rep.level_bound_violations
         total_weak += rep.weak_bound_violations
         min_slack = min(min_slack, rep.min_slack_weak)
@@ -798,9 +800,10 @@ def run(
             "package": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
     }
+    if "scipy" in sys.modules:  # coblim imports it only for the lacunary family's zeta
+        manifest["versions"]["scipy"] = sys.modules["scipy"].__version__
     (out / "manifest.json").write_text(canonical_json(manifest), encoding="utf-8", newline="")
     print(f"[OK] {subcommand}: {len(manifest['outputs'])} artifacts in {out} "
           f"(config {sha[:12]})")

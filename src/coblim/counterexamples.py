@@ -14,8 +14,12 @@ p-strong law.  On the odometer the towers are exact (mu(A_i) = 2^-i, no
 residual set), so norms and violation events are countable in exact rational
 arithmetic: g_i(T^l w) depends only on (level(w,i)+l) mod n_i.
 
-All level combinatorics are integer-exact; amplitudes are the only floating
-quantities.
+A violation event of tower i is a float threshold and an inclusive window
+(l_lo, l_hi) of shifts: TowerLevelMap.qualifying_j(threshold) gives the
+levels whose value meets the threshold as floats compare, and
+exact_violation_probability counts the residues whose window reaches one.
+All level combinatorics are integer-exact; amplitudes and thresholds are the
+only floating quantities.
 """
 
 from __future__ import annotations
@@ -41,10 +45,6 @@ __all__ = [
     "exact_norms",
     "NormRow",
     "exact_violation_probability",
-    "PeakFraction",
-    "AbsoluteThreshold",
-    "dyadic_window",
-    "full_window",
     "MAX_TABLE_BITS",
     "check_table_bits",
     "g_rank_dtype",
@@ -87,6 +87,18 @@ class TowerLevelMap:
     @property
     def peak(self) -> float:
         return self.amplitude * self.k
+
+    def qualifying_j(self, value: float) -> range:
+        """The j whose level n - j holds a value >= `value`.
+
+        Those are the j with min(j, 2k - j) >= u for the least u in 1..k
+        with fl(u * amplitude) >= value, the float comparison the event
+        makes; fl(u * amplitude) grows with u, so u is found by bisection
+        (none above the peak, every j for value <= amplitude).
+        """
+        u = 1 + bisect_left(range(1, self.k + 1), True,
+                            key=lambda u: u * self.amplitude >= value)
+        return range(u, 2 * self.k - u + 1)
 
     def rep(self) -> SimpleFunctionRep:
         """Exact distribution of g_i under the uniform measure."""
@@ -220,7 +232,8 @@ def build_tower_counterexample(
             exactly by feasibility_checks.
         window_exp: exponent in the open feasibility window; default midpoint.
         i0: first tower index; default is the smallest i with 2k_i < n_i and
-            n_i > e^e (keeps log log n_i positive).
+            n_i > e^e (keeps log log n_i positive), which an explicit i0
+            must satisfy too.
         i_max: truncation index for g = sum g_i.
         bits: odometer precision B >= i_max.
 
@@ -250,15 +263,15 @@ def build_tower_counterexample(
     def k_of(i: int) -> int:
         return math.ceil(2 ** (i * window_exp))
 
+    def starts(i: int) -> bool:
+        return 2 * k_of(i) < (1 << i) and (1 << i) > _E_TO_E
+
     if i0 is None:
-        i0 = 1
-        while not (2 * k_of(i0) < (1 << i0) and (1 << i0) > _E_TO_E):
-            i0 += 1
-            if i0 > 60:
-                raise ValueError("could not find a start index i0")
-    else:
-        if not (2 * k_of(i0) < (1 << i0) and (1 << i0) > _E_TO_E):
-            raise ValueError(f"i0={i0} violates 2k_i < n_i or n_i > e^e")
+        i0 = next((i for i in range(1, 61) if starts(i)), None)
+        if i0 is None:
+            raise ValueError("could not find a start index i0")
+    elif not starts(i0):
+        raise ValueError(f"i0={i0} violates 2k_i < n_i or n_i > e^e")
     if i_max < i0:
         raise ValueError(f"i_max={i_max} < i0={i0}")
     if i_max > bits:
@@ -266,8 +279,6 @@ def build_tower_counterexample(
     maps = []
     for i in range(i0, i_max + 1):
         n, k = 1 << i, k_of(i)
-        if not 2 * k < n:
-            raise ValueError(f"2k_i < n_i fails at i={i}")
         maps.append(TowerLevelMap(i=i, n=n, k=k, amplitude=_amplitude(kind, p, n, k)))
     return TowerCounterexample(
         kind=kind, p=p, r=r, q=q, window_exp=window_exp,
@@ -453,18 +464,18 @@ def _g_norm_bound(cex: TowerCounterexample, m: TowerLevelMap) -> float:
     return 2 ** (1 / e) * m.n ** (1 / cex.p - 1 / e) * m.k ** (1 / e)
 
 
-def default_violation_event(cex: TowerCounterexample, i: int) -> Tuple["ThresholdRule", Tuple[int, int]]:
-    """The reference violation event for tower i.
+def default_violation_event(cex: TowerCounterexample, i: int) -> Tuple[float, Tuple[int, int]]:
+    """The reference violation event for tower i, as (threshold, window).
 
     SLLN: max over l in [2^i, 2^{i+1}] of g_i o T^l >= n_i^{1/p}, i.e. the
     peak level qualifies and nothing below it (threshold = peak exactly).
-    IP_LIL: max over l in [1, n_i] of g_i o T^l > 0.1 sqrt(n_i) (the epsilon
+    IP_LIL: max over l in [1, n_i] of g_i o T^l >= 0.1 sqrt(n_i) (the epsilon
     = 0.1 instance of the condition16 scaled-maximum event at horizon n_i).
     """
     m = cex.map_for(i)
     if cex.kind == "slln":
-        return PeakFraction(Fraction(1)), dyadic_window(i)
-    return AbsoluteThreshold(0.1 * math.sqrt(m.n)), full_window(m.n)
+        return m.peak, (1 << i, 1 << (i + 1))
+    return 0.1 * math.sqrt(m.n), (1, m.n)
 
 
 def exact_norms(cex: TowerCounterexample, i_range: Optional[Sequence[int]] = None) -> List[NormRow]:
@@ -482,8 +493,7 @@ def exact_norms(cex: TowerCounterexample, i_range: Optional[Sequence[int]] = Non
         norm_g = strong_norm(m.rep(), e)
         norm_diff = strong_norm(m.diff_rep(), cex.r)
         bound_diff = m.amplitude * (2 * m.k / m.n) ** (1 / cex.r)
-        rule, window = default_violation_event(cex, i)
-        prob = exact_violation_probability(cex, i, rule, window)
+        prob = exact_violation_probability(cex, i, *default_violation_event(cex, i))
         rows.append(NormRow(
             i=i, n=m.n, k=m.k, amplitude=m.amplitude,
             norm_p_exact=norm_g, bound_355=_g_norm_bound(cex, m),
@@ -502,81 +512,28 @@ def norm_decay_ratios(rows: Sequence[NormRow]) -> List[float]:
 # exact violation probabilities (residue counting)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PeakFraction:
-    """Threshold = fraction * peak value, resolved in exact integer units.
-
-    g_i takes the values a_i * min(j, 2k_i - j); comparing against
-    fraction * a_i * k_i reduces to min(j, 2k_i - j) >= ceil(fraction * k_i),
-    an exact integer comparison immune to amplitude rounding.
-    """
-
-    fraction: Fraction
-
-    def qualifying_j(self, m: TowerLevelMap) -> range:
-        units = self.fraction * m.k
-        jmin = max(math.ceil(units), 1)
-        if jmin > m.k:
-            return range(0)  # above the peak: empty
-        return range(jmin, 2 * m.k - jmin + 1)
-
-
-@dataclass(frozen=True)
-class AbsoluteThreshold:
-    """Threshold as a raw value; compared against a_i * min(j, 2k_i - j).
-
-    The qualifying j are those with min(j, 2k_i - j) >= u for the least u
-    in 1..k_i with fl(u * a_i) >= value, the float comparison the event
-    makes; fl(u * a_i) grows with u, so u is found by bisection (none above
-    the peak, every j for value <= a_i).
-    """
-
-    value: float
-
-    def qualifying_j(self, m: TowerLevelMap) -> range:
-        u = 1 + bisect_left(range(1, m.k + 1), True, key=lambda u: u * m.amplitude >= self.value)
-        return range(u, 2 * m.k - u + 1)
-
-
-ThresholdRule = Union[PeakFraction, AbsoluteThreshold]
-
-
-def dyadic_window(i: int) -> Tuple[int, int]:
-    """The window l in [2^i, 2^{i+1}] of the block event."""
-    return (1 << i, 1 << (i + 1))
-
-
-def full_window(n: int) -> Tuple[int, int]:
-    """The window l in [1, n] of the condition16 scaled maximum."""
-    return (1, n)
-
-
 def exact_violation_probability(
     cex: TowerCounterexample,
     i: int,
-    rule: ThresholdRule,
-    window: Optional[Tuple[int, int]] = None,
+    threshold: float,
+    window: Tuple[int, int],
 ) -> Fraction:
-    """Exact measure of {w : max_{l in window} g_i(T^l w) >= threshold}.
+    """Exact measure of {w : max_{l_lo <= l <= l_hi} g_i(T^l w) >= threshold}
+    for the inclusive window (l_lo, l_hi).
 
     Since g_i(T^l w) depends only on (level(w,i) + l) mod n_i, the event is
-    the set of residues res with res + l = n_i - j (mod n_i) for a qualifying
-    j and an l in the window.  Both ranges are contiguous, so these residues
-    form one arc of len(js) + l_hi - l_lo points mod n_i (all of Z/n_i Z when
-    that reaches n_i); its measure is a dyadic rational counted exactly.
-    g >= g_i >= 0 makes this a certified lower bound for the same event with
-    the full g.
-
-    `window` is an inclusive pair (l_lo, l_hi); default is the dyadic block
-    window [2^i, 2^{i+1}].
+    the set of residues res with res + l = n_i - j (mod n_i) for a j of
+    TowerLevelMap.qualifying_j and an l in the window.  Both ranges are
+    contiguous, so these residues form one arc of len(js) + l_hi - l_lo
+    points mod n_i (all of Z/n_i Z when that reaches n_i); its measure is a
+    dyadic rational counted exactly.  g >= g_i >= 0 makes this a certified
+    lower bound for the same event with the full g.
     """
     m = cex.map_for(i)  # refuses i outside [i0, i_max]
-    if window is None:
-        window = dyadic_window(i)
     l_lo, l_hi = window
     if l_lo > l_hi or l_lo < 0:
         raise ValueError(f"bad window {window}")
-    js = rule.qualifying_j(m)
+    js = m.qualifying_j(threshold)
     if len(js) == 0:
         return Fraction(0)
     return Fraction(min(m.n, len(js) + l_hi - l_lo), m.n)

@@ -58,7 +58,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
 from .counterexamples import (
-    AbsoluteThreshold,
     TowerCounterexample,
     _window_hit_counts,
     blocks_for_range,
@@ -769,9 +768,7 @@ def condition16_report(cfg: OdometerConfig) -> ConditionReport:
                 se=_binomial_se(est, cfg.paths), threshold=thr, paths=cfg.paths,
             )
             i_star = min(cex.i_max, max(cex.i0, n.bit_length() - 1))
-            tower_bound = exact_violation_probability(
-                cex, i_star, AbsoluteThreshold(thr), window=(1, n)
-            )
+            tower_bound = exact_violation_probability(cex, i_star, thr, (1, n))
             report.exact_rows.append({
                 "n": n, "epsilon": eps, "threshold": thr,
                 "exact_prob": exact, "tower_bound": tower_bound,
@@ -853,9 +850,7 @@ def condition17_report(cfg: OdometerConfig) -> ConditionReport:
         n_hi = 1 << (i + 1)
         for eps in cfg.epsilons:
             theta = probe.dyadic_thresholds[eps][di]
-            bound = exact_violation_probability(
-                cex, i, AbsoluteThreshold(theta), window=(1 << i, n_hi)
-            )
+            bound = exact_violation_probability(cex, i, theta, (1 << i, n_hi))
             est = probe.dyadic_hits[eps][di] / cfg.paths
             report.exact_rows.append({
                 "tower": i, "epsilon": eps, "threshold": theta,

@@ -77,12 +77,14 @@ def mstar_scan(h, residue, n_max):
     return best
 
 
-def violation_probability_bruteforce(cex, i, rule, window):
+def violation_probability_bruteforce(cex, i, threshold, window):
     """Share of the residues mod n_i from which some shift l in the inclusive
-    window lands on a qualifying level n_i - j, scanning every residue and l."""
+    window lands on a level whose g_i value is >= threshold, scanning every
+    residue and l."""
     m = cex.map_for(i)
+    levels, values = m.profile()
     qualifying = np.zeros(m.n, dtype=bool)
-    qualifying[[m.n - j for j in rule.qualifying_j(m)]] = True
+    qualifying[levels[values >= threshold]] = True
     residues = np.arange(m.n)
     hit = np.zeros(m.n, dtype=bool)
     for l in range(window[0], window[1] + 1):

@@ -23,13 +23,9 @@ import numpy as np
 from coblim.bernoulli_criteria import conditional_expectation, lemma32_check, make_function
 from coblim.cli import main as cli_main
 from coblim.counterexamples import (
-    AbsoluteThreshold,
-    PeakFraction,
     build_tower_counterexample,
-    dyadic_window,
     exact_norms,
     exact_violation_probability,
-    full_window,
 )
 from coblim.dynamics import coordinate_matrix
 from coblim.maximal import maximal_inequality_report, random_level_function
@@ -89,8 +85,8 @@ def test_criterion_1_tower_norms_and_violation_floor():
     for row in rows:
         if row.i < 10:
             continue
-        rule = AbsoluteThreshold(0.1 * math.sqrt(row.n))
-        probs[row.i] = exact_violation_probability(cex, row.i, rule, full_window(row.n))
+        probs[row.i] = exact_violation_probability(cex, row.i, 0.1 * math.sqrt(row.n),
+                                                   (1, row.n))
         assert probs[row.i] == row.violation_prob  # the rows bake in this event
     min_prob = min(probs.values())
 
@@ -116,7 +112,7 @@ def test_criterion_2_slln_tower_event_measure():
     )
     assert cex.i0 <= 8
     measures = {
-        i: exact_violation_probability(cex, i, PeakFraction(Fraction(1)), dyadic_window(i))
+        i: exact_violation_probability(cex, i, cex.map_for(i).peak, (1 << i, 1 << (i + 1)))
         for i in range(8, 21)
     }
     min_measure = min(measures.values())

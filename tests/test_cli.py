@@ -129,6 +129,22 @@ def test_maximal_bits_guard_edges_checked_before_drawing(tmp_path, capsys, monke
     assert not out.exists()
 
 
+def test_maximal_n_max_overflow_anchored_at_its_line(tmp_path, capsys):
+    # the int64 guard of the enumeration refuses n_max at the horizons line
+    config = tmp_path / "nmax.json"
+    config.write_text(json.dumps({"preset": "maximal-smoke",
+                                  "horizons": {"n_max": 5_000_000}}, indent=1))
+    line = next(i for i, text in enumerate(config.read_text().splitlines(), start=1)
+                if '"n_max"' in text)
+    assert line > 1
+    out = tmp_path / "run"
+    code = run_cli("maximal", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert (f"nmax.json:{line}: n_max too large for exact int64 streaming"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 class _Built(Exception):
     """Raised by the stubbed residue table: the run got past every guard."""
 
@@ -181,6 +197,24 @@ def test_conditions_horizon_preconditions_checked_before_the_table(tmp_path, cap
     code = run_cli("conditions", "--config", str(config), "--out", str(out))
     assert code == 2
     assert f"short.json:{line}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_conditions_alpha_refused_at_its_line_before_the_table(tmp_path, capsys, monkeypatch):
+    # slln_report reads alpha last; an alpha outside [1/p, 1] is refused at
+    # its own line before the table of g is built and any report runs
+    monkeypatch.setattr("coblim.mc_harness.g_residue_table", _no_table)
+    config = tmp_path / "alpha.json"
+    config.write_text(json.dumps({"preset": "tower-slln", "exponents": {"slln_alpha": 0.1}},
+                                 indent=1))
+    line = next(i for i, text in enumerate(config.read_text().splitlines(), start=1)
+                if '"slln_alpha"' in text)
+    assert line > 1
+    out = tmp_path / "run"
+    code = run_cli("conditions", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert (f"alpha.json:{line}: alpha=0.1 outside [1/p, 1] = [0.555556, 1]"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -504,6 +538,28 @@ def test_cli_import_leaves_scipy_ndimage_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_unloaded_and_out_of_the_manifest(tmp_path):
+    # scipy is imported only by the lacunary family; the manifest names its
+    # version once a run has imported it, and leaves it out before
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import json, sys, coblim.cli\n"
+        "from coblim.bernoulli_criteria import make_function\n"
+        "print('#', 'scipy' in sys.modules)\n"
+        "for n in range(2):\n"
+        f"    out = {str(tmp_path)!r} + f'/{{n}}'\n"
+        "    assert coblim.cli.main(['validate', '--out', out]) == 0\n"
+        "    print('#', sorted(json.load(open(out + '/manifest.json'))['versions']))\n"
+        "    make_function('lacunary')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert [line for line in result.stdout.splitlines() if line.startswith("# ")] == [
+        "# False", "# ['numpy', 'package', 'python']",
+        "# ['numpy', 'package', 'python', 'scipy']"]
 
 
 def test_cli_and_monte_carlo_reports_leave_scipy_special_unloaded():

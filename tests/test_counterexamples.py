@@ -6,18 +6,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coblim.counterexamples import (
-    AbsoluteThreshold,
-    PeakFraction,
     TowerCounterexample,
     TowerLevelMap,
     build_tower_counterexample,
-    dyadic_window,
     exact_norms,
     exact_violation_probability,
+    feasibility_checks,
     g_rank_dtype,
     g_residue_table,
     norm_decay_ratios,
@@ -106,6 +104,15 @@ def test_default_start_index_respects_constraints():
     i0 = cex.i0
     assert 2 * cex.map_for(i0).k < (1 << i0)
     assert (1 << i0) > math.e ** math.e
+
+
+def test_explicit_start_index_obeys_the_default_rule():
+    # one predicate decides the searched start index and an explicit one
+    cex = small_iplil()
+    assert build_tower_counterexample("ip_lil", p=1.2, r=4.0, i0=cex.i0, i_max=10,
+                                      bits=12) == cex
+    with pytest.raises(ValueError, match=f"i0={cex.i0 - 1} violates 2k_i < n_i or n_i > e"):
+        build_tower_counterexample("ip_lil", p=1.2, r=4.0, i0=cex.i0 - 1, i_max=10, bits=12)
 
 
 # ---------------------------------------------------------------------------
@@ -300,50 +307,49 @@ def test_norm_decay_ratios_track_the_geometric_rate():
 )
 def test_violation_probability_matches_bruteforce(i, frac, data):
     cex = small_iplil(i_max=10, bits=12)
-    rule = PeakFraction(frac)
     m = cex.map_for(i)
+    threshold = float(frac) * m.peak
     lo = data.draw(st.integers(min_value=0, max_value=2 * m.n))
     length = data.draw(st.integers(min_value=0, max_value=2 * m.n))
     window = (lo, lo + length)
-    exact = exact_violation_probability(cex, i, rule, window)
-    brute = violation_probability_bruteforce(cex, i, rule, window)
+    exact = exact_violation_probability(cex, i, threshold, window)
+    brute = violation_probability_bruteforce(cex, i, threshold, window)
     assert exact == brute
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=5, max_value=9), st.floats(min_value=0.0, max_value=30.0))
-def test_absolute_threshold_matches_bruteforce(i, value):
+def test_threshold_on_dyadic_window_matches_bruteforce(i, value):
     cex = small_slln(i_max=10, bits=12)
-    rule = AbsoluteThreshold(value)
-    window = dyadic_window(i)
-    assert exact_violation_probability(cex, i, rule, window) == \
-        violation_probability_bruteforce(cex, i, rule, window)
+    window = (1 << i, 1 << (i + 1))
+    assert exact_violation_probability(cex, i, value, window) == \
+        violation_probability_bruteforce(cex, i, value, window)
 
 
 def test_violation_probability_window_endpoints():
     cex = small_iplil(i_max=8, bits=10)
     m = cex.map_for(6)
-    rule = PeakFraction(Fraction(1, 2))
+    threshold = 0.5 * m.peak
     # a single-shift window hits each qualifying level from one residue
-    assert exact_violation_probability(cex, 6, rule, (0, 0)) == Fraction(
-        len(rule.qualifying_j(m)), m.n
+    assert exact_violation_probability(cex, 6, threshold, (0, 0)) == Fraction(
+        len(m.qualifying_j(threshold)), m.n
     )
     # a window at least one full cycle long passes through every level
-    assert exact_violation_probability(cex, 6, rule, (0, m.n - 1)) == Fraction(1)
-    assert exact_violation_probability(cex, 6, rule, (5, 5 + 10 * m.n)) == Fraction(1)
+    assert exact_violation_probability(cex, 6, threshold, (0, m.n - 1)) == Fraction(1)
+    assert exact_violation_probability(cex, 6, threshold, (5, 5 + 10 * m.n)) == Fraction(1)
 
 
-def test_peak_fraction_above_peak_is_empty():
+def test_threshold_above_peak_is_empty():
     m = TowerLevelMap(i=6, n=64, k=5, amplitude=1.0)
-    assert len(PeakFraction(Fraction(3, 2)).qualifying_j(m)) == 0
-    assert len(PeakFraction(Fraction(1)).qualifying_j(m)) == 1  # peak only
+    assert len(m.qualifying_j(1.5 * m.peak)) == 0
+    assert m.qualifying_j(m.peak) == range(m.k, m.k + 1)  # peak only
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), i=st.integers(2, 14),
        amplitude=st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False),
        where=st.sampled_from(["below", "at", "above", "nonpositive", "over-peak"]))
-def test_absolute_threshold_qualifies_the_levels_that_meet_it(data, i, amplitude, where):
+def test_qualifying_j_are_the_levels_that_meet_the_threshold(data, i, amplitude, where):
     # the qualifying j are exactly those whose profile value is >= the
     # threshold, compared as floats, for thresholds at u * a, its float
     # neighbours, <= 0 and above the peak
@@ -360,12 +366,29 @@ def test_absolute_threshold_qualifies_the_levels_that_meet_it(data, i, amplitude
     }[where]
     levels, values = m.profile()
     expected = [j for j, v in zip(n - levels, values.tolist()) if v >= value]
-    assert list(AbsoluteThreshold(value).qualifying_j(m)) == expected
+    assert list(m.qualifying_j(value)) == expected
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(["ip_lil", "slln"]), st.integers(100, 199), st.integers(200, 600),
+       st.integers(100, 198), st.floats(0.01, 0.99))
+def test_peak_threshold_qualifies_the_peak_level_alone(kind, a, b, c, t):
+    # the slln event's threshold is the float peak: on every tower it must
+    # select the peak level and no other
+    p, r, q = a / 100, b / 100, c / 100 if kind == "slln" else None
+    context = {}
+    assume(all(passed for _, passed, _, _ in feasibility_checks(kind, p, r, q, context)))
+    lo, hi = context["window"]
+    cex = build_tower_counterexample(kind, p, r, q=q, window_exp=float(lo + (hi - lo) * t),
+                                     i_max=24, bits=24)
+    for m in cex.maps:
+        assert m.qualifying_j(m.peak) == range(m.k, m.k + 1)
 
 
 def test_violation_probability_exact_type():
     cex = small_iplil(i_max=8, bits=10)
-    prob = exact_violation_probability(cex, 7, PeakFraction(Fraction(1, 3)), None)
+    m = cex.map_for(7)
+    prob = exact_violation_probability(cex, 7, m.peak / 3, (1 << 7, 1 << 8))
     assert isinstance(prob, Fraction)
     assert 0 <= prob <= 1
 
